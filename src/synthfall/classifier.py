@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .metrics import ClassificationMetrics, classification_metrics
-from .windowing import Window
+from .windowing import WindowSet
 
 BN_MOMENTUM = 0.99
 BN_EPS = 1e-3
@@ -151,12 +151,7 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
 
 
 def _as_batch(windows, dtype) -> np.ndarray:
-    if isinstance(windows, (list, tuple)):
-        if not windows:
-            raise DataError("batch must be non-empty")
-        arr = np.stack([w.values for w in windows])
-    else:
-        arr = np.asarray(windows)
+    arr = windows.values if isinstance(windows, WindowSet) else np.asarray(windows)
     if arr.ndim != 3 or arr.shape[0] == 0:
         raise DataError(f"batch must have shape (B, W, input_dim), got {arr.shape}")
     return arr.astype(dtype, copy=False)
@@ -364,9 +359,9 @@ class TrainHistory:
 
 
 def _labels_of(windows) -> np.ndarray:
-    if isinstance(windows, (list, tuple)) and windows and isinstance(windows[0], Window):
-        return np.array([int(w.label) for w in windows], dtype=np.int64)
-    raise DataError("expected a non-empty list of Window objects")
+    if isinstance(windows, WindowSet) and len(windows):
+        return windows.labels
+    raise DataError("expected a non-empty WindowSet")
 
 
 def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):

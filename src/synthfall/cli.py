@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ingest, kinematics, windows, align, train, experiment,
+Subcommands: ingest, kinematics, align, train, experiment,
 ablate-quantity, prompts, report.  Experiment-style commands read a JSON
 config file mirroring ExperimentConfig; every field can be overridden by a
 flag, and --seed is always required for them.
@@ -14,12 +14,14 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import harness, ingest, windowing
 from .classifier import save_checkpoint
 from .errors import ConfigError, DataError, ToolkitError
 from .harness import (
+    TRAIN_FIELDS,
     AlignmentOptions,
     ExperimentConfig,
     emit_report,
@@ -60,14 +62,14 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
 
 
-def _parse_floats(text: str, n: int, flag: str) -> list[float]:
+def _parse_numbers(text: str, n: int, flag: str, kind=float) -> list:
     parts = text.split(",")
     if len(parts) != n:
         raise ConfigError(f"{flag} expects {n} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError:
-        raise ConfigError(f"{flag} expects numbers, got {text!r}") from None
+        raise ConfigError(f"{flag} expects {kind.__name__} values, got {text!r}") from None
 
 
 def _build_experiment_config(args) -> ExperimentConfig:
@@ -83,37 +85,22 @@ def _build_experiment_config(args) -> ExperimentConfig:
             raise ConfigError("config file must hold a JSON object")
     else:
         base = {}
-    base["seed"] = args.seed
-    if args.real_manifest:
-        base["real_manifest"] = args.real_manifest
-    if args.synthetic_manifests:
-        base["synthetic_manifests"] = args.synthetic_manifests
-    for attr, key in (
-        ("window", "window"), ("stride", "stride"), ("iterations", "iterations"),
-        ("hidden_size", "hidden_size"), ("dense_units", "dense_units"),
-        ("bins", "bins"), ("k", "k"), ("threshold", "threshold"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            base[key] = value
+    # Every config field with a flag of the same name; flags left unset are None.
+    flags = dict(vars(args))
     if args.mix:
-        base["mix"] = _parse_floats(args.mix, 3, "--mix")
+        flags["mix"] = _parse_numbers(args.mix, 3, "--mix")
     if args.split_sizes:
-        base["split_sizes"] = [int(v) for v in _parse_floats(args.split_sizes, 3, "--split-sizes")]
-    if args.baseline_report:
-        base["baseline_report"] = args.baseline_report
-    train_cfg = dict(base.get("train", {}))
-    for attr, key in (
-        ("learning_rate", "learning_rate"), ("max_epochs", "max_epochs"),
-        ("patience", "patience"), ("batch_size", "batch_size"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            train_cfg[key] = value
+        flags["split_sizes"] = _parse_numbers(args.split_sizes, 3, "--split-sizes", int)
+    for f in fields(ExperimentConfig):
+        if flags.get(f.name) is not None:
+            base[f.name] = flags[f.name]
+    train_flags = {name: flags[name] for name in TRAIN_FIELDS if flags.get(name) is not None}
     if args.no_shuffle:
-        train_cfg["shuffle"] = False
-    if train_cfg:
-        base["train"] = train_cfg
+        train_flags["shuffle"] = False
+    train_cfg = base.get("train", {})
+    # A train value that is not an object is left for from_dict to reject.
+    if train_flags and isinstance(train_cfg, dict):
+        base["train"] = {**train_cfg, **train_flags}
     if "real_manifest" not in base:
         raise ConfigError("a real manifest is required (--real-manifest or config file)")
     return ExperimentConfig.from_dict(base)
@@ -140,18 +127,6 @@ def _cmd_kinematics(args) -> int:
     )
     Path(args.output).write_bytes(ingest.write_accel_csv(series))
     print(f"wrote {len(series)} samples at {series.sampling_rate:g} Hz to {args.output}")
-    return 0
-
-
-def _cmd_windows(args) -> int:
-    catalog = ingest.catalog_dataset(args.manifest)
-    windows = []
-    for entry in catalog.entries:
-        windows.extend(windowing.slide_windows(ingest.load_entry(entry), args.window, args.stride))
-    windowing.save_window_cache(windows, args.output)
-    if args.debug_csv:
-        Path(args.debug_csv).write_text(windowing.windows_to_csv(windows), "utf-8")
-    print(f"cached {len(windows)} windows to {args.output}")
     return 0
 
 
@@ -248,14 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--central-diff", action="store_true",
                    help="use the central second difference (output length F-2)")
     p.set_defaults(func=_cmd_kinematics)
-
-    p = sub.add_parser("windows", help="build a window cache from a manifest")
-    p.add_argument("manifest")
-    p.add_argument("output", help="cache file path")
-    p.add_argument("--window", type=int, default=windowing.DEFAULT_WINDOW)
-    p.add_argument("--stride", type=int, default=windowing.DEFAULT_STRIDE)
-    p.add_argument("--debug-csv", help="also write windows as CSV")
-    p.set_defaults(func=_cmd_windows)
 
     p = sub.add_parser("align", help="real-vs-synthetic alignment report")
     p.add_argument("real_manifest")

@@ -13,8 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+import math
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .metrics import (
 )
 from .windowing import (
     MixSpec,
-    Window,
+    WindowSet,
     apply_scaler,
     compose_training_mix,
     fit_scaler,
@@ -51,8 +53,8 @@ def derive_seed(master_seed: int, index: int, role: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _catalog_windows(catalog: DatasetCatalog, width: int, stride: int, activity=None) -> list[Window]:
-    windows: list[Window] = []
+def _catalog_windows(catalog: DatasetCatalog, width: int, stride: int, activity=None) -> WindowSet:
+    sets = []
     for entry in catalog.entries:
         if activity is not None and entry.activity != activity:
             continue
@@ -63,8 +65,8 @@ def _catalog_windows(catalog: DatasetCatalog, width: int, stride: int, activity=
                 "skipping %s: %d samples is shorter than the window (%d)",
                 entry.path, len(series), width,
             )
-        windows.extend(cut)
-    return windows
+        sets.append(cut)
+    return WindowSet.concat(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +114,8 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     if not syn_windows:
         raise DataError("synthetic manifest yields no fall windows")
 
-    real_arr = np.stack([w.values for w in real_windows])
-    syn_arr = np.stack([w.values for w in syn_windows])
+    real_arr = real_windows.values
+    syn_arr = syn_windows.values
     real_norm, syn_norm = _normalized_values(real_arr, syn_arr)
 
     real_curve, syn_curve = _density_pair(real_norm.ravel(), syn_norm.ravel(), opts.bins)
@@ -148,6 +150,39 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
 # ---------------------------------------------------------------------------
 # Experiment configuration and report
 
+# Train settings a config carries.  train.seed is left out: per-iteration
+# training seeds derive from the master seed, so the nested value never
+# takes effect.
+TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON-decoded value can fill a field annotated ``hint``.
+
+    Booleans are not numbers here, and floats must be finite.
+    """
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return _fits(value, int) or (isinstance(value, float) and math.isfinite(value))
+    if hint in (str, bool, dict, type(None)):
+        return isinstance(value, hint)
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return any(_fits(value, arg) for arg in args)
+
+
+def _check_field(name: str, value, hint) -> None:
+    if not _fits(value, hint):
+        expected = str(hint) if get_args(hint) else hint.__name__
+        raise ConfigError(f"config field {name} must be {expected}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     real_manifest: str
@@ -175,70 +210,41 @@ class ExperimentConfig:
         object.__setattr__(self, "split_sizes", tuple(self.split_sizes))
 
     def to_dict(self) -> dict:
-        # train.seed is omitted: per-iteration training seeds derive from the
-        # master seed, so the nested value never takes effect.
-        return {
-            "real_manifest": self.real_manifest,
-            "synthetic_manifests": list(self.synthetic_manifests),
-            "window": self.window,
-            "stride": self.stride,
-            "mix": list(self.mix.as_tuple()),
-            "split_sizes": list(self.split_sizes),
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "hidden_size": self.hidden_size,
-            "dense_units": self.dense_units,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "max_epochs": self.train.max_epochs,
-                "patience": self.train.patience,
-                "batch_size": self.train.batch_size,
-                "shuffle": self.train.shuffle,
-            },
-            "bins": self.bins,
-            "k": self.k,
-            "threshold": self.threshold,
-            "baseline_report": self.baseline_report,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            synthetic_manifests=list(self.synthetic_manifests),
+            mix=list(self.mix.as_tuple()),
+            split_sizes=list(self.split_sizes),
+            train={name: getattr(self.train, name) for name in TRAIN_FIELDS},
+        )
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {
-            "real_manifest", "synthetic_manifests", "window", "stride", "mix",
-            "split_sizes", "iterations", "seed", "hidden_size", "dense_units",
-            "train", "bins", "k", "threshold", "baseline_report",
-        }
-        unknown = set(d) - known
+        """Build a config from its JSON form, raising ConfigError for unknown
+        or missing fields and for values of the wrong type or length."""
+        hints = get_type_hints(cls)
+        # JSON spells the mix as its three fractions and train as an object.
+        hints.update(mix=tuple[float, float, float], train=dict)
+        unknown = set(d) - set(hints)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "real_manifest" not in d:
-            raise ConfigError("config requires real_manifest")
-        if "seed" not in d:
-            raise ConfigError("config requires seed")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise ConfigError(f"config requires {', '.join(missing)}")
+        for name, value in d.items():
+            _check_field(name, value, hints[name])
         train_d = dict(d.get("train", {}))
+        train_hints = get_type_hints(TrainConfig)
+        for name, value in train_d.items():
+            if name not in train_hints:
+                raise ConfigError(f"invalid train config: unknown field {name!r}")
+            _check_field(f"train.{name}", value, train_hints[name])
         train_d.pop("seed", None)
-        try:
-            train_cfg = TrainConfig(**train_d)
-        except TypeError as exc:
-            raise ConfigError(f"invalid train config: {exc}") from None
-        mix = d.get("mix", (0.6, 0.2, 0.2))
-        return cls(
-            real_manifest=d["real_manifest"],
-            seed=d["seed"],
-            synthetic_manifests=tuple(d.get("synthetic_manifests", ())),
-            window=d.get("window", 128),
-            stride=d.get("stride", 10),
-            mix=MixSpec(*mix),
-            split_sizes=tuple(d.get("split_sizes", (8, 2, 2))),
-            iterations=d.get("iterations", 5),
-            hidden_size=d.get("hidden_size", 128),
-            dense_units=d.get("dense_units", 128),
-            train=train_cfg,
-            bins=d.get("bins", 100),
-            k=d.get("k", 5),
-            threshold=d.get("threshold", 0.5),
-            baseline_report=d.get("baseline_report"),
-        )
+        kwargs = dict(d, train=TrainConfig(**train_d))
+        if "mix" in d:
+            kwargs["mix"] = MixSpec(*d["mix"])
+        return cls(**kwargs)
 
     def fingerprint(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -338,11 +344,11 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 # Experiment runs
 
-def _subject_windows(windows: list[Window], subjects) -> list[Window]:
-    return [w for w in windows if w.subject_id in subjects]
+def _subject_mask(windows: WindowSet, subjects) -> np.ndarray:
+    return np.isin(windows.subjects, np.array(list(subjects), dtype=str))
 
 
-def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], list[Window], list[Window]]:
+def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, WindowSet]:
     real_catalog = catalog_dataset(config.real_manifest)
     subjects = real_catalog.subjects()
     if len(subjects) < sum(config.split_sizes):
@@ -350,33 +356,39 @@ def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], list[Window]
             f"manifest has {len(subjects)} subjects; split sizes {config.split_sizes} need {sum(config.split_sizes)}"
         )
     real_windows = _catalog_windows(real_catalog, config.window, config.stride)
-    synthetic_pool: list[Window] = []
-    for manifest in config.synthetic_manifests:
-        synthetic_pool.extend(
-            _catalog_windows(catalog_dataset(manifest), config.window, config.stride, ActivityLabel.FALL)
-        )
+    synthetic_pool = WindowSet.concat(
+        _catalog_windows(catalog_dataset(manifest), config.window, config.stride, ActivityLabel.FALL)
+        for manifest in config.synthetic_manifests
+    )
     return subjects, real_windows, synthetic_pool
+
+
+def _scaled_sets(config, i, split, real_windows, synthetic_pool):
+    """The standardized (train, validation, test) sets of one iteration.
+
+    Masks select each pool straight from the real windows, so only the
+    selected rows are copied, and the unscaled copies are freed on return,
+    before training allocates its own buffers.
+    """
+    in_train = _subject_mask(real_windows, split.train)
+    adl_pool = real_windows.take(in_train & (real_windows.labels == ActivityLabel.ADL))
+    fall_pool = real_windows.take(in_train & (real_windows.labels == ActivityLabel.FALL))
+    mix = compose_training_mix(
+        adl_pool, fall_pool, synthetic_pool, config.mix, derive_seed(config.seed, i, "mix")
+    )
+    val_windows = real_windows.take(_subject_mask(real_windows, split.validation))
+    test_windows = real_windows.take(_subject_mask(real_windows, split.test))
+    if not val_windows or not test_windows:
+        raise DataError(f"iteration {i}: empty validation or test window set")
+
+    scaler = fit_scaler(mix)
+    return tuple(apply_scaler(scaler, w) for w in (mix, val_windows, test_windows))
 
 
 def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
     """One split/mix/train/evaluate round; returns (result, model, history)."""
     split = split_subjects(subjects, config.split_sizes, derive_seed(config.seed, i, "split"))
-    train_pool = _subject_windows(real_windows, split.train)
-    adl_pool = [w for w in train_pool if w.label == ActivityLabel.ADL]
-    fall_pool = [w for w in train_pool if w.label == ActivityLabel.FALL]
-    mix = compose_training_mix(
-        adl_pool, fall_pool, synthetic_pool, config.mix, derive_seed(config.seed, i, "mix")
-    )
-    val_windows = _subject_windows(real_windows, split.validation)
-    test_windows = _subject_windows(real_windows, split.test)
-    if not val_windows or not test_windows:
-        raise DataError(f"iteration {i}: empty validation or test window set")
-
-    scaler = fit_scaler(mix)
-    train_w = apply_scaler(scaler, mix)
-    val_w = apply_scaler(scaler, val_windows)
-    test_w = apply_scaler(scaler, test_windows)
-
+    train_w, val_w, test_w = _scaled_sets(config, i, split, real_windows, synthetic_pool)
     model = init_model(
         derive_seed(config.seed, i, "init"),
         hidden_size=config.hidden_size,

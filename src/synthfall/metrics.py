@@ -15,7 +15,6 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .windowing import Window
 
 EXACT_KS_LIMIT = 14
 
@@ -178,8 +177,6 @@ def jsd(p: DensityCurve, q: DensityCurve) -> float:
 # Coverage
 
 def _as_matrix(samples) -> np.ndarray:
-    if isinstance(samples, (list, tuple)) and samples and isinstance(samples[0], Window):
-        return np.stack([w.values.ravel() for w in samples])
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 3:
         arr = arr.reshape(arr.shape[0], -1)

@@ -7,14 +7,12 @@ and draws seeded real/synthetic training mixes.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kinematics import AccelSeries, ActivityLabel, Provenance
+from .kinematics import AccelSeries, Provenance
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 10
@@ -25,51 +23,73 @@ STD_FLOOR = 1e-8
 _FLOOR_EPS = 1e-9
 
 
-@dataclass
-class Window:
-    """W x 3 segment with its label, source subject, and provenance."""
+@dataclass(frozen=True, eq=False)
+class WindowSet:
+    """N windows of W x 3 samples stored as columns.
+
+    ``values`` is a C-contiguous float64 array of shape (N, W, 3); ``labels``
+    (activity label values), ``subjects`` (subject ids, "" when unknown) and
+    ``synthetic`` (provenance flag) hold one entry per window.
+    """
 
     values: np.ndarray
-    label: ActivityLabel
-    subject_id: str | None
-    provenance: Provenance
+    labels: np.ndarray
+    subjects: np.ndarray
+    synthetic: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise DataError(f"window must have shape (W, 3), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DataError("window contains non-finite values")
-        self.values = arr
-        self.label = ActivityLabel(self.label)
-        self.provenance = Provenance(self.provenance)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if values.ndim != 3 or values.shape[2] != 3:
+            raise DataError(f"windows must have shape (N, W, 3), got {values.shape}")
+        object.__setattr__(self, "values", values)
+        for name, dtype in (("labels", np.int64), ("subjects", str), ("synthetic", bool)):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.shape != values.shape[:1]:
+                raise DataError(f"window {name} must have one entry per window")
+            object.__setattr__(self, name, column)
 
-    @property
-    def width(self) -> int:
+    def __len__(self) -> int:
         return self.values.shape[0]
 
+    def take(self, idx) -> "WindowSet":
+        """The windows selected by an index array or boolean mask, in that order."""
+        return WindowSet(self.values[idx], self.labels[idx], self.subjects[idx], self.synthetic[idx])
 
-def slide_windows(series: AccelSeries, width: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> list[Window]:
+    @classmethod
+    def concat(cls, sets) -> "WindowSet":
+        """The windows of every set, in order.  Empty sets add nothing, so
+        their width need not match; no sets at all give an empty set of
+        width 0."""
+        sets = list(sets)
+        parts = [s for s in sets if len(s)] or sets[:1]
+        if not parts:
+            return cls(np.empty((0, 0, 3)), np.empty(0), np.empty(0, dtype=str), np.empty(0))
+        return cls(*(np.concatenate([getattr(s, f.name) for s in parts]) for f in fields(cls)))
+
+
+def slide_windows(series: AccelSeries, width: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> WindowSet:
     """Cut overlapping windows starting at offsets 0, stride, 2*stride, ...
 
-    Yields floor((N - W)/stride) + 1 windows when N >= W, else an empty list.
-    Windows inherit the series label, subject, and provenance.
+    Yields floor((N - W)/stride) + 1 windows when N >= W, else an empty set
+    of shape (0, W, 3).  Windows inherit the series label, subject, and
+    provenance.
     """
     if width < 1 or stride < 1:
         raise ConfigError("window width and stride must be >= 1")
-    n = len(series)
-    if n < width:
-        return []
-    count = (n - width) // stride + 1
-    return [
-        Window(
-            values=series.samples[start : start + width].copy(),
-            label=series.label,
-            subject_id=series.subject_id,
-            provenance=series.provenance,
-        )
-        for start in (i * stride for i in range(count))
-    ]
+    if len(series) < width:
+        values = np.empty((0, width, 3))
+    else:
+        # (N - W + 1, 3, W) read-only view of every offset; keep each
+        # stride-th and copy, so the set owns its values.
+        view = np.lib.stride_tricks.sliding_window_view(series.samples, width, axis=0)
+        values = view[::stride].transpose(0, 2, 1).copy()
+    count = values.shape[0]
+    return WindowSet(
+        values,
+        np.full(count, int(series.label)),
+        np.repeat(np.array(series.subject_id or ""), count),
+        np.full(count, series.provenance == Provenance.SYNTHETIC),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +111,22 @@ class Scaler:
         object.__setattr__(self, "std", std)
 
 
-def fit_scaler(windows: list[Window]) -> Scaler:
+def fit_scaler(windows: WindowSet) -> Scaler:
     """Per-axis mean and population std over all window values pooled together."""
     if not windows:
         raise DataError("cannot fit a scaler on zero windows")
-    pooled = np.concatenate([w.values for w in windows], axis=0)
+    pooled = windows.values.reshape(-1, 3)
     mean = pooled.mean(axis=0)
     std = np.maximum(pooled.std(axis=0), STD_FLOOR)
     return Scaler(mean=mean, std=std)
 
 
-def apply_scaler(scaler: Scaler, windows: list[Window]) -> list[Window]:
-    """Standardize window values; labels and provenance are untouched."""
-    return [
-        Window(
-            values=(w.values - scaler.mean) / scaler.std,
-            label=w.label,
-            subject_id=w.subject_id,
-            provenance=w.provenance,
-        )
-        for w in windows
-    ]
+def apply_scaler(scaler: Scaler, windows: WindowSet) -> WindowSet:
+    """Standardize window values; labels, subjects and provenance are untouched."""
+    values = (windows.values - scaler.mean) / scaler.std
+    if not np.all(np.isfinite(values)):
+        raise DataError("standardized windows contain non-finite values")
+    return replace(windows, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +180,7 @@ class MixSpec:
 
     def __post_init__(self):
         fracs = (self.adl_fraction, self.real_fall_fraction, self.synthetic_fall_fraction)
-        if any(f < 0 or f > 1 for f in fracs):
+        if not all(0 <= f <= 1 for f in fracs):
             raise ConfigError("mix fractions must lie in [0, 1]")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"mix fractions must sum to 1, got {sum(fracs)}")
@@ -175,12 +190,12 @@ class MixSpec:
 
 
 def compose_training_mix(
-    adl_pool: list[Window],
-    real_fall_pool: list[Window],
-    synthetic_fall_pool: list[Window],
+    adl_pool: WindowSet,
+    real_fall_pool: WindowSet,
+    synthetic_fall_pool: WindowSet,
     spec: MixSpec,
     seed: int = 0,
-) -> list[Window]:
+) -> WindowSet:
     """Draw a shuffled training set honoring the mix fractions.
 
     The total size T is bounded by the scarcest pool: T = min over categories
@@ -203,7 +218,7 @@ def compose_training_mix(
         raise DataError("infeasible mix: no category has a positive fraction and data")
     total = int(bound + _FLOOR_EPS)
     rng = np.random.default_rng(seed)
-    chosen: list[Window] = []
+    picks = []
     for pool, frac in zip(pools, fracs):
         if frac <= 0:
             continue
@@ -212,71 +227,8 @@ def compose_training_mix(
             raise DataError(
                 f"infeasible mix: need {count} windows from a pool of {len(pool)}"
             )
-        idx = rng.choice(len(pool), size=count, replace=False)
-        chosen.extend(pool[i] for i in idx)
-    order = rng.permutation(len(chosen))
-    return [chosen[i] for i in order]
-
-
-# ---------------------------------------------------------------------------
-# Window cache (versioned binary) and debug CSV
-
-_CACHE_MAGIC = b"SFWC"
-_CACHE_VERSION = 1
-
-
-def save_window_cache(windows: list[Window], path: str | Path) -> None:
-    """Write windows to a versioned binary cache (float64, little-endian)."""
-    path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<HI", _CACHE_VERSION, len(windows)))
-        for w in windows:
-            subject = (w.subject_id or "").encode("utf-8")
-            fh.write(struct.pack("<IBBH", w.width, int(w.label), w.provenance == Provenance.SYNTHETIC, len(subject)))
-            fh.write(subject)
-            fh.write(np.ascontiguousarray(w.values, dtype="<f8").tobytes())
-
-
-def load_window_cache(path: str | Path) -> list[Window]:
-    data = Path(path).read_bytes()
-    if data[:4] != _CACHE_MAGIC:
-        raise DataError("not a window cache: bad magic")
-    version, count = struct.unpack_from("<HI", data, 4)
-    if version != _CACHE_VERSION:
-        raise DataError(f"unsupported window cache version {version}")
-    offset = 10
-    windows = []
-    for _ in range(count):
-        if offset + 8 > len(data):
-            raise DataError("truncated window cache")
-        width, label, synthetic, subject_len = struct.unpack_from("<IBBH", data, offset)
-        offset += 8
-        nbytes = width * 3 * 8
-        if offset + subject_len + nbytes > len(data):
-            raise DataError("truncated window cache")
-        subject = data[offset : offset + subject_len].decode("utf-8") or None
-        offset += subject_len
-        values = np.frombuffer(data[offset : offset + nbytes], dtype="<f8").reshape(width, 3)
-        offset += nbytes
-        windows.append(
-            Window(
-                values=values.copy(),
-                label=ActivityLabel(label),
-                subject_id=subject,
-                provenance=Provenance.SYNTHETIC if synthetic else Provenance.REAL,
-            )
-        )
-    return windows
-
-
-def windows_to_csv(windows: list[Window]) -> str:
-    """Debug export: one row per (window, step), semicolon-separated."""
-    lines = ["window;step;x;y;z;label;subject;provenance"]
-    for i, w in enumerate(windows):
-        for t, (x, y, z) in enumerate(w.values):
-            lines.append(
-                f"{i};{t};{x:.6f};{y:.6f};{z:.6f};{int(w.label)};{w.subject_id or ''};{w.provenance.value}"
-            )
-    lines.append("")
-    return "\n".join(lines)
+        picks.append((pool, rng.choice(len(pool), size=count, replace=False)))
+    # The per-pool selections are freed once joined: at most two copies of
+    # the mix are alive at a time.
+    mix = WindowSet.concat([pool.take(idx) for pool, idx in picks])
+    return mix.take(rng.permutation(len(mix)))

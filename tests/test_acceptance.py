@@ -23,7 +23,7 @@ from synthfall.metrics import (
     ks_two_sample,
     percent_delta,
 )
-from synthfall.windowing import MixSpec, Window, compose_training_mix, slide_windows
+from synthfall.windowing import MixSpec, WindowSet, compose_training_mix, slide_windows
 
 
 def _report(capsys, outcome: bool, number: int, name: str, elapsed: float, limit: float):
@@ -44,7 +44,7 @@ def test_criterion_01_window_arithmetic(capsys):
     ok = True
     windows = slide_windows(_accel(138), 128, 10)
     ok &= len(windows) == 2
-    ok &= np.array_equal(windows[0].values[10:], windows[1].values[:118])  # 118 shared samples
+    ok &= np.array_equal(windows.values[0, 10:], windows.values[1, :118])  # 118 shared samples
     rng = np.random.default_rng(42)
     for _ in range(1000):
         n = int(rng.integers(1, 300))
@@ -267,24 +267,24 @@ def test_criterion_09_mix_law(capsys):
     ok = True
     rng = np.random.default_rng(23)
     mega = {
-        name: [
-            Window(values=np.zeros((2, 3)), label=label, subject_id=f"{name}{i}", provenance=prov)
-            for i in range(130)
-        ]
-        for name, label, prov in (("a", 0, "real"), ("r", 1, "real"), ("g", 1, "synthetic"))
+        name: WindowSet(
+            values=np.zeros((130, 2, 3)), labels=np.full(130, label),
+            subjects=[f"{name}{i}" for i in range(130)], synthetic=np.full(130, synthetic),
+        )
+        for name, label, synthetic in (("a", 0, False), ("r", 1, False), ("g", 1, True))
     }
     for spec in (MixSpec(0.6, 0.2, 0.2), MixSpec(0.5, 0.1, 0.4)):
         for _ in range(250):
             sizes = [int(rng.integers(1, 121)) for _ in range(3)]
             out = compose_training_mix(
-                mega["a"][: sizes[0]], mega["r"][: sizes[1]], mega["g"][: sizes[2]],
+                *(mega[name].take(np.arange(size)) for name, size in zip("arg", sizes)),
                 spec, seed=int(rng.integers(0, 10_000)),
             )
             total = len(out)
             counts = {
-                "a": sum(1 for w in out if w.subject_id.startswith("a")),
-                "r": sum(1 for w in out if w.subject_id.startswith("r")),
-                "g": sum(1 for w in out if w.subject_id.startswith("g")),
+                "a": sum(1 for s in out.subjects if s.startswith("a")),
+                "r": sum(1 for s in out.subjects if s.startswith("r")),
+                "g": sum(1 for s in out.subjects if s.startswith("g")),
             }
             for frac, name in zip(spec.as_tuple(), ("a", "r", "g")):
                 ok &= abs(counts[name] - frac * total) < 1.0

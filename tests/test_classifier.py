@@ -15,31 +15,29 @@ from synthfall.classifier import (
     train,
 )
 from synthfall.errors import ConfigError, DataError, NumericError
-from synthfall.kinematics import Provenance
-from synthfall.windowing import Window
+from synthfall.windowing import WindowSet
 
 
 def toy_windows(n_per_class, width=16, offset=2.0, seed=0, scale=0.3):
     """Two clusters separable by a threshold on the mean amplitude."""
     rng = np.random.default_rng(seed)
-    windows = []
-    for label, mu in ((0, 0.0), (1, offset)):
-        for i in range(n_per_class):
-            windows.append(
-                Window(
-                    values=rng.normal(mu, scale, size=(width, 3)),
-                    label=label,
-                    subject_id=f"s{label}{i}",
-                    provenance=Provenance.REAL,
-                )
-            )
-    return windows
+    values = [
+        rng.normal(mu, scale, size=(width, 3))
+        for mu in (0.0, offset)
+        for _ in range(n_per_class)
+    ]
+    return WindowSet(
+        values=np.reshape(values, (2 * n_per_class, width, 3)),
+        labels=np.repeat([0, 1], n_per_class),
+        subjects=[f"s{label}{i}" for label in (0, 1) for i in range(n_per_class)],
+        synthetic=np.zeros(2 * n_per_class, dtype=bool),
+    )
 
 
 def stump_f1(windows):
     """Decision-stump oracle: best threshold on the window mean."""
-    means = np.array([w.values.mean() for w in windows])
-    labels = np.array([int(w.label) for w in windows])
+    means = np.array([v.mean() for v in windows.values])
+    labels = windows.labels
     best = 0.0
     for t in np.unique(means):
         pred = means >= t
@@ -101,8 +99,7 @@ class TestForward:
 
     def test_eval_mode_duplicates_identical(self):
         model = init_model(1, hidden_size=8, dense_units=8)
-        w = toy_windows(2)[0]
-        probs = forward(model, [w, w], mode="eval")
+        probs = forward(model, toy_windows(2).take([0, 0]), mode="eval")
         assert probs[0] == probs[1]
 
     def test_zero_head_gives_half(self):
@@ -142,15 +139,14 @@ class TestLoss:
     def test_confident_correct_predictions(self):
         model = init_model(5, hidden_size=8, dense_units=8, dtype=np.float64)
         windows = toy_windows(4, seed=5)
-        labels = np.array([int(w.label) for w in windows])
+        labels = windows.labels
         # Drive dense2 so hard that probabilities clamp at the confident end.
         model.dense2_w[:] = 0.0
         model.dense2_b[:] = 0.0
         probs = forward(model, windows)
         assert np.all(probs == 0.5)
         model.dense2_b[:] = 100.0
-        loss_pos, _ = loss_and_gradients(model, [w for w, y in zip(windows, labels) if y == 1],
-                                         labels[labels == 1])
+        loss_pos, _ = loss_and_gradients(model, windows.take(labels == 1), labels[labels == 1])
         assert loss_pos <= 1e-6
 
     def test_half_probability_balanced_labels(self):
@@ -158,7 +154,7 @@ class TestLoss:
         model.dense2_w[:] = 0.0
         model.dense2_b[:] = 0.0
         windows = toy_windows(2, seed=6)
-        labels = np.array([int(w.label) for w in windows])
+        labels = windows.labels
         loss, _ = loss_and_gradients(model, windows, labels)
         assert loss == pytest.approx(math.log(2.0), abs=1e-9)
 
@@ -243,7 +239,7 @@ class TestTrain:
         config = TrainConfig(max_epochs=30, patience=30, batch_size=16, seed=14)
         best, history = train(init_model(12, hidden_size=8, dense_units=8), train_w, val_w, config)
         probs = forward(best, val_w, mode="eval")
-        labels = np.array([int(w.label) for w in val_w])
+        labels = val_w.labels
         p = probs.astype(np.float64)
         val_loss = float(-np.mean(labels * np.log(p) + (1 - labels) * np.log1p(-p)))
         assert val_loss == pytest.approx(min(history.val_loss), abs=1e-9)
@@ -251,7 +247,7 @@ class TestTrain:
     def test_empty_sets_rejected(self):
         config = TrainConfig(max_epochs=2, patience=1, seed=0)
         with pytest.raises(DataError):
-            train(init_model(0, hidden_size=4, dense_units=4), [], toy_windows(2), config)
+            train(init_model(0, hidden_size=4, dense_units=4), toy_windows(0), toy_windows(2), config)
 
     def test_patience_must_not_exceed_epochs(self):
         with pytest.raises(ConfigError):
@@ -270,7 +266,8 @@ class TestEvaluate:
 
     def test_no_positives_in_test(self):
         model = init_model(14, hidden_size=8, dense_units=8)
-        windows = [w for w in toy_windows(5, seed=16) if int(w.label) == 0]
+        windows = toy_windows(5, seed=16)
+        windows = windows.take(windows.labels == 0)
         metrics = evaluate(model, windows)
         assert metrics.recall == 0.0
         assert metrics.tp == 0

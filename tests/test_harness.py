@@ -1,9 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_dataset, build_synthetic_manifest
+from synthfall.classifier import TrainConfig
 from synthfall.cli import main
 from synthfall.errors import ConfigError, DataError
 from synthfall.harness import (
@@ -20,6 +24,16 @@ from synthfall.harness import (
 from synthfall.windowing import MixSpec
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+FIELD_VALUES = JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={f.name: JSON_VALUES for f in fields(TrainConfig)}
+)
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)] + ["mystery"]
 
 
 def fast_config(real, synthetic=(), seed=11, **overrides):
@@ -146,6 +160,27 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_dict({"real_manifest": str(real)})
 
+    def test_type_and_length_errors(self, fixture_dataset):
+        real, _ = fixture_dataset
+        base = {"real_manifest": str(real), "seed": 1}
+        for bad in (
+            {"seed": True}, {"seed": 1.0}, {"real_manifest": 3}, {"hidden_size": False},
+            {"mix": [0.5, 0.5]}, {"mix": "0.6,0.2,0.2"}, {"mix": [0.6, 0.2, None]},
+            {"split_sizes": [8, 2, 2.0]}, {"threshold": float("nan")},
+            {"synthetic_manifests": [1]}, {"baseline_report": 3},
+            {"train": {"max_epochs": "3"}}, {"train": {"shuffle": 1}}, {"train": {"lr": 0.1}},
+        ):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict({**base, **bad})
+
+    @given(config=st.fixed_dictionaries({}, optional={name: FIELD_VALUES for name in CONFIG_KEYS}))
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_json_raises_only_config_error(self, config):
+        try:
+            ExperimentConfig.from_dict(config)
+        except ConfigError:
+            pass
+
     def test_derive_seed_stable(self):
         assert derive_seed(1, 0, "split") == derive_seed(1, 0, "split")
         assert derive_seed(1, 0, "split") != derive_seed(1, 1, "split")
@@ -227,13 +262,13 @@ class TestAblation:
         prefixes = set()
         for seed in range(100):
             mix = compose_training_mix(
-                [w for w in real_windows if int(w.label) == 0],
-                [w for w in real_windows if int(w.label) == 1],
+                real_windows.take(real_windows.labels == 0),
+                real_windows.take(real_windows.labels == 1),
                 synthetic_pool,
                 MixSpec(0.5, 0.1, 0.4),
                 seed=seed,
             )
-            drawn = {w.subject_id[:4] for w in mix if w.provenance.value == "synthetic"}
+            drawn = {s[:4] for s in mix.subjects[mix.synthetic]}
             prefixes |= drawn
             if seed >= 3 and len(prefixes) >= 2:
                 break
@@ -312,14 +347,6 @@ class TestCli:
 
         series = read_accel_csv(out_csv.read_bytes())
         assert series.samples[0, 0] == pytest.approx(0.1 * 46.0**2, rel=1e-6)
-
-    def test_windows_cache(self, tmp_path, capsys, fixture_dataset):
-        real, _ = fixture_dataset
-        cache = tmp_path / "w.bin"
-        assert main(["windows", str(real), str(cache), "--window", "64", "--stride", "32"]) == 0
-        from synthfall.windowing import load_window_cache
-
-        assert len(load_window_cache(cache)) > 0
 
     def test_align_command(self, tmp_path, capsys, fixture_dataset):
         real, syn = fixture_dataset
@@ -400,9 +427,42 @@ class TestCli:
         payload = json.loads(report_path.read_text())
         assert payload["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("override", [
+        {"mix": [0.5, 0.5]},
+        {"split_sizes": [8, 2]},
+        {"window": "128"},
+        {"stride": 1.5},
+        {"iterations": "3"},
+        {"train": [1]},
+        {"synthetic_manifests": "gen.json"},
+        {"window": True},
+    ], ids=["mix", "split_sizes", "window_str", "stride_float", "iterations_str", "train_list",
+            "synthetic_manifests_str", "window_bool"])
+    @pytest.mark.parametrize("flags", [[], ["--max-epochs", "3"]], ids=["no_flags", "train_flag"])
+    def test_config_type_error_exit_2(self, tmp_path, capsys, fixture_dataset, override, flags):
+        real, _ = fixture_dataset
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"real_manifest": str(real), **override}))
+        code = main(["experiment", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert "error: config field" in capsys.readouterr().err
+
+    def test_windows_command_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["windows", "manifest.json", "cache.bin"])
+        assert exc.value.code == 2
+
     def test_bad_mix_flag_exit_2(self, capsys, fixture_dataset):
         real, _ = fixture_dataset
         code = main([
             "experiment", "--real-manifest", str(real), "--seed", "1", "--mix", "0.5,0.5",
         ])
         assert code == 2
+
+    def test_fractional_split_sizes_flag_exit_2(self, capsys, fixture_dataset):
+        real, _ = fixture_dataset
+        code = main([
+            "experiment", "--real-manifest", str(real), "--seed", "1", "--split-sizes", "8.9,2,2",
+        ])
+        assert code == 2
+        assert "--split-sizes expects int values" in capsys.readouterr().err

@@ -247,14 +247,12 @@ class TestCoverage:
         assert coverage(real @ q + shift, synthetic @ q + shift, k=3) == base
 
     def test_window_lists_accepted(self):
-        from synthfall.windowing import Window
-
         rng = np.random.default_rng(5)
-        real = [
-            Window(values=rng.normal(size=(4, 3)), label=1, subject_id=None, provenance="real")
-            for _ in range(8)
-        ]
+        real = rng.normal(size=(8, 4, 3))
         assert coverage(real, real, k=2) == 1.0
+        flat = real.reshape(8, -1)
+        other = rng.normal(size=(6, 4, 3))
+        assert coverage(real, other, k=2) == coverage(flat, other.reshape(6, -1), k=2)
 
     def test_too_few_real_samples(self):
         rng = np.random.default_rng(6)

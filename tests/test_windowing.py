@@ -7,15 +7,12 @@ from synthfall.errors import ConfigError, DataError
 from synthfall.kinematics import AccelSeries, ActivityLabel, Provenance
 from synthfall.windowing import (
     MixSpec,
-    Window,
+    WindowSet,
     apply_scaler,
     compose_training_mix,
     fit_scaler,
-    load_window_cache,
-    save_window_cache,
     slide_windows,
     split_subjects,
-    windows_to_csv,
 )
 
 
@@ -27,13 +24,18 @@ def make_accel(n, subject="s1", label=ActivityLabel.ADL, seed=0):
     )
 
 
-def make_windows(n, label=ActivityLabel.ADL, subject="s", width=8, seed=0):
+def make_windows(n, label=ActivityLabel.ADL, subject="s", width=8, seed=0, synthetic=False):
     rng = np.random.default_rng(seed)
-    return [
-        Window(values=rng.normal(size=(width, 3)), label=label,
-               subject_id=f"{subject}{i}", provenance=Provenance.REAL)
-        for i in range(n)
-    ]
+    return WindowSet(
+        values=rng.normal(size=(n, width, 3)),
+        labels=np.full(n, int(label)),
+        subjects=[f"{subject}{i}" for i in range(n)],
+        synthetic=np.full(n, synthetic),
+    )
+
+
+def one_window(values):
+    return WindowSet(values=values[None], labels=[0], subjects=[""], synthetic=[False])
 
 
 def naive_window_starts(n, width, stride):
@@ -54,12 +56,15 @@ class TestSlideWindows:
         windows = slide_windows(make_accel(138), 128, 10)
         assert len(windows) == 2
         series = make_accel(138)
-        assert np.array_equal(windows[1].values, series.samples[10:138])
+        assert np.array_equal(windows.values[1], series.samples[10:138])
         # 118 shared samples between consecutive windows
-        assert np.array_equal(windows[0].values[10:], windows[1].values[:118])
+        assert np.array_equal(windows.values[0, 10:], windows.values[1, :118])
 
     def test_too_short(self):
-        assert slide_windows(make_accel(127), 128, 10) == []
+        windows = slide_windows(make_accel(127), 128, 10)
+        assert len(windows) == 0
+        assert windows.values.shape == (0, 128, 3)
+        assert windows.labels.shape == windows.subjects.shape == windows.synthetic.shape == (0,)
 
     def test_count_law_against_enumeration(self):
         rng = np.random.default_rng(1)
@@ -73,15 +78,19 @@ class TestSlideWindows:
 
     def test_windows_are_contiguous_slices(self):
         series = make_accel(100, seed=5)
-        for i, w in enumerate(slide_windows(series, 16, 7)):
-            assert np.array_equal(w.values, series.samples[i * 7 : i * 7 + 16])
+        windows = slide_windows(series, 16, 7)
+        assert windows.values.dtype == np.float64 and windows.values.flags.c_contiguous
+        for i, values in enumerate(windows.values):
+            assert np.array_equal(values, series.samples[i * 7 : i * 7 + 16])
 
     def test_metadata_inherited(self):
         series = make_accel(64, subject="s7", label=ActivityLabel.FALL)
-        w = slide_windows(series, 32, 32)[0]
-        assert w.subject_id == "s7"
-        assert w.label == ActivityLabel.FALL
-        assert w.provenance == Provenance.REAL
+        w = slide_windows(series, 32, 32).take([0])
+        assert w.subjects[0] == "s7"
+        assert w.labels[0] == ActivityLabel.FALL
+        assert not w.synthetic[0]
+        syn = AccelSeries(samples=series.samples, sampling_rate=32.0, provenance=Provenance.SYNTHETIC)
+        assert slide_windows(syn, 32, 32).synthetic.all()
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
@@ -103,21 +112,20 @@ class TestSlideWindows:
 
 class TestScaler:
     def test_all_zero_windows_floor_std(self):
-        windows = [Window(values=np.zeros((4, 3)), label=0, subject_id=None, provenance="real")]
-        scaler = fit_scaler(windows)
+        scaler = fit_scaler(one_window(np.zeros((4, 3))))
         assert np.all(scaler.mean == 0.0)
         assert np.all(scaler.std == 1e-8)
 
     def test_symmetric_values_zero_mean(self):
         values = np.zeros((4, 3))
         values[:, 0] = [-1.0, 1.0, -2.0, 2.0]
-        scaler = fit_scaler([Window(values=values, label=0, subject_id=None, provenance="real")])
+        scaler = fit_scaler(one_window(values))
         assert scaler.mean[0] == pytest.approx(0.0)
 
     def test_transformed_pool_is_standardized(self):
         windows = make_windows(20, seed=3)
         scaler = fit_scaler(windows)
-        pooled = np.concatenate([w.values for w in apply_scaler(scaler, windows)], axis=0)
+        pooled = apply_scaler(scaler, windows).values.reshape(-1, 3)
         assert np.max(np.abs(pooled.mean(axis=0))) < 1e-9
         assert np.max(np.abs(pooled.std(axis=0) - 1.0)) < 1e-6
 
@@ -127,33 +135,50 @@ class TestScaler:
         windows = make_windows(3)
         scaler = Scaler(mean=np.zeros(3), std=np.ones(3))
         out = apply_scaler(scaler, windows)
-        for a, b in zip(out, windows):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip(out.values, windows.values):
+            assert np.array_equal(a, b)
 
     def test_arithmetic(self):
         from synthfall.windowing import Scaler
 
         scaler = Scaler(mean=np.ones(3), std=np.full(3, 2.0))
-        w = Window(values=np.full((2, 3), 3.0), label=0, subject_id=None, provenance="real")
-        out = apply_scaler(scaler, [w])[0]
+        out = apply_scaler(scaler, one_window(np.full((2, 3), 3.0)))
         assert np.all(out.values == 1.0)
 
     def test_inverse_recovers_input(self):
         windows = make_windows(10, seed=9)
         scaler = fit_scaler(windows)
         transformed = apply_scaler(scaler, windows)
-        for orig, t in zip(windows, transformed):
-            recovered = t.values * scaler.std + scaler.mean
-            assert np.max(np.abs(recovered - orig.values)) < 1e-9
+        for orig, t in zip(windows.values, transformed.values):
+            recovered = t * scaler.std + scaler.mean
+            assert np.max(np.abs(recovered - orig)) < 1e-9
+
+    def test_matches_per_window_loop(self):
+        # Reference: pool the windows one by one and scale each on its own.
+        windows = make_windows(12, seed=4)
+        scaler = fit_scaler(windows)
+        pooled = np.concatenate(list(windows.values), axis=0)
+        assert np.array_equal(scaler.mean, pooled.mean(axis=0))
+        assert np.array_equal(scaler.std, np.maximum(pooled.std(axis=0), 1e-8))
+        out = apply_scaler(scaler, windows)
+        for got, orig in zip(out.values, windows.values):
+            assert np.array_equal(got, (orig - scaler.mean) / scaler.std)
 
     def test_empty_input(self):
         with pytest.raises(DataError):
-            fit_scaler([])
+            fit_scaler(make_windows(0))
 
     def test_labels_untouched(self):
         windows = make_windows(4, label=ActivityLabel.FALL)
         out = apply_scaler(fit_scaler(windows), windows)
-        assert all(w.label == ActivityLabel.FALL for w in out)
+        assert all(label == ActivityLabel.FALL for label in out.labels)
+
+    def test_non_finite_output_rejected(self):
+        from synthfall.windowing import Scaler
+
+        scaler = Scaler(mean=np.zeros(3), std=np.full(3, 1e-8))
+        with pytest.raises(DataError, match="non-finite"), np.errstate(over="ignore"):
+            apply_scaler(scaler, one_window(np.full((2, 3), 1e305)))
 
 
 class TestSplitSubjects:
@@ -217,10 +242,14 @@ class TestComposeMix:
 
     def test_adl_only_is_permutation(self):
         adl = make_windows(30, ActivityLabel.ADL, "a")
-        out = compose_training_mix(adl, [], [], MixSpec(1.0, 0.0, 0.0), seed=1)
+        empty = make_windows(0)
+        out = compose_training_mix(adl, empty, empty, MixSpec(1.0, 0.0, 0.0), seed=1)
         assert len(out) == 30
-        key = lambda w: w.subject_id
-        assert sorted(out, key=key) == sorted(adl, key=key)
+        order = np.argsort(out.subjects)
+        assert np.array_equal(out.subjects[order], np.sort(adl.subjects))
+        by_subject = dict(zip(adl.subjects, adl.values))
+        for subject, values in zip(out.subjects, out.values):
+            assert np.array_equal(values, by_subject[subject])
 
     def test_bounded_by_scarcest_pool(self):
         adl = make_windows(100, ActivityLabel.ADL, "a")
@@ -228,9 +257,9 @@ class TestComposeMix:
         syn = make_windows(100, ActivityLabel.FALL, "g")
         out = compose_training_mix(adl, real, syn, MixSpec(0.5, 0.1, 0.4), seed=2)
         counts = {
-            "a": sum(1 for w in out if w.subject_id.startswith("a")),
-            "r": sum(1 for w in out if w.subject_id.startswith("r")),
-            "g": sum(1 for w in out if w.subject_id.startswith("g")),
+            "a": sum(1 for s in out.subjects if s.startswith("a")),
+            "r": sum(1 for s in out.subjects if s.startswith("r")),
+            "g": sum(1 for s in out.subjects if s.startswith("g")),
         }
         assert counts == {"a": 100, "r": 20, "g": 80}
 
@@ -254,7 +283,7 @@ class TestComposeMix:
         real = make_windows(50, ActivityLabel.FALL, "r")
         syn = make_windows(50, ActivityLabel.FALL, "g")
         out = compose_training_mix(adl, real, syn, MixSpec(0.6, 0.2, 0.2), seed=5)
-        ids = [id(w) for w in out]
+        ids = list(out.subjects)
         assert len(set(ids)) == len(ids)
 
     def test_deterministic(self):
@@ -263,13 +292,35 @@ class TestComposeMix:
         syn = make_windows(40, ActivityLabel.FALL, "g")
         a = compose_training_mix(adl, real, syn, MixSpec(0.6, 0.2, 0.2), seed=6)
         b = compose_training_mix(adl, real, syn, MixSpec(0.6, 0.2, 0.2), seed=6)
-        assert [w.subject_id for w in a] == [w.subject_id for w in b]
+        assert list(a.subjects) == list(b.subjects)
+        assert np.array_equal(a.values, b.values)
+
+    def test_same_draws_as_per_window_lists(self):
+        # Reference: the same rng calls over plain Python lists of indices.
+        pools = [
+            make_windows(37, ActivityLabel.ADL, "a", seed=1),
+            make_windows(11, ActivityLabel.FALL, "r", seed=2),
+            make_windows(23, ActivityLabel.FALL, "g", seed=3, synthetic=True),
+        ]
+        spec = MixSpec(0.5, 0.1, 0.4)
+        out = compose_training_mix(*pools, spec, seed=7)
+        rng = np.random.default_rng(7)
+        total = min(int(len(p) / f + 1e-9) for p, f in zip(pools, spec.as_tuple()))
+        chosen = []
+        for pool, frac in zip(pools, spec.as_tuple()):
+            idx = rng.choice(len(pool), size=int(total * frac + 1e-9), replace=False)
+            chosen.extend((pool.values[i], pool.labels[i], pool.subjects[i], pool.synthetic[i]) for i in idx)
+        expected = [chosen[i] for i in rng.permutation(len(chosen))]
+        assert len(out) == len(expected)
+        for i, (values, label, subject, synthetic) in enumerate(expected):
+            assert np.array_equal(out.values[i], values)
+            assert (out.labels[i], out.subjects[i], out.synthetic[i]) == (label, subject, synthetic)
 
     def test_empty_pool_with_positive_fraction(self):
         adl = make_windows(10, ActivityLabel.ADL, "a")
         real = make_windows(10, ActivityLabel.FALL, "r")
         with pytest.raises(DataError, match="infeasible"):
-            compose_training_mix(adl, real, [], MixSpec(0.6, 0.2, 0.2), seed=0)
+            compose_training_mix(adl, real, make_windows(0), MixSpec(0.6, 0.2, 0.2), seed=0)
 
     def test_fraction_validation(self):
         with pytest.raises(ConfigError):
@@ -278,28 +329,47 @@ class TestComposeMix:
             MixSpec(-0.1, 0.6, 0.5)
 
 
-class TestCacheAndCsv:
-    def test_cache_roundtrip(self, tmp_path):
-        windows = make_windows(7, ActivityLabel.FALL, "s", width=12, seed=2)
-        windows[0].subject_id = None
-        path = tmp_path / "windows.bin"
-        save_window_cache(windows, path)
-        loaded = load_window_cache(path)
-        assert len(loaded) == 7
-        for a, b in zip(loaded, windows):
-            assert np.array_equal(a.values, b.values)
-            assert a.label == b.label
-            assert a.subject_id == b.subject_id
-            assert a.provenance == b.provenance
+class TestWindowSet:
+    def test_take_keeps_order_and_metadata(self):
+        windows = make_windows(6, ActivityLabel.FALL, "s", seed=8, synthetic=True)
+        idx = [4, 0, 4, 2]
+        picked = windows.take(idx)
+        assert len(picked) == 4
+        for row, i in enumerate(idx):
+            assert np.array_equal(picked.values[row], windows.values[i])
+        assert list(picked.subjects) == ["s4", "s0", "s4", "s2"]
+        assert list(picked.labels) == [ActivityLabel.FALL] * 4
+        assert picked.synthetic.all()
 
-    def test_cache_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"not a cache at all")
-        with pytest.raises(DataError, match="magic"):
-            load_window_cache(path)
+    def test_take_mask(self):
+        windows = make_windows(5, seed=9)
+        picked = windows.take(np.array([True, False, True, False, True]))
+        assert list(picked.subjects) == ["s0", "s2", "s4"]
+        assert np.array_equal(picked.values, windows.values[[0, 2, 4]])
 
-    def test_csv_header(self):
-        text = windows_to_csv(make_windows(1, width=2))
-        lines = text.splitlines()
-        assert lines[0] == "window;step;x;y;z;label;subject;provenance"
-        assert len(lines) == 3
+    def test_concat_keeps_order_and_metadata(self):
+        a = make_windows(3, ActivityLabel.ADL, "a", seed=1)
+        b = make_windows(2, ActivityLabel.FALL, "g", seed=2, synthetic=True)
+        both = WindowSet.concat([a, make_windows(0, width=5), b])
+        assert len(both) == 5
+        assert np.array_equal(both.values, np.concatenate([a.values, b.values]))
+        assert list(both.subjects) == ["a0", "a1", "a2", "g0", "g1"]
+        assert list(both.labels) == [0, 0, 0, 1, 1]
+        assert list(both.synthetic) == [False, False, False, True, True]
+
+    def test_concat_of_nothing_is_empty(self):
+        assert len(WindowSet.concat([])) == 0
+        assert WindowSet.concat([make_windows(0, width=5)]).values.shape == (0, 5, 3)
+
+    def test_values_are_contiguous_float64(self):
+        windows = WindowSet(
+            values=np.ones((2, 4, 3), dtype=np.float32)[:, ::-1], labels=[0, 1],
+            subjects=["a", "b"], synthetic=[False, True],
+        )
+        assert windows.values.dtype == np.float64 and windows.values.flags.c_contiguous
+
+    def test_shape_checks(self):
+        with pytest.raises(DataError):
+            WindowSet(values=np.zeros((2, 4, 2)), labels=[0, 0], subjects=["a", "b"], synthetic=[False, False])
+        with pytest.raises(DataError):
+            WindowSet(values=np.zeros((2, 4, 3)), labels=[0], subjects=["a", "b"], synthetic=[False, False])
