@@ -12,6 +12,7 @@ threads, but a single instance must not be shared.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,13 +31,17 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-_GATES = ("i", "f", "c", "o")
+# Gate blocks of the fused LSTM tensors, in row order: the three sigmoid gates
+# (input, forget, output) fill columns [0, 3H) of a step's gate activations,
+# the tanh cell candidate g fills [3H, 4H).
+GATE_ORDER = ("i", "f", "o", "g")
+# Checkpoint v1 and the seeded init draw the blocks in (i, f, c, o) order, c
+# being the cell candidate; this permutation takes that order to GATE_ORDER.
+_FROM_IFCO = (0, 1, 3, 2)
 
 # Canonical tensor order for checkpoints and optimizer state.
 _TRAINABLE_FIELDS = (
-    "w_ix", "w_fx", "w_cx", "w_ox",
-    "w_ih", "w_fh", "w_ch", "w_oh",
-    "b_i", "b_f", "b_c", "b_o",
+    "w_x", "w_h", "b",
     "dense1_w", "dense1_b",
     "bn_gamma", "bn_beta",
     "dense2_w", "dense2_b",
@@ -44,22 +49,34 @@ _TRAINABLE_FIELDS = (
 _STATE_FIELDS = ("bn_mean", "bn_var")
 
 
+def _tensor_shapes(hidden: int, dense: int, input_dim: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor of a model with these sizes."""
+    return {
+        "w_x": (4 * hidden, input_dim), "w_h": (4 * hidden, hidden), "b": (4 * hidden,),
+        "dense1_w": (dense, hidden), "dense1_b": (dense,),
+        "bn_gamma": (dense,), "bn_beta": (dense,),
+        "dense2_w": (1, dense), "dense2_b": (1,),
+        "bn_mean": (dense,), "bn_var": (dense,),
+    }
+
+
+def _from_ifco(tensor: np.ndarray) -> np.ndarray:
+    """Reorder the four gate row blocks of a fused tensor from (i, f, c, o)."""
+    blocks = tensor.reshape(4, tensor.shape[0] // 4, *tensor.shape[1:])
+    return blocks[list(_FROM_IFCO)].reshape(tensor.shape)
+
+
 @dataclass
 class ModelParams:
-    """All parameter tensors of the classifier, including BN running stats."""
+    """All parameter tensors of the classifier, including BN running stats.
 
-    w_ix: np.ndarray
-    w_fx: np.ndarray
-    w_cx: np.ndarray
-    w_ox: np.ndarray
-    w_ih: np.ndarray
-    w_fh: np.ndarray
-    w_ch: np.ndarray
-    w_oh: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
+    The LSTM is stored fused: ``w_x (4H, I)``, ``w_h (4H, H)`` and ``b (4H,)``
+    stack the gate blocks in ``GATE_ORDER``.
+    """
+
+    w_x: np.ndarray
+    w_h: np.ndarray
+    b: np.ndarray
     dense1_w: np.ndarray
     dense1_b: np.ndarray
     bn_gamma: np.ndarray
@@ -71,7 +88,7 @@ class ModelParams:
 
     @property
     def hidden_size(self) -> int:
-        return self.w_ix.shape[0]
+        return self.w_h.shape[1]
 
     @property
     def dense_units(self) -> int:
@@ -79,11 +96,11 @@ class ModelParams:
 
     @property
     def input_dim(self) -> int:
-        return self.w_ix.shape[1]
+        return self.w_x.shape[1]
 
     @property
     def dtype(self) -> np.dtype:
-        return self.w_ix.dtype
+        return self.w_x.dtype
 
     def trainable(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _TRAINABLE_FIELDS}
@@ -105,43 +122,37 @@ def init_model(
 
     Weights are uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); biases start at
     zero except the forget gate (1.0, keeps early memory open); BN starts as
-    the identity transform with unit running variance.
+    the identity transform with unit running variance.  The gate blocks are
+    drawn in (i, f, c, o) order, input weights before recurrent ones.
     """
     if hidden_size < 1 or dense_units < 1 or input_dim < 1:
         raise ConfigError("hidden_size, dense_units, and input_dim must be >= 1")
     rng = np.random.default_rng(seed)
     dtype = np.dtype(dtype)
-
-    def uniform(shape, fan_in):
-        limit = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-    h, d, i = hidden_size, dense_units, input_dim
-    params = {}
-    for gate in _GATES:
-        params[f"w_{gate}x"] = uniform((h, i), i)
-    for gate in _GATES:
-        params[f"w_{gate}h"] = uniform((h, h), h)
-    for gate in _GATES:
-        params[f"b_{gate}"] = np.full(h, 1.0 if gate == "f" else 0.0, dtype=dtype)
-    params["dense1_w"] = uniform((d, h), h)
-    params["dense1_b"] = np.zeros(d, dtype=dtype)
-    params["bn_gamma"] = np.ones(d, dtype=dtype)
-    params["bn_beta"] = np.zeros(d, dtype=dtype)
-    params["dense2_w"] = uniform((1, d), d)
-    params["dense2_b"] = np.zeros(1, dtype=dtype)
-    params["bn_mean"] = np.zeros(d, dtype=dtype)
-    params["bn_var"] = np.ones(d, dtype=dtype)
+    h = hidden_size
+    params = {
+        name: np.zeros(shape, dtype=dtype)
+        for name, shape in _tensor_shapes(h, dense_units, input_dim).items()
+    }
+    # Every weight matrix's fan-in is its column count.
+    for name in ("w_x", "w_h", "dense1_w", "dense2_w"):
+        shape = params[name].shape
+        limit = 1.0 / np.sqrt(shape[1])
+        params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
+    params["w_x"] = _from_ifco(params["w_x"])
+    params["w_h"] = _from_ifco(params["w_h"])
+    params["b"][h : 2 * h] = 1.0
+    params["bn_gamma"][:] = 1.0
+    params["bn_var"][:] = 1.0
     return ModelParams(**params)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5 * (1 + tanh(x / 2)), in the dtype of ``x``.
+
+    No masks, and no overflow for any finite input.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _check_finite(name: str, *arrays: np.ndarray) -> None:
@@ -157,28 +168,48 @@ def _as_batch(windows, dtype) -> np.ndarray:
     return arr.astype(dtype, copy=False)
 
 
-def _forward(model: ModelParams, batch: np.ndarray, train_mode: bool):
-    """Run the network, returning clipped probabilities plus the BPTT cache."""
-    m = model
-    b, w, _ = batch.shape
-    dtype = m.dtype
-    h_t = np.zeros((b, m.hidden_size), dtype=dtype)
-    c_t = np.zeros((b, m.hidden_size), dtype=dtype)
+def _lstm(model: ModelParams, batch: np.ndarray, keep_history: bool):
+    """Run the LSTM over the window; returns (last hidden state, history).
+
+    ``history`` is None unless ``keep_history``; then it holds what BPTT reads,
+    time-major: the inputs ``x (W*B, I)``, ``h`` and ``c`` of shape
+    ``(W+1, B, H)`` (index t is the state before step t), the activated gates
+    ``(W, B, 4H)`` and ``tanh(c)`` ``(W, B, H)``.  Without history the same
+    arithmetic runs on one-step state buffers, so results are bit-equal.
+    """
+    b, w, n_in = batch.shape
+    hid = model.hidden_size
+    dtype = model.dtype
+    x = np.ascontiguousarray(batch.transpose(1, 0, 2)).reshape(w * b, n_in)
     # Input projections for the whole window at once; only the recurrent part
     # has to run step by step.
-    flat = batch.reshape(b * w, m.input_dim)
-    xp = {g: (flat @ getattr(m, f"w_{g}x").T).reshape(b, w, m.hidden_size) for g in _GATES}
-    steps = []
+    gates = (x @ model.w_x.T).reshape(w, b, 4 * hid)
+    gates += model.b
+    w_h_t = model.w_h.T
+    n_states = w + 1 if keep_history else 1
+    h = np.zeros((n_states, b, hid), dtype=dtype)
+    c = np.zeros((n_states, b, hid), dtype=dtype)
+    tanh_c = np.empty((w if keep_history else 1, b, hid), dtype=dtype)
     for t in range(w):
-        i_t = _sigmoid(xp["i"][:, t] + h_t @ m.w_ih.T + m.b_i)
-        f_t = _sigmoid(xp["f"][:, t] + h_t @ m.w_fh.T + m.b_f)
-        g_t = np.tanh(xp["c"][:, t] + h_t @ m.w_ch.T + m.b_c)
-        o_t = _sigmoid(xp["o"][:, t] + h_t @ m.w_oh.T + m.b_o)
-        c_new = f_t * c_t + i_t * g_t
-        tanh_c = np.tanh(c_new)
-        steps.append((h_t, c_t, i_t, f_t, g_t, o_t, tanh_c))
-        h_t = o_t * tanh_c
-        c_t = c_new
+        now, nxt = (t, t + 1) if keep_history else (0, 0)
+        a = gates[t]
+        a += h[now] @ w_h_t
+        a[:, : 3 * hid] = _sigmoid(a[:, : 3 * hid])
+        np.tanh(a[:, 3 * hid :], out=a[:, 3 * hid :])
+        i_t, f_t, o_t, g_t = (a[:, k * hid : (k + 1) * hid] for k in range(4))
+        np.multiply(f_t, c[now], out=c[nxt])
+        c[nxt] += i_t * g_t
+        np.tanh(c[nxt], out=tanh_c[now])
+        np.multiply(o_t, tanh_c[now], out=h[nxt])
+    history = (x, h, c, gates, tanh_c) if keep_history else None
+    return h[-1], history
+
+
+def _forward(model: ModelParams, batch: np.ndarray, train_mode: bool, keep_history: bool = False):
+    """Run the network, returning clipped probabilities plus the backprop cache."""
+    m = model
+    dtype = m.dtype
+    h_t, history = _lstm(m, batch, keep_history)
     _check_finite("lstm", h_t)
 
     z1 = h_t @ m.dense1_w.T + m.dense1_b
@@ -201,7 +232,7 @@ def _forward(model: ModelParams, batch: np.ndarray, train_mode: bool):
     hi = np.asarray(1.0 - PROB_CLAMP, dtype=dtype)
     p = np.clip(p_raw, lo, hi)
     cache = {
-        "batch": batch, "steps": steps, "h_last": h_t, "z1": z1, "r": r,
+        "history": history, "h_last": h_t, "z1": z1, "r": r,
         "mu": mu, "var": var, "inv_std": inv_std, "x_hat": x_hat,
         "p_raw": p_raw, "p": p, "clip_lo": lo, "clip_hi": hi,
     }
@@ -213,7 +244,8 @@ def forward(model: ModelParams, batch, mode: str = "eval") -> np.ndarray:
 
     ``train`` mode normalizes with batch statistics and updates the running
     BN statistics in place; ``eval`` mode uses the stored running statistics
-    and is a pure function of (model, input).
+    and is a pure function of (model, input).  Neither keeps the per-step
+    history that backpropagation needs.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -251,7 +283,7 @@ def loss_and_gradients(model: ModelParams, batch, labels):
         raise DataError("labels must be 0 or 1")
     y = y.astype(model.dtype)
 
-    p, cache = _forward(model, arr, train_mode=True)
+    p, cache = _forward(model, arr, train_mode=True, keep_history=True)
     _update_running_stats(model, cache)
     loss = _bce(p, y)
 
@@ -283,38 +315,43 @@ def loss_and_gradients(model: ModelParams, batch, labels):
     dr = dx_hat * inv_std + dvar * (2.0 / b) * centered + dmu / b
 
     dz1 = dr * (cache["z1"] > 0)
-    h_last = cache["h_last"]
-    g_dense1_w = dz1.T @ h_last
+    g_dense1_w = dz1.T @ cache["h_last"]
     g_dense1_b = dz1.sum(axis=0)
     dh = dz1 @ m.dense1_w
 
-    grads = {name: np.zeros_like(getattr(m, name)) for name in _TRAINABLE_FIELDS}
-    grads["dense2_w"] = g_dense2_w.astype(dtype)
-    grads["dense2_b"] = g_dense2_b
-    grads["bn_gamma"] = g_bn_gamma
-    grads["bn_beta"] = g_bn_beta
-    grads["dense1_w"] = g_dense1_w
-    grads["dense1_b"] = g_dense1_b
-
+    # BPTT.  Step t's gate activations are read only by step t, so each step
+    # overwrites them with its pre-activation gradient; after the loop
+    # ``gates`` holds da for every step and the weight gradients are one
+    # matmul or reduction each over all W*B rows.
+    x, h, c, gates, tanh_c = cache["history"]
+    hid = m.hidden_size
     dc = np.zeros_like(dh)
     for t in range(w - 1, -1, -1):
-        h_prev, c_prev, i_t, f_t, g_t, o_t, tanh_c = cache["steps"][t]
-        do = dh * tanh_c
-        dc = dc + dh * o_t * (1.0 - tanh_c * tanh_c)
-        di = dc * g_t
-        dg = dc * i_t
-        df = dc * c_prev
-        da_i = di * i_t * (1.0 - i_t)
-        da_f = df * f_t * (1.0 - f_t)
-        da_g = dg * (1.0 - g_t * g_t)
+        a = gates[t]
+        i_t, f_t, o_t, g_t = (a[:, k * hid : (k + 1) * hid] for k in range(4))
+        tc = tanh_c[t]
+        do = dh * tc
+        dc += dh * o_t * (1.0 - tc * tc)
+        da_i = dc * g_t * i_t * (1.0 - i_t)
+        da_f = dc * c[t] * f_t * (1.0 - f_t)
         da_o = do * o_t * (1.0 - o_t)
-        x_t = arr[:, t]
-        for gate, da in zip(_GATES, (da_i, da_f, da_g, da_o)):
-            grads[f"w_{gate}x"] += da.T @ x_t
-            grads[f"w_{gate}h"] += da.T @ h_prev
-            grads[f"b_{gate}"] += da.sum(axis=0)
-        dh = da_i @ m.w_ih + da_f @ m.w_fh + da_g @ m.w_ch + da_o @ m.w_oh
-        dc = dc * f_t
+        da_g = dc * i_t * (1.0 - g_t * g_t)
+        dc *= f_t
+        for k, da in enumerate((da_i, da_f, da_o, da_g)):
+            a[:, k * hid : (k + 1) * hid] = da
+        dh = a @ m.w_h
+    da_all = gates.reshape(w * b, 4 * hid)
+    grads = {
+        "w_x": da_all.T @ x,
+        "w_h": da_all.T @ h[:w].reshape(w * b, hid),
+        "b": da_all.sum(axis=0),
+        "dense1_w": g_dense1_w,
+        "dense1_b": g_dense1_b,
+        "bn_gamma": g_bn_gamma,
+        "bn_beta": g_bn_beta,
+        "dense2_w": g_dense2_w.astype(dtype),
+        "dense2_b": g_dense2_b,
+    }
     return loss, grads
 
 
@@ -395,7 +432,10 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx])
+            try:
+                loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx])
+            except NumericError as exc:
+                raise exc.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
             step += 1
             bc1 = 1.0 - ADAM_BETA1**step
             bc2 = 1.0 - ADAM_BETA2**step
@@ -409,7 +449,10 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):
             total += loss * idx.size
         history.train_loss.append(total / n)
 
-        val_probs = forward(model, x_val, mode="eval")
+        try:
+            val_probs = forward(model, x_val, mode="eval")
+        except NumericError as exc:
+            raise exc.within(f"epoch {epoch}", "validation") from exc
         val_loss = _bce(val_probs, y_val)
         history.val_loss.append(val_loss)
         history.val_f1.append(classification_metrics(val_probs, y_val).f1)
@@ -441,17 +484,22 @@ def evaluate(model: ModelParams, test_windows, threshold: float = 0.5) -> Classi
 # Checkpoints
 
 _CKPT_MAGIC = b"SFCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+# magic, version, hidden, dense, input_dim, window_len, itemsize
+_CKPT_HEADER = struct.Struct("<4sHIIIIB")
 
 
 def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128) -> None:
-    """Versioned binary checkpoint: header + raw little-endian tensors."""
+    """Versioned binary checkpoint: header + raw little-endian tensors.
+
+    Version 2 stores the fused LSTM tensors in ``GATE_ORDER``; version 1,
+    which held the twelve per-gate tensors, is still read.
+    """
     path = Path(path)
     itemsize = model.dtype.itemsize
     with path.open("wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack(
-            "<HIIIIB", _CKPT_VERSION, model.hidden_size, model.dense_units,
+        fh.write(_CKPT_HEADER.pack(
+            _CKPT_MAGIC, _CKPT_VERSION, model.hidden_size, model.dense_units,
             model.input_dim, window_len, itemsize,
         ))
         le = np.dtype(f"<f{itemsize}")
@@ -464,37 +512,31 @@ def load_checkpoint(path: str | Path):
     data = Path(path).read_bytes()
     if data[:4] != _CKPT_MAGIC:
         raise DataError("not a checkpoint: bad magic")
-    version, hidden, dense, input_dim, window_len, itemsize = struct.unpack_from("<HIIIIB", data, 4)
-    if version != _CKPT_VERSION:
+    if len(data) < _CKPT_HEADER.size:
+        raise DataError("truncated checkpoint header")
+    _, version, hidden, dense, input_dim, window_len, itemsize = _CKPT_HEADER.unpack_from(data)
+    if version not in (1, _CKPT_VERSION):
         raise DataError(f"unsupported checkpoint version {version}")
     if itemsize not in (4, 8):
         raise DataError(f"unsupported checkpoint itemsize {itemsize}")
+    if min(hidden, dense, input_dim) < 1:
+        raise DataError("checkpoint sizes must be >= 1")
     dtype = np.dtype(f"<f{itemsize}")
     shapes = _tensor_shapes(hidden, dense, input_dim)
-    offset = 4 + struct.calcsize("<HIIIIB")
+    size = _CKPT_HEADER.size + sum(math.prod(shape) for shape in shapes.values()) * itemsize
+    if len(data) < size:
+        raise DataError("truncated checkpoint payload")
+    if len(data) > size:
+        raise DataError(f"{len(data) - size} trailing bytes after checkpoint payload")
+    offset = _CKPT_HEADER.size
     params = {}
     for name in _TRAINABLE_FIELDS + _STATE_FIELDS:
-        shape = shapes[name]
-        nbytes = int(np.prod(shape)) * itemsize
-        if offset + nbytes > len(data):
-            raise DataError("truncated checkpoint payload")
-        params[name] = np.frombuffer(data[offset : offset + nbytes], dtype=dtype).reshape(shape).copy()
-        offset += nbytes
+        count = math.prod(shapes[name])
+        params[name] = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shapes[name]).copy()
+        offset += count * itemsize
+    if version == 1:
+        # v1 wrote the per-gate tensors w_{i,f,c,o}x, then w_{i,f,c,o}h, then
+        # b_{i,f,c,o}: byte for byte the fused tensors with blocks in (i, f, c, o).
+        for name in ("w_x", "w_h", "b"):
+            params[name] = _from_ifco(params[name])
     return ModelParams(**params), window_len
-
-
-def _tensor_shapes(hidden: int, dense: int, input_dim: int) -> dict[str, tuple]:
-    shapes = {}
-    for gate in _GATES:
-        shapes[f"w_{gate}x"] = (hidden, input_dim)
-        shapes[f"w_{gate}h"] = (hidden, hidden)
-        shapes[f"b_{gate}"] = (hidden,)
-    shapes["dense1_w"] = (dense, hidden)
-    shapes["dense1_b"] = (dense,)
-    shapes["bn_gamma"] = (dense,)
-    shapes["bn_beta"] = (dense,)
-    shapes["dense2_w"] = (1, dense)
-    shapes["dense2_b"] = (1,)
-    shapes["bn_mean"] = (dense,)
-    shapes["bn_var"] = (dense,)
-    return shapes

@@ -21,6 +21,24 @@ class DataError(ToolkitError):
 
 
 class NumericError(ToolkitError):
-    """Non-finite values produced during a numeric computation."""
+    """Non-finite values produced during a numeric computation.
+
+    ``where`` names the place, outermost first (say ``("iteration 0",
+    "epoch 3", "batch 7")``); the message ends with it in parentheses.
+    """
 
     exit_code = 4
+
+    def __init__(self, message: str, where: tuple[str, ...] = ()):
+        super().__init__(message, where)
+        self.message = message
+        self.where = tuple(where)
+
+    def __str__(self) -> str:
+        if not self.where:
+            return self.message
+        return f"{self.message} ({', '.join(self.where)})"
+
+    def within(self, *outer: str) -> "NumericError":
+        """The same error, located inside ``outer`` as well."""
+        return NumericError(self.message, outer + self.where)

@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .classifier import TrainConfig, evaluate, init_model, train
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .ingest import DatasetCatalog, catalog_dataset, load_entry
 from .kinematics import ActivityLabel
 from .metrics import (
@@ -395,8 +395,11 @@ def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
         dense_units=config.dense_units,
     )
     train_cfg = replace(config.train, seed=derive_seed(config.seed, i, "train"))
-    best, history = train(model, train_w, val_w, train_cfg)
-    scores = evaluate(best, test_w, config.threshold)
+    try:
+        best, history = train(model, train_w, val_w, train_cfg)
+        scores = evaluate(best, test_w, config.threshold)
+    except NumericError as exc:
+        raise exc.within(f"iteration {i}") from exc
     result = IterationResult(
         index=i,
         precision=scores.precision, recall=scores.recall, f1=scores.f1,

@@ -1,11 +1,16 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from synthfall.classifier import (
+    GATE_ORDER,
     TrainConfig,
     TrainHistory,
+    _forward,
+    _sigmoid,
     evaluate,
     forward,
     init_model,
@@ -32,6 +37,51 @@ def toy_windows(n_per_class, width=16, offset=2.0, seed=0, scale=0.3):
         subjects=[f"s{label}{i}" for label in (0, 1) for i in range(n_per_class)],
         synthetic=np.zeros(2 * n_per_class, dtype=bool),
     )
+
+
+def stable_sigmoid(x):
+    """1 / (1 + e^-x) in float64 without overflow."""
+    return np.exp(-np.logaddexp(0.0, -np.asarray(x, dtype=np.float64)))
+
+
+def reference_forward(model, batch):
+    """Eval-mode probabilities from the per-gate form: one input and one
+    recurrent matmul per gate and step, float64, stable logistic."""
+    hid = model.hidden_size
+    per_gate = {
+        gate: tuple(t.astype(np.float64)[k * hid : (k + 1) * hid] for t in (model.w_x, model.w_h, model.b))
+        for k, gate in enumerate(GATE_ORDER)
+    }
+    x = np.asarray(batch, dtype=np.float64)
+    h = np.zeros((x.shape[0], hid))
+    c = np.zeros((x.shape[0], hid))
+    for t in range(x.shape[1]):
+        pre = {g: x[:, t] @ wx.T + h @ wh.T + b for g, (wx, wh, b) in per_gate.items()}
+        c = stable_sigmoid(pre["f"]) * c + stable_sigmoid(pre["i"]) * np.tanh(pre["g"])
+        h = stable_sigmoid(pre["o"]) * np.tanh(c)
+    f64 = {name: getattr(model, name).astype(np.float64) for name in (
+        "dense1_w", "dense1_b", "bn_gamma", "bn_beta", "bn_mean", "bn_var", "dense2_w", "dense2_b")}
+    r = np.maximum(h @ f64["dense1_w"].T + f64["dense1_b"], 0)
+    y_bn = f64["bn_gamma"] * (r - f64["bn_mean"]) / np.sqrt(f64["bn_var"] + 1e-3) + f64["bn_beta"]
+    p = stable_sigmoid((y_bn @ f64["dense2_w"].T + f64["dense2_b"]).ravel())
+    return np.clip(p, 1e-7, 1 - 1e-7)
+
+
+def v1_checkpoint_bytes(model, window_len):
+    """Checkpoint v1: twelve per-gate tensors w_{i,f,c,o}x, w_{i,f,c,o}h,
+    b_{i,f,c,o}, then the head and BN tensors, little-endian."""
+    hid = model.hidden_size
+    blocks = {
+        name: dict(zip(GATE_ORDER, np.split(getattr(model, name), 4)))
+        for name in ("w_x", "w_h", "b")
+    }
+    itemsize = model.dtype.itemsize
+    out = [b"SFCK", struct.pack("<HIIIIB", 1, hid, model.dense_units, model.input_dim, window_len, itemsize)]
+    tensors = [blocks[name][gate] for name in ("w_x", "w_h", "b") for gate in ("i", "f", "g", "o")]
+    tensors += [getattr(model, name) for name in (
+        "dense1_w", "dense1_b", "bn_gamma", "bn_beta", "dense2_w", "dense2_b", "bn_mean", "bn_var")]
+    out += [np.ascontiguousarray(t, dtype=f"<f{itemsize}").tobytes() for t in tensors]
+    return b"".join(out)
 
 
 def stump_f1(windows):
@@ -69,19 +119,40 @@ class TestInit:
 
     def test_weight_magnitudes_bounded_by_fan_in(self):
         model = init_model(3, hidden_size=16, dense_units=12, input_dim=3)
-        bounds = {
-            "w_ix": 3, "w_fx": 3, "w_cx": 3, "w_ox": 3,
-            "w_ih": 16, "w_fh": 16, "w_ch": 16, "w_oh": 16,
-            "dense1_w": 16, "dense2_w": 12,
-        }
-        for name, fan_in in bounds.items():
-            tensor = getattr(model, name)
-            assert np.max(np.abs(tensor)) <= 1.0 / math.sqrt(fan_in)
+        for k, gate in enumerate(GATE_ORDER):
+            rows = slice(16 * k, 16 * (k + 1))
+            assert np.max(np.abs(model.w_x[rows])) <= 1.0 / math.sqrt(3), gate
+            assert np.max(np.abs(model.w_h[rows])) <= 1.0 / math.sqrt(16), gate
+        assert np.max(np.abs(model.dense1_w)) <= 1.0 / math.sqrt(16)
+        assert np.max(np.abs(model.dense2_w)) <= 1.0 / math.sqrt(12)
 
     def test_forget_bias_is_one(self):
         model = init_model(4, hidden_size=8, dense_units=8)
-        assert np.all(model.b_f == 1.0)
-        assert np.all(model.b_i == 0.0)
+        blocks = dict(zip(GATE_ORDER, model.b.reshape(4, 8)))
+        assert np.all(blocks["f"] == 1.0)
+        for gate in ("i", "o", "g"):
+            assert np.all(blocks[gate] == 0.0), gate
+
+    def test_gate_blocks_drawn_in_ifco_order(self):
+        # The seeded stream draws the per-gate blocks in (i, f, c, o) order,
+        # input weights before recurrent ones, then the dense layers.
+        h, d, n_in = 5, 4, 3
+        model = init_model(21, hidden_size=h, dense_units=d, input_dim=n_in)
+        rng = np.random.default_rng(21)
+
+        def draw(shape, fan_in):
+            limit = 1.0 / math.sqrt(fan_in)
+            return rng.uniform(-limit, limit, size=shape).astype(np.float32)
+
+        wx = {g: draw((h, n_in), n_in) for g in "ifco"}
+        wh = {g: draw((h, h), h) for g in "ifco"}
+        fused = dict(zip(GATE_ORDER, "ifoc"))
+        for k, gate in enumerate(GATE_ORDER):
+            rows = slice(h * k, h * (k + 1))
+            assert np.array_equal(model.w_x[rows], wx[fused[gate]]), gate
+            assert np.array_equal(model.w_h[rows], wh[fused[gate]]), gate
+        assert np.array_equal(model.dense1_w, draw((d, h), h))
+        assert np.array_equal(model.dense2_w, draw((1, d), d))
 
     def test_default_sizes(self):
         model = init_model(0)
@@ -133,6 +204,58 @@ class TestForward:
         model = init_model(0, hidden_size=4, dense_units=4)
         with pytest.raises(ConfigError):
             forward(model, toy_windows(1), mode="predict")
+
+    def test_matches_per_gate_reference(self):
+        model = init_model(17, hidden_size=7, dense_units=5, dtype=np.float64)
+        forward(model, toy_windows(6, seed=18), mode="train")  # move running stats
+        batch = np.random.default_rng(19).normal(size=(9, 20, 3))
+        probs = forward(model, batch, mode="eval")
+        np.testing.assert_allclose(probs, reference_forward(model, batch), rtol=0, atol=1e-12)
+
+    def test_eval_equals_history_keeping_pass(self):
+        model = init_model(20, hidden_size=8, dense_units=8)
+        batch = toy_windows(5, seed=21).values.astype(np.float32)
+        p_eval = forward(model, batch, mode="eval")
+        p_hist, cache = _forward(model, batch, train_mode=False, keep_history=True)
+        assert cache["history"] is not None
+        assert np.array_equal(p_eval, p_hist)
+
+    def test_eval_keeps_no_bptt_history(self):
+        b, w, hid = 100, 64, 32
+        model = init_model(22, hidden_size=hid, dense_units=16)
+        batch = np.random.default_rng(22).normal(size=(b, w, 3)).astype(np.float32)
+        labels = np.arange(b) % 2
+        train_model = model.copy()
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        eval_peak = peak(lambda: forward(model, batch, mode="eval"))
+        train_peak = peak(lambda: loss_and_gradients(train_model, batch, labels))
+        # h and c of shape (W+1, B, H) plus tanh(c) of shape (W, B, H).
+        history = (3 * w + 2) * b * hid * np.dtype(np.float32).itemsize
+        assert train_peak - eval_peak >= history
+
+
+class TestSigmoid:
+    def test_float32_extremes(self):
+        x = np.array([0.0, 20.0, -20.0, 88.0, -88.0, 1e4, -1e4], dtype=np.float32)
+        with np.errstate(all="raise"):
+            s = _sigmoid(x)
+        assert s.dtype == np.float32
+        assert np.all((s >= 0.0) & (s <= 1.0))
+        ref = stable_sigmoid(x).astype(np.float32)
+        big = ref >= 1e-6
+        assert np.all(np.abs(s[big] - ref[big]) <= 2 * np.spacing(ref[big]))
+
+    def test_absolute_error_within_float32_epsilon(self):
+        x = np.linspace(-30.0, 30.0, 6001, dtype=np.float32)
+        assert np.max(np.abs(_sigmoid(x) - stable_sigmoid(x))) <= np.finfo(np.float32).eps
 
 
 class TestLoss:
@@ -249,6 +372,16 @@ class TestTrain:
         with pytest.raises(DataError):
             train(init_model(0, hidden_size=4, dense_units=4), toy_windows(0), toy_windows(2), config)
 
+    def test_non_finite_weights_name_epoch_and_batch(self):
+        model = init_model(15, hidden_size=8, dense_units=8)
+        model.w_h[0, 0] = np.inf
+        config = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=r"^non-finite values in lstm \(epoch 0, batch 0\)$"
+        ) as info:
+            train(model, toy_windows(6), toy_windows(2), config)
+        assert info.value.where == ("epoch 0", "batch 0")
+
     def test_patience_must_not_exceed_epochs(self):
         with pytest.raises(ConfigError):
             TrainConfig(max_epochs=10, patience=20)
@@ -292,6 +425,53 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage")
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_reads_v1_per_gate_checkpoint(self, tmp_path):
+        for dtype in (np.float32, np.float64):
+            model = init_model(23, hidden_size=6, dense_units=5, dtype=dtype)
+            forward(model, toy_windows(4), mode="train")  # move running stats
+            path = tmp_path / "v1.ckpt"
+            path.write_bytes(v1_checkpoint_bytes(model, window_len=16))
+            loaded, window_len = load_checkpoint(path)
+            assert window_len == 16
+            assert loaded.dtype == dtype
+            batch = toy_windows(3, seed=24)
+            assert np.array_equal(forward(loaded, batch), forward(model, batch))
+
+    def test_writes_v2(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(25, hidden_size=4, dense_units=4), path)
+        assert struct.unpack_from("<H", path.read_bytes(), 4) == (2,)
+
+    def test_short_header_is_data_error(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(init_model(26, hidden_size=4, dense_units=4), path)
+        for size in (4, 5, 22):
+            path.write_bytes(path.read_bytes()[:size])
+            with pytest.raises(DataError, match="truncated checkpoint header"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_are_data_error(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(init_model(27, hidden_size=4, dense_units=4), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_truncated_payload_and_zero_sizes(self, tmp_path):
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(init_model(28, hidden_size=4, dense_units=4), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-1])
+        with pytest.raises(DataError, match="truncated checkpoint payload"):
+            load_checkpoint(path)
+        path.write_bytes(data[:6] + struct.pack("<I", 0) + data[10:])
+        with pytest.raises(DataError, match="sizes"):
+            load_checkpoint(path)
+        # 4H * H elements overflow int64 at this hidden size.
+        path.write_bytes(data[:6] + struct.pack("<I", 2**32 - 1) + data[10:])
+        with pytest.raises(DataError, match="truncated checkpoint payload"):
             load_checkpoint(path)
 
     def test_float64_roundtrip(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_dataset, build_synthetic_manifest
-from synthfall.classifier import TrainConfig
+from synthfall.classifier import TrainConfig, init_model
 from synthfall.cli import main
 from synthfall.errors import ConfigError, DataError
 from synthfall.harness import (
@@ -466,3 +466,24 @@ class TestCli:
         ])
         assert code == 2
         assert "--split-sizes expects int values" in capsys.readouterr().err
+
+    def test_non_finite_weights_exit_4_with_location(self, tmp_path, capsys, monkeypatch, fixture_dataset):
+        import synthfall.harness as harness
+
+        def inf_model(*args, **kwargs):
+            model = init_model(*args, **kwargs)
+            model.w_h[0, 0] = np.inf
+            return model
+
+        monkeypatch.setattr(harness, "init_model", inf_model)
+        real, syn = fixture_dataset
+        with np.errstate(invalid="ignore"):
+            code = main([
+                "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(syn),
+                "--seed", "3", "--iterations", "2", "--window", "64", "--stride", "16",
+                "--hidden-size", "8", "--dense-units", "8", "--max-epochs", "2",
+                "--patience", "2", "--mix", "0.6,0.2,0.2", "--out", str(tmp_path / "o"),
+            ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: non-finite values in lstm (iteration 0, epoch 0, batch 0)" in err
