@@ -11,13 +11,12 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import harness, ingest, windowing
+from . import ingest, windowing
 from .classifier import save_checkpoint
 from .errors import ConfigError, DataError, ToolkitError
 from .harness import (
@@ -25,6 +24,9 @@ from .harness import (
     AlignmentOptions,
     ExperimentConfig,
     emit_report,
+    ensure_output_dir,
+    load_report,
+    read_json,
     run_ablation_quantity,
     run_alignment,
     run_experiment,
@@ -74,13 +76,7 @@ def _parse_numbers(text: str, n: int, flag: str, kind=float) -> list:
 
 def _build_experiment_config(args) -> ExperimentConfig:
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            base = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        base = read_json(args.config, "config file", ConfigError)
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
     else:
@@ -145,9 +141,8 @@ def _cmd_align(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _build_experiment_config(args)
+    out_dir = ensure_output_dir(args.out)
     model, history, result = run_training(config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tag = config.fingerprint()[:12]
     ckpt = out_dir / f"model_{tag}.ckpt"
     save_checkpoint(model, ckpt, window_len=config.window)
@@ -159,6 +154,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_experiment(args, runner) -> int:
     config = _build_experiment_config(args)
+    ensure_output_dir(args.out)
     report = runner(config)
     paths = emit_report(report, args.format, args.out)
     print(f"mean f1: {report.mean_f1:.4f} over {len(report.iterations)} iterations")
@@ -183,21 +179,7 @@ def _cmd_prompts(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.report)
-    if not path.is_file():
-        raise DataError(f"report not found: {path}")
-    try:
-        payload = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report is not valid JSON: {exc}") from None
-    if "iterations" in payload:
-        report = harness.ExperimentReport.from_dict(payload)
-    elif "ks" in payload:
-        from .metrics import AlignmentReport
-
-        report = AlignmentReport.from_dict(payload)
-    else:
-        raise DataError("unrecognized report payload")
+    report = load_report(read_json(args.report, "report", DataError))
     for out_path in emit_report(report, args.format, args.out):
         print(f"wrote {out_path}")
     return 0

@@ -14,7 +14,8 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+import re
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -25,7 +26,9 @@ from .errors import ConfigError, DataError, NumericError
 from .ingest import DatasetCatalog, catalog_dataset, load_entry
 from .kinematics import ActivityLabel
 from .metrics import (
-    AlignmentReport,
+    ClassificationMetrics,
+    DensityCurve,
+    KsResult,
     coverage,
     histogram_density,
     jsd,
@@ -148,13 +151,7 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
 
 
 # ---------------------------------------------------------------------------
-# Experiment configuration and report
-
-# Train settings a config carries.  train.seed is left out: per-iteration
-# training seeds derive from the master seed, so the nested value never
-# takes effect.
-TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
-
+# Checked JSON objects
 
 def _fits(value, hint) -> bool:
     """Whether a JSON-decoded value can fill a field annotated ``hint``.
@@ -164,10 +161,15 @@ def _fits(value, hint) -> bool:
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if hint is float:
-        return _fits(value, int) or (isinstance(value, float) and math.isfinite(value))
+        try:
+            return (_fits(value, int) or isinstance(value, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
     if hint in (str, bool, dict, type(None)):
         return isinstance(value, hint)
     args = get_args(hint)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             return False
@@ -177,10 +179,58 @@ def _fits(value, hint) -> bool:
     return any(_fits(value, arg) for arg in args)
 
 
-def _check_field(name: str, value, hint) -> None:
-    if not _fits(value, hint):
-        expected = str(hint) if get_args(hint) else hint.__name__
-        raise ConfigError(f"config field {name} must be {expected}, got {value!r}")
+def _checked(cls, d, what: str, error, **hint_overrides) -> dict:
+    """The JSON object ``d``, checked against the fields of ``cls``.
+
+    ``cls`` is a dataclass, whose fields without a default are required, or
+    a ``{key: hint}`` layout whose keys all are; ``hint_overrides`` replace
+    hints or add optional keys.  Anything but an object, an unknown or
+    missing key, or a value that does not fit its hint raises ``error``.
+    JSON lists come back as tuples.
+    """
+    if not isinstance(d, dict):
+        raise error(f"{what} must be a JSON object, got {type(d).__name__}")
+    if isinstance(cls, dict):
+        hints, required = dict(cls), list(cls)
+    else:
+        hints = get_type_hints(cls)
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+    hints.update(hint_overrides)
+    unknown = set(d) - set(hints)
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise error(f"{what} requires {', '.join(missing)}")
+    for name, value in d.items():
+        if not _fits(value, hints[name]):
+            expected = str(hints[name]) if get_args(hints[name]) else hints[name].__name__
+            raise error(f"{what} field {name} must be {expected}, got {value!r}")
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in d.items()}
+
+
+def _json_text(d: dict) -> str:
+    return json.dumps(d, sort_keys=True, indent=2) + "\n"
+
+
+def read_json(path: str | Path, what: str, error):
+    """The decoded JSON file at ``path``; ``error`` if it is missing or not JSON."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Experiment configuration
+
+# Train settings a config carries.  train.seed is left out: per-iteration
+# training seeds derive from the master seed, so the nested value never
+# takes effect.
+TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 
 @dataclass(frozen=True)
@@ -223,25 +273,11 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Build a config from its JSON form, raising ConfigError for unknown
         or missing fields and for values of the wrong type or length."""
-        hints = get_type_hints(cls)
         # JSON spells the mix as its three fractions and train as an object.
-        hints.update(mix=tuple[float, float, float], train=dict)
-        unknown = set(d) - set(hints)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
-        if missing:
-            raise ConfigError(f"config requires {', '.join(missing)}")
-        for name, value in d.items():
-            _check_field(name, value, hints[name])
-        train_d = dict(d.get("train", {}))
-        train_hints = get_type_hints(TrainConfig)
-        for name, value in train_d.items():
-            if name not in train_hints:
-                raise ConfigError(f"invalid train config: unknown field {name!r}")
-            _check_field(f"train.{name}", value, train_hints[name])
-        train_d.pop("seed", None)
-        kwargs = dict(d, train=TrainConfig(**train_d))
+        d = _checked(cls, d, "config", ConfigError, mix=tuple[float, float, float], train=dict)
+        train = _checked(TrainConfig, d.get("train", {}), "train config", ConfigError)
+        train.pop("seed", None)
+        kwargs = dict(d, train=TrainConfig(**train))
         if "mix" in d:
             kwargs["mix"] = MixSpec(*d["mix"])
         return cls(**kwargs)
@@ -249,6 +285,14 @@ class ExperimentConfig:
     def fingerprint(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Reports.  A record's JSON keys are its dataclass fields: ``asdict`` writes
+# them and ``_checked`` reads them back.
+
+# The scores of one iteration, in CSV column order.
+_SCORE_FIELDS = tuple(f.name for f in fields(ClassificationMetrics))
 
 
 @dataclass(frozen=True)
@@ -267,29 +311,6 @@ class IterationResult:
     best_epoch: int
     stop_reason: str
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "val_subjects": list(self.val_subjects),
-            "test_subjects": list(self.test_subjects),
-            "train_size": self.train_size,
-            "best_epoch": self.best_epoch,
-            "stop_reason": self.stop_reason,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationResult":
-        return cls(
-            index=d["index"], precision=d["precision"], recall=d["recall"], f1=d["f1"],
-            tp=d["tp"], fp=d["fp"], fn=d["fn"], tn=d["tn"],
-            val_subjects=tuple(d["val_subjects"]), test_subjects=tuple(d["test_subjects"]),
-            train_size=d["train_size"], best_epoch=d["best_epoch"], stop_reason=d["stop_reason"],
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -303,42 +324,105 @@ class ExperimentReport:
     delta_percent: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "config": self.config,
-            "iterations": [it.to_dict() for it in self.iterations],
-            "mean_precision": self.mean_precision,
-            "mean_recall": self.mean_recall,
-            "mean_f1": self.mean_f1,
-            "baseline_mean_f1": self.baseline_mean_f1,
-            "delta_percent": self.delta_percent,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(
-            fingerprint=d["fingerprint"],
-            config=d["config"],
-            iterations=tuple(IterationResult.from_dict(it) for it in d["iterations"]),
-            mean_precision=d["mean_precision"],
-            mean_recall=d["mean_recall"],
-            mean_f1=d["mean_f1"],
-            baseline_mean_f1=d.get("baseline_mean_f1"),
-            delta_percent=d.get("delta_percent"),
+    def from_dict(cls, d) -> "ExperimentReport":
+        """Rebuild a report from its JSON form, raising DataError for
+        anything else.  The fingerprint names the report's files, so it must
+        be a SHA-256 hex digest."""
+        d = _checked(cls, d, "report", DataError, iterations=tuple[dict, ...])
+        if not re.fullmatch("[0-9a-f]{64}", d["fingerprint"]):
+            raise DataError(f"report fingerprint must be 64 lowercase hex digits, got {d['fingerprint']!r}")
+        iterations = tuple(
+            IterationResult(**_checked(IterationResult, it, f"report iteration {i}", DataError))
+            for i, it in enumerate(d["iterations"])
         )
+        return cls(**dict(d, iterations=iterations))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.to_dict())
 
     def to_csv(self) -> str:
-        lines = ["iteration;precision;recall;f1;tp;fp;fn;tn"]
+        lines = [";".join(("iteration",) + _SCORE_FIELDS)]
         for it in self.iterations:
-            lines.append(
-                f"{it.index};{it.precision!r};{it.recall!r};{it.f1!r};{it.tp};{it.fp};{it.fn};{it.tn}"
-            )
-        lines.append(f"mean;{self.mean_precision!r};{self.mean_recall!r};{self.mean_f1!r};;;;")
+            lines.append(";".join(repr(v) for v in (it.index, *(getattr(it, s) for s in _SCORE_FIELDS))))
+        # Only precision, recall and F1 have means; the count columns stay empty.
+        means = (repr(getattr(self, f"mean_{s}")) if hasattr(self, f"mean_{s}") else "" for s in _SCORE_FIELDS)
+        lines.append(";".join(("mean", *means)))
         lines.append("")
         return "\n".join(lines)
+
+
+_CURVES = ("real", "synthetic")
+# The JSON layout of an alignment report around its KsResult entries.
+_ALIGNMENT_JSON = {"ks": dict, "jsd": float, "coverage": float, "curves": dict}
+_KS_JSON = {**dict.fromkeys(_AXES, dict), "mean_statistic": float, "mean_p_value": float}
+_CURVE_JSON = {"centers": tuple[float, ...], "densities": tuple[float, ...]}
+
+
+@dataclass(frozen=True)
+class AlignmentReport:
+    """Alignment statistics for one real/synthetic comparison."""
+
+    ks_x: KsResult
+    ks_y: KsResult
+    ks_z: KsResult
+    jsd: float
+    coverage: float
+    real_curve: DensityCurve
+    synthetic_curve: DensityCurve
+    jsd_per_axis: dict[str, float] | None = None
+
+    @property
+    def ks_mean_statistic(self) -> float:
+        return (self.ks_x.statistic + self.ks_y.statistic + self.ks_z.statistic) / 3.0
+
+    @property
+    def ks_mean_p_value(self) -> float:
+        return (self.ks_x.p_value + self.ks_y.p_value + self.ks_z.p_value) / 3.0
+
+    def to_dict(self) -> dict:
+        ks = {axis: asdict(getattr(self, f"ks_{axis}")) for axis in _AXES}
+        curves = {}
+        for name in _CURVES:
+            curve = getattr(self, f"{name}_curve")
+            curves[name] = {"centers": curve.bin_centers.tolist(), "densities": curve.densities.tolist()}
+        out = {
+            "ks": dict(ks, mean_statistic=self.ks_mean_statistic, mean_p_value=self.ks_mean_p_value),
+            "jsd": self.jsd,
+            "coverage": self.coverage,
+            "curves": curves,
+        }
+        if self.jsd_per_axis is not None:
+            out["jsd_per_axis"] = dict(self.jsd_per_axis)
+        return out
+
+    @classmethod
+    def from_dict(cls, d) -> "AlignmentReport":
+        """Rebuild a report from its JSON form, raising DataError for
+        anything else."""
+        what = "alignment report"
+        d = _checked(_ALIGNMENT_JSON, d, what, DataError, jsd_per_axis=dict[str, float] | None)
+        ks = _checked(_KS_JSON, d["ks"], f"{what} ks", DataError)
+        curves = _checked(dict.fromkeys(_CURVES, dict), d["curves"], f"{what} curves", DataError)
+        kwargs = {
+            f"ks_{axis}": KsResult(**_checked(KsResult, ks[axis], f"{what} ks.{axis}", DataError))
+            for axis in _AXES
+        }
+        for name in _CURVES:
+            curve = _checked(_CURVE_JSON, curves[name], f"{what} curves.{name}", DataError)
+            kwargs[f"{name}_curve"] = DensityCurve(curve["centers"], curve["densities"])
+        return cls(**kwargs, jsd=d["jsd"], coverage=d["coverage"], jsd_per_axis=d.get("jsd_per_axis"))
+
+
+def load_report(payload) -> ExperimentReport | AlignmentReport:
+    """The report a decoded JSON payload holds, or DataError."""
+    if isinstance(payload, dict) and "iterations" in payload:
+        return ExperimentReport.from_dict(payload)
+    if isinstance(payload, dict) and "ks" in payload:
+        return AlignmentReport.from_dict(payload)
+    raise DataError("not a report: expected an experiment report (iterations) or an alignment report (ks)")
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +486,7 @@ def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
         raise exc.within(f"iteration {i}") from exc
     result = IterationResult(
         index=i,
-        precision=scores.precision, recall=scores.recall, f1=scores.f1,
-        tp=scores.tp, fp=scores.fp, fn=scores.fn, tn=scores.tn,
+        **asdict(scores),
         val_subjects=tuple(sorted(split.validation)),
         test_subjects=tuple(sorted(split.test)),
         train_size=len(train_w),
@@ -460,13 +543,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _load_baseline_mean_f1(path: str | Path) -> float:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"baseline report not found: {path}")
+    payload = read_json(path, "baseline report", DataError)
     try:
-        data = json.loads(path.read_text("utf-8"))
-        return float(data["mean_f1"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        return ExperimentReport.from_dict(payload).mean_f1
+    except DataError as exc:
         raise DataError(f"baseline report is not a valid experiment report: {exc}") from None
 
 
@@ -485,38 +565,43 @@ def run_ablation_quantity(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # Report emission
 
-def emit_report(report, fmt: str = "json", out_dir: str | Path = ".") -> list[Path]:
-    """Write a report (plus any density-curve CSVs) into ``out_dir``.
-
-    Filenames embed the report fingerprint (for alignment reports, a content
-    hash).  Returns the written paths.
-    """
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
+def ensure_output_dir(out_dir: str | Path) -> Path:
+    """``out_dir`` as a directory, created if missing; DataError if it cannot be."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out_dir}: {exc}") from None
-    written: list[Path] = []
+    return out_dir
+
+
+def emit_report(report, fmt: str = "json", out_dir: str | Path = ".") -> list[Path]:
+    """Write a report (plus any density-curve CSVs) into ``out_dir``.
+
+    Filenames embed the report fingerprint (for alignment reports, a content
+    hash).  Alignment reports are written as JSON only.  Returns the written
+    paths.
+    """
+    if not isinstance(report, (ExperimentReport, AlignmentReport)):
+        raise ConfigError(f"cannot emit report of type {type(report).__name__}")
+    if fmt not in ("json", "csv"):
+        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
+    if fmt == "csv" and isinstance(report, AlignmentReport):
+        raise ConfigError("alignment reports are written as JSON only")
+    out_dir = ensure_output_dir(out_dir)
 
     if isinstance(report, ExperimentReport):
-        tag = report.fingerprint[:12]
-        path = out_dir / f"report_{tag}.{fmt}"
+        path = out_dir / f"report_{report.fingerprint[:12]}.{fmt}"
         path.write_text(report.to_json() if fmt == "json" else report.to_csv(), "utf-8")
-        written.append(path)
-        return written
+        return [path]
 
-    if isinstance(report, AlignmentReport):
-        payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-        tag = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
-        path = out_dir / f"alignment_{tag}.json"
-        path.write_text(payload, "utf-8")
-        written.append(path)
-        for name, curve in (("real", report.real_curve), ("synthetic", report.synthetic_curve)):
-            curve_path = out_dir / f"density_{name}_{tag}.csv"
-            curve_path.write_text(curve.to_csv(), "utf-8")
-            written.append(curve_path)
-        return written
-
-    raise ConfigError(f"cannot emit report of type {type(report).__name__}")
+    payload = _json_text(report.to_dict())
+    tag = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+    path = out_dir / f"alignment_{tag}.json"
+    path.write_text(payload, "utf-8")
+    written = [path]
+    for name in _CURVES:
+        curve_path = out_dir / f"density_{name}_{tag}.csv"
+        curve_path.write_text(getattr(report, f"{name}_curve").to_csv(), "utf-8")
+        written.append(curve_path)
+    return written

@@ -278,12 +278,6 @@ class DatasetCatalog:
             hist["fall" if e.activity == ActivityLabel.FALL else "adl"] += 1
         return hist
 
-    def fall_entries(self) -> tuple[CatalogEntry, ...]:
-        return tuple(e for e in self.entries if e.activity == ActivityLabel.FALL)
-
-    def adl_entries(self) -> tuple[CatalogEntry, ...]:
-        return tuple(e for e in self.entries if e.activity == ActivityLabel.ADL)
-
     def __len__(self) -> int:
         return len(self.entries)
 

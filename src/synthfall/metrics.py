@@ -254,79 +254,3 @@ def percent_delta(baseline_f1: float, augmented_f1: float) -> float:
     if not baseline_f1 > 0:
         raise DataError("percent_delta requires a positive baseline F1")
     return 100.0 * (augmented_f1 - baseline_f1) / baseline_f1
-
-
-# ---------------------------------------------------------------------------
-# Alignment report
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    """Alignment statistics for one real/synthetic comparison."""
-
-    ks_x: KsResult
-    ks_y: KsResult
-    ks_z: KsResult
-    jsd: float
-    coverage: float
-    real_curve: DensityCurve
-    synthetic_curve: DensityCurve
-    jsd_per_axis: dict[str, float] | None = None
-
-    @property
-    def ks_mean_statistic(self) -> float:
-        return (self.ks_x.statistic + self.ks_y.statistic + self.ks_z.statistic) / 3.0
-
-    @property
-    def ks_mean_p_value(self) -> float:
-        return (self.ks_x.p_value + self.ks_y.p_value + self.ks_z.p_value) / 3.0
-
-    def to_dict(self) -> dict:
-        def ks_dict(r: KsResult) -> dict:
-            return {"statistic": r.statistic, "p_value": r.p_value, "n": r.n, "m": r.m}
-
-        out = {
-            "ks": {
-                "x": ks_dict(self.ks_x),
-                "y": ks_dict(self.ks_y),
-                "z": ks_dict(self.ks_z),
-                "mean_statistic": self.ks_mean_statistic,
-                "mean_p_value": self.ks_mean_p_value,
-            },
-            "jsd": self.jsd,
-            "coverage": self.coverage,
-            "curves": {
-                "real": {
-                    "centers": self.real_curve.bin_centers.tolist(),
-                    "densities": self.real_curve.densities.tolist(),
-                },
-                "synthetic": {
-                    "centers": self.synthetic_curve.bin_centers.tolist(),
-                    "densities": self.synthetic_curve.densities.tolist(),
-                },
-            },
-        }
-        if self.jsd_per_axis is not None:
-            out["jsd_per_axis"] = dict(self.jsd_per_axis)
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AlignmentReport":
-        def ks_from(v: dict) -> KsResult:
-            return KsResult(statistic=v["statistic"], p_value=v["p_value"], n=v["n"], m=v["m"])
-
-        return cls(
-            ks_x=ks_from(d["ks"]["x"]),
-            ks_y=ks_from(d["ks"]["y"]),
-            ks_z=ks_from(d["ks"]["z"]),
-            jsd=d["jsd"],
-            coverage=d["coverage"],
-            real_curve=DensityCurve(
-                bin_centers=np.array(d["curves"]["real"]["centers"]),
-                densities=np.array(d["curves"]["real"]["densities"]),
-            ),
-            synthetic_curve=DensityCurve(
-                bin_centers=np.array(d["curves"]["synthetic"]["centers"]),
-                densities=np.array(d["curves"]["synthetic"]["densities"]),
-            ),
-            jsd_per_axis=d.get("jsd_per_axis"),
-        )

@@ -1,4 +1,7 @@
+import functools
 import json
+import operator
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -12,15 +15,19 @@ from synthfall.cli import main
 from synthfall.errors import ConfigError, DataError
 from synthfall.harness import (
     AlignmentOptions,
+    AlignmentReport,
     ExperimentConfig,
     ExperimentReport,
+    IterationResult,
     derive_seed,
     emit_report,
+    load_report,
     run_ablation_quantity,
     run_alignment,
     run_experiment,
     run_training,
 )
+from synthfall.metrics import DensityCurve, KsResult
 from synthfall.windowing import MixSpec
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
@@ -34,6 +41,61 @@ FIELD_VALUES = JSON_VALUES | st.fixed_dictionaries(
     {}, optional={f.name: JSON_VALUES for f in fields(TrainConfig)}
 )
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)] + ["mystery"]
+REPORT_KEYS = [f.name for f in fields(ExperimentReport)] + ["ks", "jsd", "coverage", "curves", "jsd_per_axis"]
+
+CURVE = DensityCurve(bin_centers=np.array([0.5, 1.5]), densities=np.array([0.6, 0.4]))
+ALIGNMENT = AlignmentReport(
+    ks_x=KsResult(0.1, 0.9, 5, 5), ks_y=KsResult(0.2, 0.8, 5, 5), ks_z=KsResult(0.3, 0.7, 5, 5),
+    jsd=0.12, coverage=0.88, real_curve=CURVE, synthetic_curve=CURVE,
+    jsd_per_axis={"x": 0.1, "y": 0.2, "z": 0.3},
+)
+EXPERIMENT = ExperimentReport(
+    fingerprint="0123456789abcdef" * 4,
+    config={"seed": 1, "mix": [0.6, 0.2, 0.2]},
+    iterations=(IterationResult(0, 1.0, 0.5, 2 / 3, 1, 0, 1, 2, ("s1",), ("s2",), 10, 3, "patience"),),
+    mean_precision=1.0, mean_recall=0.5, mean_f1=2 / 3,
+)
+
+
+def json_paths(node, path=()):
+    """The path of every value nested in a decoded JSON payload."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def payload_of(report):
+    return json.loads(json.dumps(report.to_dict()))
+
+
+def damaged(report, *path, value=None, drop=False):
+    """The JSON payload of ``report`` with the value at ``path`` replaced or dropped."""
+    payload = payload_of(report)
+    parent = functools.reduce(operator.getitem, path[:-1], payload)
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return payload
+
+
+MALFORMED_REPORTS = {
+    "iterations_int": {"iterations": 5},
+    "string": "ks",
+    "list": [1, 2],
+    "no_mean_f1": damaged(EXPERIMENT, "mean_f1", drop=True),
+    "mean_f1_str": damaged(EXPERIMENT, "mean_f1", value="0.9"),
+    "iteration_tp_float": damaged(EXPERIMENT, "iterations", 0, "tp", value=1.5),
+    "fingerprint_path": damaged(EXPERIMENT, "fingerprint", value="../../x"),
+    "ks_x_no_n": damaged(ALIGNMENT, "ks", "x", "n", drop=True),
+    "ks_list": damaged(ALIGNMENT, "ks", value=[1]),
+    "ks_statistic_huge": damaged(ALIGNMENT, "ks", "x", "statistic", value=10**400),
+    "curve_centers_str": damaged(ALIGNMENT, "curves", "real", "centers", value="0.5"),
+    "no_synthetic_curve": damaged(ALIGNMENT, "curves", "synthetic", drop=True),
+    "not_utf8": b"\xff{}",
+    "deeply_nested": b"[" * 100_000,
+}
 
 
 def fast_config(real, synthetic=(), seed=11, **overrides):
@@ -314,6 +376,66 @@ class TestEmitReport:
             emit_report(report, "xml", ".")
 
 
+class TestLoadReport:
+    @pytest.mark.parametrize("report", [EXPERIMENT, ALIGNMENT], ids=["experiment", "alignment"])
+    def test_valid_payload_loads(self, report):
+        assert load_report(payload_of(report)).to_dict() == report.to_dict()
+
+    @given(payload=JSON_VALUES | st.fixed_dictionaries({}, optional={k: JSON_VALUES for k in REPORT_KEYS}))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_json_raises_only_data_error(self, payload):
+        for load in (load_report, ExperimentReport.from_dict, AlignmentReport.from_dict):
+            try:
+                load(payload)
+            except DataError:
+                pass
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_damaged_reports_raise_only_data_error(self, data):
+        report = data.draw(st.sampled_from([EXPERIMENT, ALIGNMENT]))
+        path = data.draw(st.sampled_from(list(json_paths(payload_of(report)))))
+        # Only an object's keys can be dropped; list items are replaced.
+        drop = isinstance(path[-1], str) and data.draw(st.booleans())
+        payload = damaged(report, *path, drop=drop, value=None if drop else data.draw(JSON_VALUES))
+        try:
+            loaded = load_report(payload)
+        except DataError:
+            return
+        # Whatever loads can be written again.
+        with tempfile.TemporaryDirectory() as out:
+            emit_report(loaded, "json", out)
+            if isinstance(loaded, ExperimentReport):
+                emit_report(loaded, "csv", out)
+
+    @pytest.mark.parametrize("fingerprint", ["../../x", "AB" * 32, "ab" * 31, "ab" * 32 + "\n", 7])
+    def test_fingerprint_must_be_a_hex_digest(self, fingerprint):
+        with pytest.raises(DataError, match="fingerprint"):
+            load_report(damaged(EXPERIMENT, "fingerprint", value=fingerprint))
+
+
+class TestAlignmentReportDict:
+    def test_roundtrip(self):
+        curve = DensityCurve(bin_centers=np.array([0.5, 1.5]), densities=np.array([0.6, 0.4]))
+        report = AlignmentReport(
+            ks_x=KsResult(0.1, 0.9, 5, 5),
+            ks_y=KsResult(0.2, 0.8, 5, 5),
+            ks_z=KsResult(0.3, 0.7, 5, 5),
+            jsd=0.12,
+            coverage=0.88,
+            real_curve=curve,
+            synthetic_curve=curve,
+        )
+        again = AlignmentReport.from_dict(report.to_dict())
+        assert again.to_dict() == report.to_dict()
+        assert report.ks_mean_statistic == pytest.approx(0.2)
+
+    def test_csv_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="JSON only"):
+            emit_report(ALIGNMENT, "csv", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+
 class TestCli:
     def test_exit_code_mapping(self):
         from synthfall.errors import ConfigError, DataError, NumericError, ToolkitError
@@ -380,6 +502,57 @@ class TestCli:
         out2 = tmp_path / "re"
         assert main(["report", str(report_path), "--format", "csv", "--out", str(out2)]) == 0
         assert list(out2.glob("report_*.csv"))
+
+    def test_report_reemits_byte_for_byte(self, tmp_path, capsys, fixture_dataset):
+        real, syn = fixture_dataset
+        args = [
+            "--real-manifest", str(real), "--synthetic-manifest", str(syn),
+            "--seed", "3", "--iterations", "1", "--window", "64", "--stride", "16",
+            "--hidden-size", "8", "--dense-units", "8", "--max-epochs", "2",
+            "--patience", "2", "--mix", "0.6,0.2,0.2",
+        ]
+        orig = tmp_path / "orig"
+        assert main(["experiment", *args, "--out", str(orig)]) == 0
+        assert main(["experiment", *args, "--format", "csv", "--out", str(orig)]) == 0
+        assert main(["align", str(real), str(syn), "--window", "64", "--stride", "16",
+                     "--per-axis", "--out", str(orig)]) == 0
+        (report,) = orig.glob("report_*.json")
+        (alignment,) = orig.glob("alignment_*.json")
+        again = tmp_path / "again"
+        for path, fmt in ((report, "json"), (report, "csv"), (alignment, "json")):
+            assert main(["report", str(path), "--format", fmt, "--out", str(again)]) == 0
+        written = {p.name: p.read_bytes() for p in again.iterdir()}
+        assert len(written) == 5
+        assert written == {p.name: p.read_bytes() for p in orig.iterdir()}
+
+    @pytest.mark.parametrize("payload", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
+    def test_malformed_report_exit_3(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+        assert main(["report", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_alignment_report_csv_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "alignment.json"
+        path.write_text(json.dumps(ALIGNMENT.to_dict()))
+        assert main(["report", str(path), "--format", "csv", "--out", str(tmp_path / "o")]) == 2
+        assert "JSON only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    def test_out_is_a_file_exit_3_before_running(self, tmp_path, capsys, monkeypatch, command):
+        import synthfall.cli as cli
+
+        def must_not_run(config):
+            raise AssertionError("ran before checking --out")
+
+        monkeypatch.setattr(cli, "run_training", must_not_run)
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        out = tmp_path / "taken"
+        out.write_text("a file")
+        code = main([command, "--real-manifest", str(tmp_path / "real.json"), "--seed", "1", "--out", str(out)])
+        assert code == 3
+        assert "cannot create output directory" in capsys.readouterr().err
 
     def test_train_command_writes_checkpoint(self, tmp_path, capsys, fixture_dataset):
         real, syn = fixture_dataset

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from synthfall.errors import ConfigError, DataError
 from synthfall.metrics import (
-    AlignmentReport,
     DensityCurve,
     classification_metrics,
     coverage,
@@ -76,6 +75,19 @@ class TestKs:
             a = rng.integers(0, 4, size=rng.integers(1, 9)).astype(float)
             b = rng.integers(0, 4, size=rng.integers(1, 9)).astype(float)
             assert ks_two_sample(a, b).statistic == ecdf_gap_oracle(list(a), list(b))
+
+    def test_d_matches_scipy_ks_2samp(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(4)
+        for decimals in (None, 1):
+            for _ in range(20):
+                n, m = (int(v) for v in rng.integers(1, 400, size=2))
+                a = rng.normal(size=n)
+                b = rng.normal(0.3, 1.2, size=m)
+                if decimals is not None:
+                    a, b = np.round(a, decimals), np.round(b, decimals)
+                expect = stats.ks_2samp(a, b).statistic
+                assert ks_two_sample(a, b).statistic == pytest.approx(expect, abs=1e-12)
 
     def test_exact_mode_size_limit(self):
         with pytest.raises(ConfigError):
@@ -230,6 +242,25 @@ class TestCoverage:
             synthetic = rng.normal(size=(m, 4))
             assert coverage(real, synthetic, k=k) == coverage_oracle(real.tolist(), synthetic.tolist(), k)
 
+    def test_matches_kdtree_oracle_at_scale(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(5)
+        real = rng.normal(size=(1500, 8))
+        synthetic = rng.normal(0.5, 1.3, size=(1000, 8))
+        nearest = spatial.cKDTree(synthetic).query(real, k=1)[0]
+        # The query's nearest hit is the real sample itself, so the k-th
+        # other real sample is column k.
+        neighbours = spatial.cKDTree(real).query(real, k=6)[0]
+        for k in (1, 5):
+            radii = neighbours[:, k]
+            # A relative 1e-9 on the radius keeps rounding in either distance
+            # computation from deciding a tie.
+            lo = float(np.mean(nearest <= radii * (1 - 1e-9)))
+            hi = float(np.mean(nearest <= radii * (1 + 1e-9)))
+            got = coverage(real, synthetic, k=k)
+            assert lo <= got <= hi
+            assert 0.0 < got < 1.0
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         real = rng.normal(size=(15, 5))
@@ -323,22 +354,3 @@ class TestPercentDelta:
     @settings(max_examples=50, deadline=None)
     def test_identity_property(self, b):
         assert percent_delta(b, b) == 0.0
-
-
-class TestAlignmentReportDict:
-    def test_roundtrip(self):
-        curve = DensityCurve(bin_centers=np.array([0.5, 1.5]), densities=np.array([0.6, 0.4]))
-        from synthfall.metrics import KsResult
-
-        report = AlignmentReport(
-            ks_x=KsResult(0.1, 0.9, 5, 5),
-            ks_y=KsResult(0.2, 0.8, 5, 5),
-            ks_z=KsResult(0.3, 0.7, 5, 5),
-            jsd=0.12,
-            coverage=0.88,
-            real_curve=curve,
-            synthetic_curve=curve,
-        )
-        again = AlignmentReport.from_dict(report.to_dict())
-        assert again.to_dict() == report.to_dict()
-        assert report.ks_mean_statistic == pytest.approx(0.2)
