@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,19 +38,16 @@ GATE_ORDER = ("i", "f", "o", "g")
 # Checkpoint v1 and the seeded init draw the blocks in (i, f, c, o) order, c
 # being the cell candidate; this permutation takes that order to GATE_ORDER.
 _FROM_IFCO = (0, 1, 3, 2)
-
-# Canonical tensor order for checkpoints and optimizer state.
-_TRAINABLE_FIELDS = (
-    "w_x", "w_h", "b",
-    "dense1_w", "dense1_b",
-    "bn_gamma", "bn_beta",
-    "dense2_w", "dense2_b",
-)
-_STATE_FIELDS = ("bn_mean", "bn_var")
+# Most windows one eval-mode pass projects at once; larger sets run in
+# near-equal batches, so memory stays bounded.  Batches this large give
+# probabilities bit-equal to one whole-set pass.
+EVAL_BATCH = 512
 
 
 def _tensor_shapes(hidden: int, dense: int, input_dim: int) -> dict[str, tuple[int, ...]]:
-    """Shape of every tensor of a model with these sizes."""
+    """Name and shape of every tensor of a model with these sizes, in the
+    order they lie in ``ModelParams.flat`` and in a checkpoint payload: the
+    trainable tensors, then the ``_N_STATE`` BatchNorm running statistics."""
     return {
         "w_x": (4 * hidden, input_dim), "w_h": (4 * hidden, hidden), "b": (4 * hidden,),
         "dense1_w": (dense, hidden), "dense1_b": (dense,),
@@ -60,55 +57,59 @@ def _tensor_shapes(hidden: int, dense: int, input_dim: int) -> dict[str, tuple[i
     }
 
 
-def _from_ifco(tensor: np.ndarray) -> np.ndarray:
-    """Reorder the four gate row blocks of a fused tensor from (i, f, c, o)."""
-    blocks = tensor.reshape(4, tensor.shape[0] // 4, *tensor.shape[1:])
-    return blocks[list(_FROM_IFCO)].reshape(tensor.shape)
+# bn_mean and bn_var close the table: running statistics, not trained.
+_N_STATE = 2
 
 
 @dataclass
 class ModelParams:
-    """All parameter tensors of the classifier, including BN running stats.
+    """All parameters of the classifier, including BN running stats, in one
+    contiguous 1-D buffer ``flat``.
 
-    The LSTM is stored fused: ``w_x (4H, I)``, ``w_h (4H, H)`` and ``b (4H,)``
-    stack the gate blocks in ``GATE_ORDER``.
+    Each tensor named in ``_tensor_shapes`` (``model.w_x`` ... ``model.bn_var``)
+    is a reshaped view into ``flat``, so writing to a tensor writes to
+    ``flat`` and the other way round.  The LSTM is stored fused: ``w_x
+    (4H, I)``, ``w_h (4H, H)`` and ``b (4H,)`` stack the gate blocks in
+    ``GATE_ORDER``.
     """
 
-    w_x: np.ndarray
-    w_h: np.ndarray
-    b: np.ndarray
-    dense1_w: np.ndarray
-    dense1_b: np.ndarray
-    bn_gamma: np.ndarray
-    bn_beta: np.ndarray
-    dense2_w: np.ndarray
-    dense2_b: np.ndarray
-    bn_mean: np.ndarray
-    bn_var: np.ndarray
+    flat: np.ndarray
+    hidden_size: int
+    dense_units: int
+    input_dim: int
 
-    @property
-    def hidden_size(self) -> int:
-        return self.w_h.shape[1]
+    def __post_init__(self):
+        shapes = self._shapes()
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if self.flat.shape != (sum(sizes),):
+            raise DataError(f"parameter buffer must have shape ({sum(sizes)},), got {self.flat.shape}")
+        # Length of the trainable prefix of ``flat``, the vector Adam updates.
+        self.n_trainable = sum(sizes[:-_N_STATE])
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            setattr(self, name, self.flat[offset : offset + size].reshape(shape))
+            offset += size
 
-    @property
-    def dense_units(self) -> int:
-        return self.dense1_w.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_x.shape[1]
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        return _tensor_shapes(self.hidden_size, self.dense_units, self.input_dim)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.w_x.dtype
+        return self.flat.dtype
 
     def trainable(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _TRAINABLE_FIELDS}
+        return {name: getattr(self, name) for name in list(self._shapes())[:-_N_STATE]}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{
-            name: getattr(self, name).copy() for name in _TRAINABLE_FIELDS + _STATE_FIELDS
-        })
+        return replace(self, flat=self.flat.copy())
+
+
+def _from_ifco(model: ModelParams) -> None:
+    """Reorder the four gate row blocks of the fused LSTM tensors from
+    (i, f, c, o) to ``GATE_ORDER``, in place."""
+    for tensor in (model.w_x, model.w_h, model.b):
+        blocks = tensor.reshape(4, -1, *tensor.shape[1:])
+        blocks[...] = blocks[list(_FROM_IFCO)]
 
 
 def init_model(
@@ -128,23 +129,19 @@ def init_model(
     if hidden_size < 1 or dense_units < 1 or input_dim < 1:
         raise ConfigError("hidden_size, dense_units, and input_dim must be >= 1")
     rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    h = hidden_size
-    params = {
-        name: np.zeros(shape, dtype=dtype)
-        for name, shape in _tensor_shapes(h, dense_units, input_dim).items()
-    }
+    shapes = _tensor_shapes(hidden_size, dense_units, input_dim)
+    flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype=dtype)
+    model = ModelParams(flat, hidden_size, dense_units, input_dim)
     # Every weight matrix's fan-in is its column count.
     for name in ("w_x", "w_h", "dense1_w", "dense2_w"):
-        shape = params[name].shape
-        limit = 1.0 / np.sqrt(shape[1])
-        params[name] = rng.uniform(-limit, limit, size=shape).astype(dtype)
-    params["w_x"] = _from_ifco(params["w_x"])
-    params["w_h"] = _from_ifco(params["w_h"])
-    params["b"][h : 2 * h] = 1.0
-    params["bn_gamma"][:] = 1.0
-    params["bn_var"][:] = 1.0
-    return ModelParams(**params)
+        tensor = getattr(model, name)
+        limit = 1.0 / np.sqrt(tensor.shape[1])
+        tensor[...] = rng.uniform(-limit, limit, size=tensor.shape)
+    _from_ifco(model)
+    model.b[hidden_size : 2 * hidden_size] = 1.0
+    model.bn_gamma[:] = 1.0
+    model.bn_var[:] = 1.0
+    return model
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -243,17 +240,20 @@ def forward(model: ModelParams, batch, mode: str = "eval") -> np.ndarray:
     """Probabilities in (0, 1) for a batch of windows.
 
     ``train`` mode normalizes with batch statistics and updates the running
-    BN statistics in place; ``eval`` mode uses the stored running statistics
-    and is a pure function of (model, input).  Neither keeps the per-step
-    history that backpropagation needs.
+    BN statistics in place; ``eval`` mode uses the stored running statistics,
+    is a pure function of (model, input) and runs in near-equal batches of at
+    most ``EVAL_BATCH`` windows.  Neither keeps the per-step history that
+    backpropagation needs.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     arr = _as_batch(batch, model.dtype)
-    p, cache = _forward(model, arr, train_mode=(mode == "train"))
     if mode == "train":
+        p, cache = _forward(model, arr, train_mode=True)
         _update_running_stats(model, cache)
-    return p
+        return p
+    chunks = np.array_split(arr, -(-len(arr) // EVAL_BATCH))
+    return np.concatenate([_forward(model, chunk, train_mode=False)[0] for chunk in chunks])
 
 
 def _update_running_stats(model: ModelParams, cache: dict) -> None:
@@ -417,8 +417,11 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):
 
     n = x_train.shape[0]
     rng = np.random.default_rng(config.seed)
-    adam_m = {name: np.zeros_like(t) for name, t in model.trainable().items()}
-    adam_v = {name: np.zeros_like(t) for name, t in model.trainable().items()}
+    # Adam's moments over the trainable prefix of the flat parameter buffer.
+    theta = model.flat[: model.n_trainable]
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
+    names = list(model.trainable())
     step = 0
     lr = np.asarray(config.learning_rate, dtype=model.dtype)
 
@@ -439,13 +442,12 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):
             step += 1
             bc1 = 1.0 - ADAM_BETA1**step
             bc2 = 1.0 - ADAM_BETA2**step
-            for name, grad in grads.items():
-                tensor = getattr(model, name)
-                adam_m[name][:] = ADAM_BETA1 * adam_m[name] + (1 - ADAM_BETA1) * grad
-                adam_v[name][:] = ADAM_BETA2 * adam_v[name] + (1 - ADAM_BETA2) * grad * grad
-                m_hat = adam_m[name] / bc1
-                v_hat = adam_v[name] / bc2
-                tensor -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            grad = np.concatenate([grads[name].ravel() for name in names])
+            adam_m[:] = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
+            adam_v[:] = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
+            m_hat = adam_m / bc1
+            v_hat = adam_v / bc2
+            theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             total += loss * idx.size
         history.train_loss.append(total / n)
 
@@ -490,7 +492,8 @@ _CKPT_HEADER = struct.Struct("<4sHIIIIB")
 
 
 def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128) -> None:
-    """Versioned binary checkpoint: header + raw little-endian tensors.
+    """Versioned binary checkpoint: header + ``model.flat`` as little-endian
+    floats, i.e. every tensor in ``_tensor_shapes`` order.
 
     Version 2 stores the fused LSTM tensors in ``GATE_ORDER``; version 1,
     which held the twelve per-gate tensors, is still read.
@@ -502,9 +505,7 @@ def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128)
             _CKPT_MAGIC, _CKPT_VERSION, model.hidden_size, model.dense_units,
             model.input_dim, window_len, itemsize,
         ))
-        le = np.dtype(f"<f{itemsize}")
-        for name in _TRAINABLE_FIELDS + _STATE_FIELDS:
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype=le).tobytes())
+        fh.write(np.ascontiguousarray(model.flat, dtype=f"<f{itemsize}").tobytes())
 
 
 def load_checkpoint(path: str | Path):
@@ -521,22 +522,16 @@ def load_checkpoint(path: str | Path):
         raise DataError(f"unsupported checkpoint itemsize {itemsize}")
     if min(hidden, dense, input_dim) < 1:
         raise DataError("checkpoint sizes must be >= 1")
-    dtype = np.dtype(f"<f{itemsize}")
     shapes = _tensor_shapes(hidden, dense, input_dim)
     size = _CKPT_HEADER.size + sum(math.prod(shape) for shape in shapes.values()) * itemsize
     if len(data) < size:
         raise DataError("truncated checkpoint payload")
     if len(data) > size:
         raise DataError(f"{len(data) - size} trailing bytes after checkpoint payload")
-    offset = _CKPT_HEADER.size
-    params = {}
-    for name in _TRAINABLE_FIELDS + _STATE_FIELDS:
-        count = math.prod(shapes[name])
-        params[name] = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shapes[name]).copy()
-        offset += count * itemsize
+    flat = np.frombuffer(data, dtype=f"<f{itemsize}", offset=_CKPT_HEADER.size).copy()
+    model = ModelParams(flat, hidden, dense, input_dim)
     if version == 1:
         # v1 wrote the per-gate tensors w_{i,f,c,o}x, then w_{i,f,c,o}h, then
         # b_{i,f,c,o}: byte for byte the fused tensors with blocks in (i, f, c, o).
-        for name in ("w_x", "w_h", "b"):
-            params[name] = _from_ifco(params[name])
-    return ModelParams(**params), window_len
+        _from_ifco(model)
+    return model, window_len

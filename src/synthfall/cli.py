@@ -26,7 +26,6 @@ from .harness import (
     emit_report,
     ensure_output_dir,
     load_report,
-    read_json,
     run_ablation_quantity,
     run_alignment,
     run_experiment,
@@ -76,7 +75,7 @@ def _parse_numbers(text: str, n: int, flag: str, kind=float) -> list:
 
 def _build_experiment_config(args) -> ExperimentConfig:
     if args.config:
-        base = read_json(args.config, "config file", ConfigError)
+        base = ingest.read_json(args.config, "config file", ConfigError)
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
     else:
@@ -102,6 +101,20 @@ def _build_experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(base)
 
 
+def _read_file(path: str, what: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def _write_file(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_ingest(args) -> int:
     catalog = ingest.catalog_dataset(args.manifest)
     hist = catalog.activity_histogram()
@@ -116,12 +129,12 @@ def _cmd_kinematics(args) -> int:
     placement = SensorPlacement(args.placement)
     if not args.dt > 0:
         raise ConfigError("--dt must be positive")
-    traj = ingest.read_motion_array(Path(args.motion).read_bytes(), frame_rate=1.0 / args.dt)
+    traj = ingest.read_motion_array(_read_file(args.motion, "motion file"), frame_rate=1.0 / args.dt)
     series = differentiate_to_accel(
         extract_joint(traj, placement),
         central_second_difference=args.central_diff,
     )
-    Path(args.output).write_bytes(ingest.write_accel_csv(series))
+    _write_file(args.output, ingest.write_accel_csv(series))
     print(f"wrote {len(series)} samples at {series.sampling_rate:g} Hz to {args.output}")
     return 0
 
@@ -171,7 +184,7 @@ def _cmd_prompts(args) -> int:
     prompts = ingest.generate_prompt_variants(catalog, variants)
     text = "\n".join(prompts) + "\n"
     if args.out:
-        Path(args.out).write_text(text, "utf-8")
+        _write_file(args.out, text.encode("utf-8"))
         print(f"wrote {len(prompts)} prompts to {args.out}")
     else:
         sys.stdout.write(text)
@@ -179,7 +192,7 @@ def _cmd_prompts(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = load_report(read_json(args.report, "report", DataError))
+    report = load_report(ingest.read_json(args.report, "report", DataError))
     for out_path in emit_report(report, args.format, args.out):
         print(f"wrote {out_path}")
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifier import TrainConfig, evaluate, init_model, train
 from .errors import ConfigError, DataError, NumericError
-from .ingest import DatasetCatalog, catalog_dataset, load_entry
+from .ingest import DatasetCatalog, catalog_dataset, load_entry, read_json
 from .kinematics import ActivityLabel
 from .metrics import (
     ClassificationMetrics,
@@ -211,17 +211,6 @@ def _checked(cls, d, what: str, error, **hint_overrides) -> dict:
 
 def _json_text(d: dict) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
-
-
-def read_json(path: str | Path, what: str, error):
-    """The decoded JSON file at ``path``; ``error`` if it is missing or not JSON."""
-    path = Path(path)
-    if not path.is_file():
-        raise error(f"{what} not found: {path}")
-    try:
-        return json.loads(path.read_text("utf-8"))
-    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
-        raise error(f"{what} is not valid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,10 @@ def load_prompt_catalog(source: str | Path | None = None) -> PromptCatalog:
         path = Path(source)
         if not path.is_file():
             raise DataError(f"prompt file not found: {path}")
-        text = path.read_text("utf-8")
+        try:
+            text = path.read_text("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"prompt file is not UTF-8 text: {path}") from None
     prompts = tuple(line.strip() for line in text.splitlines() if line.strip())
     return PromptCatalog(base_prompts=prompts)
 
@@ -282,6 +285,17 @@ class DatasetCatalog:
         return len(self.entries)
 
 
+def read_json(path: str | Path, what: str, error):
+    """The decoded JSON file at ``path``; ``error`` if it is missing or not JSON."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
+
 def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
     """Load and validate a JSON manifest into a DatasetCatalog.
 
@@ -290,12 +304,7 @@ def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
     directory), rate_hz, placement, provenance ("real"|"synthetic").
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise DataError(f"manifest not found: {manifest_path}")
-    try:
-        raw = json.loads(manifest_path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"manifest is not valid JSON: {exc}") from None
+    raw = read_json(manifest_path, "manifest", DataError)
     if not isinstance(raw, list):
         raise DataError("manifest must be a JSON array of entries")
     root = manifest_path.parent

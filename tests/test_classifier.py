@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from synthfall.classifier import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    EVAL_BATCH,
     GATE_ORDER,
     TrainConfig,
     TrainHistory,
@@ -84,6 +88,45 @@ def v1_checkpoint_bytes(model, window_len):
     return b"".join(out)
 
 
+def v2_checkpoint_bytes(model, window_len):
+    """Checkpoint v2: the fused tensors, then the head and BN tensors, each
+    little-endian, after the same 23-byte header."""
+    itemsize = model.dtype.itemsize
+    out = [b"SFCK", struct.pack(
+        "<HIIIIB", 2, model.hidden_size, model.dense_units, model.input_dim, window_len, itemsize)]
+    names = ("w_x", "w_h", "b", "dense1_w", "dense1_b", "bn_gamma", "bn_beta",
+             "dense2_w", "dense2_b", "bn_mean", "bn_var")
+    out += [np.ascontiguousarray(getattr(model, name), dtype=f"<f{itemsize}").tobytes() for name in names]
+    return b"".join(out)
+
+
+def reference_adam_epochs(model, windows, config):
+    """Textbook Adam with one (m, v) pair per tensor, on the batches ``train``
+    draws; returns a copy of the parameters after each epoch."""
+    x = windows.values.astype(model.dtype)
+    y = windows.labels
+    rng = np.random.default_rng(config.seed)
+    moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in model.trainable().items()}
+    lr = np.asarray(config.learning_rate, dtype=model.dtype)
+    step = 0
+    snapshots = []
+    for _ in range(config.max_epochs):
+        order = rng.permutation(len(y))
+        for start in range(0, len(y), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, grads = loss_and_gradients(model, x[idx], y[idx])
+            step += 1
+            for name, grad in grads.items():
+                m, v = moments[name]
+                m[:] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
+                v[:] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad * grad
+                m_hat = m / (1.0 - ADAM_BETA1**step)
+                v_hat = v / (1.0 - ADAM_BETA2**step)
+                getattr(model, name)[...] -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        snapshots.append(model.copy())
+    return snapshots
+
+
 def stump_f1(windows):
     """Decision-stump oracle: best threshold on the window mean."""
     means = np.array([v.mean() for v in windows.values])
@@ -153,6 +196,21 @@ class TestInit:
             assert np.array_equal(model.w_h[rows], wh[fused[gate]]), gate
         assert np.array_equal(model.dense1_w, draw((d, h), h))
         assert np.array_equal(model.dense2_w, draw((1, d), d))
+
+    def test_tensors_are_views_of_one_buffer(self):
+        model = init_model(29, hidden_size=5, dense_units=4, input_dim=2, dtype=np.float64)
+        offset = 0
+        for name in ("w_x", "w_h", "b", "dense1_w", "dense1_b", "bn_gamma", "bn_beta",
+                     "dense2_w", "dense2_b", "bn_mean", "bn_var"):
+            tensor = getattr(model, name)
+            assert np.shares_memory(tensor, model.flat), name
+            assert np.array_equal(tensor.ravel(), model.flat[offset : offset + tensor.size]), name
+            offset += tensor.size
+        assert offset == model.flat.size
+        assert model.n_trainable == offset - 2 * 4
+        copy = model.copy()
+        copy.w_h[0, 0] += 1.0
+        assert copy.flat[model.w_x.size] == model.flat[model.w_x.size] + 1.0
 
     def test_default_sizes(self):
         model = init_model(0)
@@ -242,6 +300,31 @@ class TestForward:
         assert train_peak - eval_peak >= history
 
 
+    @pytest.mark.parametrize("dtype, hidden", [(np.float32, 8), (np.float64, 8), (np.float32, 64)])
+    def test_eval_batches_equal_whole_set_pass(self, dtype, hidden):
+        model = init_model(30, hidden_size=hidden, dense_units=8, dtype=dtype)
+        forward(model, toy_windows(6, seed=31), mode="train")  # move running stats
+        batch = np.random.default_rng(32).normal(size=(4 * EVAL_BATCH + 1, 16, 3)).astype(dtype)
+        whole, _ = _forward(model, batch, train_mode=False)
+        assert np.array_equal(forward(model, batch, mode="eval"), whole)
+
+    def test_eval_memory_bounded_by_batch(self):
+        w, hid = 16, 16
+        model = init_model(33, hidden_size=hid, dense_units=8)
+        batch = np.random.default_rng(33).normal(size=(4 * EVAL_BATCH, w, 3)).astype(np.float32)
+
+        def peak(arr):
+            tracemalloc.start()
+            try:
+                forward(model, arr, mode="eval")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        gate_buffer = w * EVAL_BATCH * 4 * hid * np.dtype(np.float32).itemsize
+        assert peak(batch) - peak(batch[:EVAL_BATCH]) < gate_buffer
+
+
 class TestSigmoid:
     def test_float32_extremes(self):
         x = np.array([0.0, 20.0, -20.0, 88.0, -88.0, 1e4, -1e4], dtype=np.float32)
@@ -302,6 +385,15 @@ class TestLoss:
                 g = grads[name].ravel()[j]
                 denom = max(abs(g), abs(fd), 1e-7)
                 assert abs(g - fd) / denom < 1e-4, f"{name}[{j}]"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_in_model_dtype(self, dtype):
+        model = init_model(34, hidden_size=4, dense_units=3, dtype=dtype)
+        windows = toy_windows(3, width=8, seed=34)
+        _, grads = loss_and_gradients(model, windows, windows.labels)
+        assert list(grads) == list(model.trainable())
+        for name, grad in grads.items():
+            assert grad.dtype == dtype and grad.shape == getattr(model, name).shape, name
 
     def test_bad_labels(self):
         model = init_model(0, hidden_size=4, dense_units=4)
@@ -366,6 +458,22 @@ class TestTrain:
         p = probs.astype(np.float64)
         val_loss = float(-np.mean(labels * np.log(p) + (1 - labels) * np.log1p(-p)))
         assert val_loss == pytest.approx(min(history.val_loss), abs=1e-9)
+
+    def test_flat_adam_matches_per_tensor_adam(self):
+        model = init_model(35, hidden_size=6, dense_units=5)
+        windows = toy_windows(10, width=12, seed=35)
+        config = TrainConfig(max_epochs=6, patience=6, batch_size=8, seed=36)
+        best, history = train(model.copy(), windows, toy_windows(3, width=12, seed=37), config)
+        snapshots = reference_adam_epochs(model.copy(), windows, config)
+        assert np.array_equal(best.flat, snapshots[history.best_epoch].flat)
+
+    def test_training_a_copy_leaves_the_original(self):
+        model = init_model(38, hidden_size=6, dense_units=5)
+        before = model.flat.copy()
+        config = TrainConfig(max_epochs=2, patience=2, batch_size=8, seed=0)
+        best, _ = train(model.copy(), toy_windows(6, width=12), toy_windows(2, width=12), config)
+        assert np.array_equal(model.flat, before)
+        assert not np.array_equal(best.flat, before)
 
     def test_empty_sets_rejected(self):
         config = TrainConfig(max_epochs=2, patience=1, seed=0)
@@ -443,6 +551,15 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(25, hidden_size=4, dense_units=4), path)
         assert struct.unpack_from("<H", path.read_bytes(), 4) == (2,)
+
+    def test_v2_bytes_match_reference_writer(self, tmp_path):
+        for dtype in (np.float32, np.float64):
+            model = init_model(39, hidden_size=6, dense_units=5, input_dim=2, dtype=dtype)
+            forward(model, np.random.default_rng(39).normal(size=(4, 9, 2)), mode="train")
+            assert not np.all(model.bn_var == 1.0)
+            path = tmp_path / "v2.ckpt"
+            save_checkpoint(model, path, window_len=9)
+            assert path.read_bytes() == v2_checkpoint_bytes(model, window_len=9)
 
     def test_short_header_is_data_error(self, tmp_path):
         path = tmp_path / "short.ckpt"

@@ -1,0 +1,158 @@
+"""CLI error contract: file errors exit 3 with a message naming the path, and
+no argument list makes anything but a ToolkitError escape ``main``."""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import build_dataset, build_synthetic_manifest
+from synthfall.cli import main
+from synthfall.harness import ExperimentReport, IterationResult
+
+NON_UTF8 = b"\xff\xfe not utf-8 \xc3\x28"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+INPUT_KINDS = ("missing", "directory", "empty", "non_utf8", "deep_json", "valid")
+OUTPUT_KINDS = ("fresh", "missing_parent", "existing_dir")
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """One of each input kind, plus a valid input per command."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "a_dir").mkdir()
+    (root / "empty").write_bytes(b"")
+    (root / "non_utf8").write_bytes(NON_UTF8)
+    (root / "deep.json").write_text(DEEP_JSON)
+    motion = np.zeros((30, 22, 3))
+    motion[:, 20, 0] = np.arange(30) * 0.1
+    np.save(root / "motion.npy", motion)
+    (root / "prompts.txt").write_text("A person falls.\nAn old man slips.\n", "utf-8")
+    report = ExperimentReport(
+        fingerprint="0123456789abcdef" * 4,
+        config={"seed": 1},
+        iterations=(IterationResult(0, 1.0, 0.5, 2 / 3, 1, 0, 1, 2, ("s1",), ("s2",), 10, 3, "patience"),),
+        mean_precision=1.0, mean_recall=0.5, mean_f1=2 / 3,
+    )
+    (root / "report.json").write_text(json.dumps(report.to_dict()))
+    return {
+        "root": root,
+        "missing": root / "missing.json",
+        "directory": root / "a_dir",
+        "empty": root / "empty",
+        "non_utf8": root / "non_utf8",
+        "deep_json": root / "deep.json",
+        "real": build_dataset(root, subjects=2, series_len=60, seed=1),
+        "synthetic": build_synthetic_manifest(root, series=2, series_len=60, seed=2),
+        "motion": root / "motion.npy",
+        "prompts": root / "prompts.txt",
+        "report": root / "report.json",
+    }
+
+
+def expect_data_error(capsys, argv, path):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+class TestFileErrorsExit3:
+    @pytest.mark.parametrize("command", ["ingest", "align"])
+    @pytest.mark.parametrize("kind", ["non_utf8", "deep_json"])
+    def test_unreadable_manifest(self, files, capsys, tmp_path, command, kind):
+        argv = [command, str(files[kind])]
+        if command == "align":
+            argv += [str(files["synthetic"]), "--out", str(tmp_path / "out")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: manifest is not valid JSON")
+
+    def test_kinematics_missing_motion(self, capsys, tmp_path):
+        missing = tmp_path / "missing.npy"
+        expect_data_error(capsys, ["kinematics", str(missing), str(tmp_path / "o.csv")], missing)
+
+    def test_kinematics_motion_is_a_directory(self, capsys, tmp_path):
+        expect_data_error(capsys, ["kinematics", str(tmp_path), str(tmp_path / "o.csv")], tmp_path)
+
+    def test_kinematics_output_is_a_directory(self, files, capsys, tmp_path):
+        expect_data_error(capsys, ["kinematics", str(files["motion"]), str(tmp_path)], tmp_path)
+
+    def test_kinematics_output_parent_missing(self, files, capsys, tmp_path):
+        out = tmp_path / "nodir" / "o.csv"
+        expect_data_error(capsys, ["kinematics", str(files["motion"]), str(out)], out)
+
+    def test_prompts_output_parent_missing(self, capsys, tmp_path):
+        out = tmp_path / "nodir" / "x.txt"
+        expect_data_error(capsys, ["prompts", "--out", str(out)], out)
+
+    def test_prompts_base_not_utf8(self, files, capsys):
+        expect_data_error(capsys, ["prompts", "--base", str(files["non_utf8"])], files["non_utf8"])
+
+
+_fresh = itertools.count()
+
+
+def input_path(files, kind, valid):
+    return str(files[valid] if kind == "valid" else files[kind])
+
+
+def output_path(files, kind):
+    root = files["root"]
+    if kind == "fresh":
+        return str(root / f"fresh{next(_fresh)}")
+    if kind == "missing_parent":
+        return str(root / f"gone{next(_fresh)}" / "out")
+    return str(files["directory"])
+
+
+def small_int(lo=-2, hi=40):
+    return st.integers(lo, hi).map(str)
+
+
+@st.composite
+def command_lines(draw, files):
+    """A whole argument list for one of the file-handling subcommands."""
+    command = draw(st.sampled_from(["ingest", "kinematics", "prompts", "report", "align"]))
+    # Valid inputs are drawn more often, so the commands also run to the end.
+    inputs = st.just("valid") | st.sampled_from(INPUT_KINDS)
+    outputs = st.sampled_from(OUTPUT_KINDS)
+    if command == "ingest":
+        return ["ingest", input_path(files, draw(inputs), "real")]
+    if command == "kinematics":
+        argv = ["kinematics", input_path(files, draw(inputs), "motion"), output_path(files, draw(outputs))]
+        if draw(st.booleans()):
+            argv += ["--dt", draw(st.sampled_from(["0", "-1", "0.02", "1e-3", "nan", "x"]))]
+        if draw(st.booleans()):
+            argv.append("--central-diff")
+        return argv
+    if command == "prompts":
+        argv = ["prompts"]
+        if draw(st.booleans()):
+            argv += ["--base", input_path(files, draw(inputs), "prompts")]
+        if draw(st.booleans()):
+            argv += ["--variants", draw(st.sampled_from(["neutral", "man,woman", "", ",", "bogus"]))]
+        return argv + ["--out", output_path(files, draw(outputs))]
+    if command == "report":
+        return ["report", input_path(files, draw(inputs), "report"),
+                "--format", draw(st.sampled_from(["json", "csv"])), "--out", output_path(files, draw(outputs))]
+    return [
+        "align", input_path(files, draw(inputs), "real"), input_path(files, draw(inputs), "synthetic"),
+        "--window", draw(small_int()), "--stride", draw(small_int()),
+        "--bins", draw(small_int()), "--k", draw(small_int(-1, 6)),
+        "--out", output_path(files, draw(outputs)),
+    ]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_only_toolkit_errors_escape(files, capsys, data):
+    argv = data.draw(command_lines(files))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 2, 3, 4), argv
+    capsys.readouterr()
