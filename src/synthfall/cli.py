@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -127,8 +128,9 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_kinematics(args) -> int:
     placement = SensorPlacement(args.placement)
-    if not args.dt > 0:
-        raise ConfigError("--dt must be positive")
+    # The scheme divides by dt**2, so its square must be a normal float.
+    if not (args.dt > 0 and sys.float_info.min <= args.dt * args.dt < math.inf):
+        raise ConfigError(f"--dt must be positive and finite with a normal float square, got {args.dt!r}")
     traj = ingest.read_motion_array(_read_file(args.motion, "motion file"), frame_rate=1.0 / args.dt)
     series = differentiate_to_accel(
         extract_joint(traj, placement),

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +61,42 @@ def read_accel_csv(
     if not lines or lines[0].rstrip("\r") != CSV_HEADER:
         got = lines[0].rstrip("\r") if lines else ""
         raise DataError(f"missing or misordered header: expected {CSV_HEADER!r}, got {got!r}")
+    body = lines[1:]
+    samples = _parse_body_fast(body)
+    if samples is None:
+        samples = _parse_body(body)
+    return AccelSeries(
+        samples=samples,
+        sampling_rate=sampling_rate,
+        label=label,
+        provenance=provenance,
+        subject_id=subject_id,
+    )
+
+
+def _parse_body_fast(body: list[str]) -> np.ndarray | None:
+    """The body's samples converted in one pass, or None when any line might be
+    malformed; ``_parse_body`` then decides and words the error.
+
+    numpy converts each ``str`` token with ``float()``, so every token parses
+    exactly as in the row loop; a trailing carriage return is whitespace to
+    ``float()``.
+    """
+    if set(map(str.count, body, repeat(";"))) != {2}:
+        return None
+    try:
+        samples = np.array(";".join(body).split(";"), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(samples).all():
+        return None
+    return samples.reshape(len(body), 3)
+
+
+def _parse_body(body: list[str]) -> np.ndarray:
+    """Row-by-row parse of the body lines; the source of every body error."""
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         parts = line.rstrip("\r").split(";")
         if len(parts) != 3:
             raise DataError(f"line {lineno}: expected 3 semicolon-separated values, got {len(parts)}")
@@ -74,22 +109,17 @@ def read_accel_csv(
         rows.append(row)
     if not rows:
         raise DataError("accel CSV has a header but no samples")
-    return AccelSeries(
-        samples=np.array(rows, dtype=np.float64),
-        sampling_rate=sampling_rate,
-        label=label,
-        provenance=provenance,
-        subject_id=subject_id,
-    )
+    return np.array(rows, dtype=np.float64)
 
 
 def write_accel_csv(series: AccelSeries) -> bytes:
-    """Serialize an AccelSeries to CSV bytes (6 decimal places, LF endings)."""
-    out = [CSV_HEADER]
-    for x, y, z in series.samples:
-        out.append(f"{x:.6f};{y:.6f};{z:.6f}")
-    out.append("")
-    return "\n".join(out).encode("utf-8")
+    """Serialize an AccelSeries to CSV bytes (6 decimal places, LF endings).
+
+    One ``%``-format over all values: ``%.6f`` rounds as ``f"{x:.6f}"`` does.
+    """
+    samples = series.samples
+    rows = ("%.6f;%.6f;%.6f\n" * samples.shape[0]) % tuple(samples.ravel().tolist())
+    return (CSV_HEADER + "\n" + rows).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 EXACT_KS_LIMIT = 14
+COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,20 @@ class KsResult:
 
 
 def _ecdf_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """sup over thresholds of |ECDF_a - ECDF_b|, evaluated at pooled points."""
-    a = np.sort(a)
-    b = np.sort(b)
+    """sup over thresholds of |ECDF_a - ECDF_b|, evaluated at pooled points.
+
+    One sort of the pooled sample: the running count of ``a`` members at the
+    last index of each run of equal values is ``a``'s count at or below that
+    value.  It does not depend on the order inside a run, so the sort need not
+    be stable.
+    """
     pooled = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
-    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
+    order = np.argsort(pooled)
+    values = pooled[order]
+    count_a = np.cumsum(order < a.size)
+    count_b = np.arange(1, pooled.size + 1) - count_a
+    run_end = np.append(values[1:] != values[:-1], True)
+    return float(np.max(np.abs(count_a[run_end] / a.size - count_b[run_end] / b.size)))
 
 
 def _kolmogorov_survival(lam: float) -> float:
@@ -185,30 +193,53 @@ def _as_matrix(samples) -> np.ndarray:
     return arr
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
-
-
 def coverage(real, synthetic, k: int = 5) -> float:
     """Fraction of real samples whose k-NN ball contains a synthetic sample.
 
     Each window is flattened to a vector.  A real sample's radius is the
     Euclidean distance to its k-th nearest neighbor among the *other* real
     samples; it counts as covered when some synthetic sample lies within
-    (<=) that radius.
+    (<=) that radius.  Memory grows with the sample count, not its square.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     r = _as_matrix(real)
     s = _as_matrix(synthetic)
-    if r.shape[0] <= k:
-        raise DataError(f"coverage needs more than k={k} real samples, got {r.shape[0]}")
-    d_rr = np.sqrt(_pairwise_sq_dists(r, r))
-    np.fill_diagonal(d_rr, np.inf)
-    radii = np.partition(d_rr, k - 1, axis=1)[:, k - 1]
-    d_rs = np.sqrt(_pairwise_sq_dists(r, s))
-    return float(np.mean(d_rs.min(axis=1) <= radii))
+    n = r.shape[0]
+    if n <= k:
+        raise DataError(f"coverage needs more than k={k} real samples, got {n}")
+    radii, nearest = _knn_distances(r, s, k)
+    return float(np.count_nonzero(nearest <= radii) / n)
+
+
+def _knn_distances(r: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per real row: the distance to its k-th nearest other real row, and to
+    its nearest synthetic row.
+
+    Real rows are taken ``COVERAGE_BLOCK`` at a time.  Distances stay squared
+    through the k-th smallest and the minimum; the square root, being
+    monotone, is taken after.
+    """
+    n = r.shape[0]
+    r_sq = (r * r).sum(axis=1)
+    s_sq = (s * s).sum(axis=1)
+    radii = np.empty(n)
+    nearest = np.empty(n)
+    for start in range(0, n, COVERAGE_BLOCK):
+        stop = min(start + COVERAGE_BLOCK, n)
+        block, block_sq = r[start:stop], r_sq[start:stop]
+        d_rr = _sq_dists(block, block_sq, r, r_sq)
+        own = np.arange(stop - start)
+        d_rr[own, start + own] = np.inf
+        radii[start:stop] = np.partition(d_rr, k - 1, axis=1)[:, k - 1]
+        nearest[start:stop] = _sq_dists(block, block_sq, s, s_sq).min(axis=1)
+    return np.sqrt(radii), np.sqrt(nearest)
+
+
+def _sq_dists(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``, given
+    their squared norms."""
+    return np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
 
 
 # ---------------------------------------------------------------------------

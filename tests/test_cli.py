@@ -3,6 +3,7 @@ no argument list makes anything but a ToolkitError escape ``main``."""
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ class TestFileErrorsExit3:
 
     def test_prompts_base_not_utf8(self, files, capsys):
         expect_data_error(capsys, ["prompts", "--base", str(files["non_utf8"])], files["non_utf8"])
+
+
+class TestKinematicsDt:
+    """``--dt`` values whose square underflows or overflows are config errors."""
+
+    @pytest.mark.parametrize("dt", ["1e-300", "1e300", "inf", "nan"])
+    def test_rejected_with_exit_2(self, files, capsys, tmp_path, dt):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kinematics", str(files["motion"]), str(out), "--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dt ") and repr(float(dt)) in err
+        assert not out.exists()
 
 
 _fresh = itertools.count()

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synthfall.errors import ConfigError, DataError
 from synthfall.ingest import (
@@ -78,6 +80,149 @@ class TestAccelCsv:
         assert series.label == ActivityLabel.FALL
         assert series.provenance == Provenance.SYNTHETIC
         assert series.subject_id == "s1"
+
+
+def reference_read(data):
+    """The row-at-a-time parser: samples, or the DataError it raises."""
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"accel CSV is not valid UTF-8: {exc}") from None
+    else:
+        text = data
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0].rstrip("\r") != "x;y;z":
+        got = lines[0].rstrip("\r") if lines else ""
+        raise DataError(f"missing or misordered header: expected 'x;y;z', got {got!r}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.rstrip("\r").split(";")
+        if len(parts) != 3:
+            raise DataError(f"line {lineno}: expected 3 semicolon-separated values, got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise DataError(f"line {lineno}: non-numeric cell") from None
+        if not all(np.isfinite(row)):
+            raise DataError(f"line {lineno}: non-finite value")
+        rows.append(row)
+    if not rows:
+        raise DataError("accel CSV has a header but no samples")
+    return np.array(rows, dtype=np.float64)
+
+
+def reference_write(samples):
+    """The row-at-a-time writer."""
+    out = ["x;y;z"]
+    for x, y, z in samples:
+        out.append(f"{x:.6f};{y:.6f};{z:.6f}")
+    out.append("")
+    return "\n".join(out).encode("utf-8")
+
+
+def outcome(read, data):
+    """("ok", shape, bytes of the samples) or ("error", message)."""
+    try:
+        samples = read(data)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", samples.shape, samples.tobytes())
+
+
+def assert_reads_like_reference(data):
+    assert outcome(lambda d: read_accel_csv(d).samples, data) == outcome(reference_read, data)
+
+
+NEAR_VALID_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.6f}"),
+    st.sampled_from([
+        "1_0", "1__0", "_1", "\uff11\uff12", "\u0661", " 3 ", "\t4", "5\r", "\u20036",
+        "nan", "-nan", "inf", "-Infinity", "1e400", "-0", "0x10", "", " ", "abc", "1e", "+.5", "5.",
+    ]),
+)
+NEAR_VALID_LINES = st.one_of(
+    st.lists(NEAR_VALID_CELLS, min_size=3, max_size=3).map(";".join),
+    st.lists(NEAR_VALID_CELLS, min_size=1, max_size=5).map(";".join),
+    st.sampled_from(["", "\r", ";;", "# 1;2;3", "1;2;3;", "1;2;3\r\r"]),
+)
+
+
+@st.composite
+def near_valid_csv(draw):
+    lines = draw(st.lists(NEAR_VALID_LINES, max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = "x;y;z" + ends[0] + "".join(line + end for line, end in zip(lines, ends[1:]))
+    if draw(st.booleans()):
+        text = text.rstrip("\n")  # no final newline
+    return text
+
+
+class TestAccelCsvMatchesRowLoop:
+    """The whole-file parser and writer agree with the row loops they replace:
+    bit-equal samples and bytes, or the same DataError message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        assert_reads_like_reference(text)
+        assert_reads_like_reference("x;y;z\n" + text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary())
+    def test_arbitrary_bytes_behind_header(self, body):
+        assert_reads_like_reference(b"x;y;z\n" + body)
+
+    @settings(max_examples=500, deadline=None)
+    @given(near_valid_csv())
+    def test_near_valid_bodies(self, text):
+        assert_reads_like_reference(text)
+        assert_reads_like_reference(text.encode("utf-8"))
+
+    @pytest.mark.parametrize("body", [
+        "1;2;3\r\n4;5;6\r\n",
+        "1_0;\uff11\uff12; 3 \n",
+        "1;2;3\n\n4;5;6\n",
+        "1;2;3\n4;5\n6;7;8;9\n",
+        "1;2;3\nnan;0;0\n",
+        "1;2;3\n1e400;0;0\n",
+        "1;2;3\nx;0;0\n",
+        "1;2;3\n4;5;6",
+        "",
+    ])
+    def test_named_bodies(self, body):
+        assert_reads_like_reference("x;y;z\n" + body)
+
+    def test_error_lines_unchanged(self):
+        with pytest.raises(DataError, match="^line 4: expected 3 semicolon-separated values, got 4$"):
+            read_accel_csv(b"x;y;z\n1;2;3\n4;5;6\n1;2;3;4\n")
+        with pytest.raises(DataError, match="^line 3: non-finite value$"):
+            read_accel_csv(b"x;y;z\n1;2;3\nnan;5;6\nx;y;z\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=60).map(lambda v: v[: len(v) // 3 * 3]))
+    def test_writer_bytes_match_row_loop(self, values):
+        samples = np.array(values, dtype=np.float64).reshape(-1, 3)
+        series = AccelSeries(samples=samples, sampling_rate=32.0)
+        assert write_accel_csv(series) == reference_write(samples)
+
+    def test_writer_rounding_edges(self):
+        edges = [0.0, -0.0, 5e-7, -5e-7, 0.5e-6, 1.5e-6, -2.5e-6, 1.0000005, 2.0000005, 1e15, -1e15, 1e15 + 0.5]
+        ties = (np.arange(-20, 21) * 1e-6 + 5e-7).tolist()
+        samples = np.array(edges + ties + [0.0] * (-len(edges + ties) % 3)).reshape(-1, 3)
+        data = write_accel_csv(AccelSeries(samples=samples, sampling_rate=32.0))
+        assert data == reference_write(samples)
+        assert b"-0.000000;" in data
+
+    def test_roundtrip_large_series(self):
+        rng = np.random.default_rng(7)
+        samples = rng.normal(scale=20.0, size=(5000, 3))
+        data = write_accel_csv(AccelSeries(samples=samples, sampling_rate=46.0))
+        assert data == reference_write(samples)
+        assert read_accel_csv(data).samples.tobytes() == reference_read(data).tobytes()
 
 
 class TestMotionArray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +9,10 @@ from hypothesis import strategies as st
 
 from synthfall.errors import ConfigError, DataError
 from synthfall.metrics import (
+    COVERAGE_BLOCK,
     DensityCurve,
+    _ecdf_gap,
+    _knn_distances,
     classification_metrics,
     coverage,
     histogram_density,
@@ -26,6 +30,16 @@ def ecdf_gap_oracle(a, b):
         fb = sum(1 for v in b if v <= t) / len(b)
         best = max(best, abs(fa - fb))
     return best
+
+
+def two_sort_ecdf_gap(a, b):
+    """D from two sorts and two searchsorted calls over the pooled sample."""
+    a = np.sort(a)
+    b = np.sort(b)
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def exact_p_oracle(a, b):
@@ -88,6 +102,23 @@ class TestKs:
                     a, b = np.round(a, decimals), np.round(b, decimals)
                 expect = stats.ks_2samp(a, b).statistic
                 assert ks_two_sample(a, b).statistic == pytest.approx(expect, abs=1e-12)
+
+    def test_d_bit_equal_to_two_sort_form(self):
+        rng = np.random.default_rng(8)
+        for trial in range(200):
+            n, m = (int(v) for v in rng.integers(1, 300, size=2))
+            if trial % 2:
+                a, b = rng.normal(size=n), rng.normal(0.2, 1.1, size=m)
+            else:
+                a = rng.integers(-3, 4, size=n).astype(float)
+                b = rng.integers(-3, 4, size=m).astype(float)
+            assert _ecdf_gap(a, b) == two_sort_ecdf_gap(a, b)
+        # Heavy ties, as overlapping windows repeat every sample.
+        a = np.repeat(rng.normal(size=2000), 13)
+        b = np.repeat(rng.normal(size=1500), 13)
+        assert _ecdf_gap(a, b) == two_sort_ecdf_gap(a, b)
+        zeros = np.array([0.0, -0.0, 0.0, 1.0])
+        assert _ecdf_gap(zeros, -zeros) == two_sort_ecdf_gap(zeros, -zeros)
 
     def test_exact_mode_size_limit(self):
         with pytest.raises(ConfigError):
@@ -221,6 +252,18 @@ def coverage_oracle(real, synthetic, k):
     return covered / n
 
 
+def dense_knn_distances(real, synthetic, k):
+    """Radii and nearest synthetic distances from whole N x N and N x M
+    distance matrices."""
+    def dists(a, b):
+        sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+        return np.sqrt(np.maximum(sq, 0.0))
+
+    d_rr = dists(real, real)
+    np.fill_diagonal(d_rr, np.inf)
+    return np.partition(d_rr, k - 1, axis=1)[:, k - 1], dists(real, synthetic).min(axis=1)
+
+
 class TestCoverage:
     def test_copies_give_full_coverage(self):
         rng = np.random.default_rng(0)
@@ -260,6 +303,36 @@ class TestCoverage:
             got = coverage(real, synthetic, k=k)
             assert lo <= got <= hi
             assert 0.0 < got < 1.0
+
+    @pytest.mark.parametrize("n", [COVERAGE_BLOCK - 1, COVERAGE_BLOCK, 2 * COVERAGE_BLOCK + 37])
+    def test_blocks_match_dense_matrices(self, n):
+        rng = np.random.default_rng(n)
+        real = rng.normal(size=(n, 24))
+        synthetic = rng.normal(0.1, 1.1, size=(300, 24))
+        for k in (1, 5):
+            radii, nearest = _knn_distances(real, synthetic, k)
+            dense_radii, dense_nearest = dense_knn_distances(real, synthetic, k)
+            np.testing.assert_allclose(radii, dense_radii, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(nearest, dense_nearest, rtol=1e-12, atol=0)
+            assert coverage(real, synthetic, k=k) == float(np.mean(dense_nearest <= dense_radii))
+
+    def test_memory_grows_linearly_in_samples(self):
+        """The peak scales like N (one block of rows at a time), not like an
+        N x N distance matrix."""
+        rng = np.random.default_rng(9)
+
+        def peak(n):
+            real = rng.normal(size=(n, 8))
+            synthetic = rng.normal(size=(n, 8))
+            tracemalloc.start()
+            coverage(real, synthetic)
+            size = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return size
+
+        small, large = peak(1024), peak(4096)
+        assert large < 4096 * 4096 * 8  # below one dense N x N float64 matrix
+        assert large < 6 * small  # 4x the samples; N^2 growth would give 16x
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
