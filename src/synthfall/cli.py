@@ -136,7 +136,12 @@ def _cmd_kinematics(args) -> int:
         extract_joint(traj, placement),
         central_second_difference=args.central_diff,
     )
-    _write_file(args.output, ingest.write_accel_csv(series))
+    data = ingest.write_accel_csv(series)
+    # Six written decimals can round a slow motion's every sample to zero.
+    peak = float(abs(series.samples).max())
+    if peak > 0 and not ingest.read_accel_csv(data).samples.any():
+        raise ConfigError(f"--dt {args.dt!r} writes every acceleration as 0 (largest |a| {peak:.3g})")
+    _write_file(args.output, data)
     print(f"wrote {len(series)} samples at {series.sampling_rate:g} Hz to {args.output}")
     return 0
 

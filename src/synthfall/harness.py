@@ -13,17 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import re
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .classifier import TrainConfig, evaluate, init_model, train
 from .errors import ConfigError, DataError, NumericError
-from .ingest import DatasetCatalog, catalog_dataset, load_entry, read_json
+from .ingest import DatasetCatalog, _checked, catalog_dataset, load_entry, read_json
 from .kinematics import ActivityLabel
 from .metrics import (
     ClassificationMetrics,
@@ -148,65 +146,6 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
         real_curve=real_curve, synthetic_curve=syn_curve,
         jsd_per_axis=jsd_per_axis,
     )
-
-
-# ---------------------------------------------------------------------------
-# Checked JSON objects
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON-decoded value can fill a field annotated ``hint``.
-
-    Booleans are not numbers here, and floats must be finite.
-    """
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if hint is float:
-        try:
-            return (_fits(value, int) or isinstance(value, float)) and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            return False
-    if hint in (str, bool, dict, type(None)):
-        return isinstance(value, hint)
-    args = get_args(hint)
-    if get_origin(hint) is dict:
-        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    return any(_fits(value, arg) for arg in args)
-
-
-def _checked(cls, d, what: str, error, **hint_overrides) -> dict:
-    """The JSON object ``d``, checked against the fields of ``cls``.
-
-    ``cls`` is a dataclass, whose fields without a default are required, or
-    a ``{key: hint}`` layout whose keys all are; ``hint_overrides`` replace
-    hints or add optional keys.  Anything but an object, an unknown or
-    missing key, or a value that does not fit its hint raises ``error``.
-    JSON lists come back as tuples.
-    """
-    if not isinstance(d, dict):
-        raise error(f"{what} must be a JSON object, got {type(d).__name__}")
-    if isinstance(cls, dict):
-        hints, required = dict(cls), list(cls)
-    else:
-        hints = get_type_hints(cls)
-        required = [f.name for f in fields(cls) if f.default is MISSING]
-    hints.update(hint_overrides)
-    unknown = set(d) - set(hints)
-    if unknown:
-        raise error(f"unknown {what} fields: {sorted(unknown)}")
-    missing = [name for name in required if name not in d]
-    if missing:
-        raise error(f"{what} requires {', '.join(missing)}")
-    for name, value in d.items():
-        if not _fits(value, hints[name]):
-            expected = str(hints[name]) if get_args(hints[name]) else hints[name].__name__
-            raise error(f"{what} field {name} must be {expected}, got {value!r}")
-    return {name: tuple(v) if isinstance(v, list) else v for name, v in d.items()}
 
 
 def _json_text(d: dict) -> str:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -126,6 +128,7 @@ def write_accel_csv(series: AccelSeries) -> bytes:
 # Motion arrays (NPY v1.0, little-endian float32/float64, C order)
 
 _NPY_MAGIC = b"\x93NUMPY"
+_NPY_HEADER = {"descr": str, "fortran_order": bool, "shape": tuple[int, ...]}
 
 
 def read_motion_array(data: bytes, frame_rate: float = DEFAULT_FRAME_RATE_HZ) -> JointTrajectory:
@@ -147,25 +150,21 @@ def read_motion_array(data: bytes, frame_rate: float = DEFAULT_FRAME_RATE_HZ) ->
         raise DataError("truncated NPY header")
     try:
         header = ast.literal_eval(data[10:header_end].decode("latin-1").strip())
-    except (ValueError, SyntaxError):
+    except (ValueError, TypeError, SyntaxError):  # TypeError: an unhashable dict key
         raise DataError("malformed NPY header") from None
-    if not isinstance(header, dict) or not {"descr", "fortran_order", "shape"} <= set(header):
-        raise DataError("malformed NPY header")
+    header = _checked(_NPY_HEADER, header, "NPY header", DataError)
     descr = header["descr"]
     if descr not in ("<f4", "<f8"):
         raise DataError(f"unsupported dtype {descr!r}; expected little-endian float32/float64")
     if header["fortran_order"]:
         raise DataError("Fortran-order arrays are not supported")
-    shape = tuple(header["shape"])
-    if not (
-        (len(shape) == 3 and shape[1] == JOINT_COUNT and shape[2] == 3)
-        or (len(shape) == 2 and shape[1] == JOINT_COUNT * 3)
-    ):
+    shape = header["shape"]
+    if shape[1:] not in ((JOINT_COUNT, 3), (JOINT_COUNT * 3,)) or shape[0] < 0:
         raise DataError(
             f"incompatible motion shape {shape}; expected (F, {JOINT_COUNT}, 3) or (F, {JOINT_COUNT * 3})"
         )
     dtype = np.dtype(descr)
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     nbytes = count * dtype.itemsize
     payload = data[header_end:]
     if len(payload) < nbytes:
@@ -210,10 +209,9 @@ _SUBJECT_RE = re.compile(
 
 @dataclass(frozen=True)
 class PromptCatalog:
-    """Ordered, unique base prompts plus the tag vocabulary for variants."""
+    """Ordered, unique base prompts."""
 
     base_prompts: tuple[str, ...]
-    variants: tuple[str, ...] = VARIANT_TAGS
 
     def __post_init__(self):
         prompts = tuple(self.base_prompts)
@@ -221,11 +219,7 @@ class PromptCatalog:
             raise DataError("base prompts must be unique")
         if not prompts:
             raise DataError("prompt catalog is empty")
-        unknown = set(self.variants) - set(VARIANT_TAGS)
-        if unknown:
-            raise ConfigError(f"unknown variant tags: {sorted(unknown)}")
         object.__setattr__(self, "base_prompts", prompts)
-        object.__setattr__(self, "variants", tuple(self.variants))
 
     def __len__(self) -> int:
         return len(self.base_prompts)
@@ -285,6 +279,15 @@ def generate_prompt_variants(catalog: PromptCatalog, variants) -> list[str]:
 
 _ACTIVITY_FROM_STR = {"adl": ActivityLabel.ADL, "fall": ActivityLabel.FALL}
 
+_MANIFEST_ENTRY = {
+    "subject": str,
+    "activity": Literal[tuple(_ACTIVITY_FROM_STR)],
+    "path": str,
+    "rate_hz": float,
+    "placement": Literal[tuple(p.value for p in SensorPlacement)],
+    "provenance": Literal[tuple(p.value for p in Provenance)],
+}
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
@@ -326,12 +329,77 @@ def read_json(path: str | Path, what: str, error):
         raise error(f"{what} is not valid JSON: {exc}") from None
 
 
+def _fits(value, hint) -> bool:
+    """Whether a decoded value can fill a field annotated ``hint``.
+
+    Booleans are not numbers here, floats must be finite, and a ``Literal``
+    matches only a value of the same type, so ``True`` never matches ``1``.
+    """
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        try:
+            return (_fits(value, int) or isinstance(value, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    if hint in (str, bool, dict, type(None)):
+        return isinstance(value, hint)
+    args = get_args(hint)
+    if get_origin(hint) is Literal:
+        return any(type(value) is type(arg) and value == arg for arg in args)
+    if get_origin(hint) is dict:
+        return isinstance(value, dict) and all(_fits(v, args[1]) for v in value.values())
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    return any(_fits(value, arg) for arg in args)
+
+
+def _expected(hint) -> str:
+    if get_origin(hint) is Literal:
+        return "one of " + ", ".join(map(repr, get_args(hint)))
+    return str(hint) if get_args(hint) else hint.__name__
+
+
+def _checked(cls, d, what: str, error, **hint_overrides) -> dict:
+    """The object ``d``, checked against the fields of ``cls``.
+
+    ``cls`` is a dataclass, whose fields without a default are required, or
+    a ``{key: hint}`` layout whose keys all are; ``hint_overrides`` replace
+    hints or add optional keys.  Anything but an object, an unknown or
+    missing key, or a value that does not fit its hint raises ``error``.
+    Lists come back as tuples.
+    """
+    if not isinstance(d, dict):
+        raise error(f"{what} must be an object, got {type(d).__name__}")
+    if isinstance(cls, dict):
+        hints, required = dict(cls), list(cls)
+    else:
+        hints = get_type_hints(cls)
+        required = [f.name for f in fields(cls) if f.default is MISSING]
+    hints.update(hint_overrides)
+    unknown = set(d) - set(hints)
+    if unknown:
+        raise error(f"unknown {what} fields: {sorted(map(str, unknown))}")
+    missing = [name for name in required if name not in d]
+    if missing:
+        raise error(f"{what} requires {', '.join(missing)}")
+    for name, value in d.items():
+        if not _fits(value, hints[name]):
+            raise error(f"{what} field {name} must be {_expected(hints[name])}, got {value!r}")
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in d.items()}
+
+
 def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
     """Load and validate a JSON manifest into a DatasetCatalog.
 
-    The manifest is a JSON array of objects with keys: subject, activity
-    ("adl"|"fall"), path (relative paths resolve against the manifest's
-    directory), rate_hz, placement, provenance ("real"|"synthetic").
+    The manifest is a JSON array of objects with exactly the keys subject,
+    activity ("adl"|"fall"), path (relative paths resolve against the
+    manifest's directory), rate_hz (a finite positive number), placement and
+    provenance ("real"|"synthetic").
     """
     manifest_path = Path(manifest_path)
     raw = read_json(manifest_path, "manifest", DataError)
@@ -342,27 +410,10 @@ def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
     seen_paths: set[Path] = set()
     for i, item in enumerate(raw):
         where = f"manifest entry {i}"
-        if not isinstance(item, dict):
-            raise DataError(f"{where}: expected an object")
-        missing = {"subject", "activity", "path", "rate_hz", "placement", "provenance"} - set(item)
-        if missing:
-            raise DataError(f"{where}: missing keys {sorted(missing)}")
-        subject = item["subject"]
-        if not isinstance(subject, str) or not subject:
+        item = _checked(_MANIFEST_ENTRY, item, where, DataError)
+        if not item["subject"]:
             raise DataError(f"{where}: subject must be a non-empty string")
-        activity = _ACTIVITY_FROM_STR.get(item["activity"])
-        if activity is None:
-            raise DataError(f"{where}: activity must be 'adl' or 'fall', got {item['activity']!r}")
-        try:
-            placement = SensorPlacement(item["placement"])
-        except ValueError:
-            raise DataError(f"{where}: unknown placement {item['placement']!r}") from None
-        try:
-            provenance = Provenance(item["provenance"])
-        except ValueError:
-            raise DataError(f"{where}: provenance must be 'real' or 'synthetic'") from None
-        rate = item["rate_hz"]
-        if not isinstance(rate, (int, float)) or not rate > 0:
+        if not item["rate_hz"] > 0:
             raise DataError(f"{where}: rate_hz must be a positive number")
         path = Path(item["path"])
         if not path.is_absolute():
@@ -370,16 +421,20 @@ def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
         if path in seen_paths:
             raise DataError(f"{where}: duplicate file entry {path}")
         seen_paths.add(path)
-        if not path.is_file():
+        try:
+            found = path.is_file()
+        except OSError as exc:  # e.g. a name too long for the file system
+            raise DataError(f"{where}: cannot read {path}: {exc.strerror}") from None
+        if not found:
             raise DataError(f"{where}: file not found: {path}")
         entries.append(
             CatalogEntry(
-                subject_id=subject,
-                activity=activity,
+                subject_id=item["subject"],
+                activity=_ACTIVITY_FROM_STR[item["activity"]],
                 path=path,
-                sampling_rate=float(rate),
-                placement=placement,
-                provenance=provenance,
+                sampling_rate=float(item["rate_hz"]),
+                placement=SensorPlacement(item["placement"]),
+                provenance=Provenance(item["provenance"]),
             )
         )
     return DatasetCatalog(entries=tuple(entries))

@@ -99,6 +99,21 @@ def build_synthetic_manifest(
     return manifest
 
 
+# A well-formed manifest entry (its file is `a.csv`) and NPY header, for
+# tests that break one key at a time.
+MANIFEST_ENTRY = {
+    "subject": "s1", "activity": "fall", "path": "a.csv",
+    "rate_hz": 32.0, "placement": "left_wrist", "provenance": "real",
+}
+NPY_HEADER = {"descr": "<f8", "fortran_order": False, "shape": (2, 22, 3)}
+
+
+def npy_with_header(header: str) -> bytes:
+    """An NPY v1.0 file with the given header text and two float64 frames."""
+    text = header.encode("utf-8")
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + bytes(2 * 66 * 8)
+
+
 @pytest.fixture
 def fixture_dataset(tmp_path):
     """(real_manifest, synthetic_manifest) pair over a separable fixture."""

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_dataset, build_synthetic_manifest
+from conftest import MANIFEST_ENTRY, NPY_HEADER, build_dataset, build_synthetic_manifest, npy_with_header
 from synthfall.cli import main
 from synthfall.harness import ExperimentReport, IterationResult
 
 NON_UTF8 = b"\xff\xfe not utf-8 \xc3\x28"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
-INPUT_KINDS = ("missing", "directory", "empty", "non_utf8", "deep_json", "valid")
+INPUT_KINDS = ("missing", "directory", "empty", "non_utf8", "deep_json", "bad_manifest", "bad_npy", "valid")
 OUTPUT_KINDS = ("fresh", "missing_parent", "existing_dir")
 
 
@@ -28,6 +28,8 @@ def files(tmp_path_factory):
     (root / "empty").write_bytes(b"")
     (root / "non_utf8").write_bytes(NON_UTF8)
     (root / "deep.json").write_text(DEEP_JSON)
+    (root / "bad_manifest.json").write_text(json.dumps([dict(MANIFEST_ENTRY, path=5)]))
+    (root / "bad.npy").write_bytes(npy_with_header(repr(dict(NPY_HEADER, shape=5))))
     motion = np.zeros((30, 22, 3))
     motion[:, 20, 0] = np.arange(30) * 0.1
     np.save(root / "motion.npy", motion)
@@ -46,6 +48,8 @@ def files(tmp_path_factory):
         "empty": root / "empty",
         "non_utf8": root / "non_utf8",
         "deep_json": root / "deep.json",
+        "bad_manifest": root / "bad_manifest.json",
+        "bad_npy": root / "bad.npy",
         "real": build_dataset(root, subjects=2, series_len=60, seed=1),
         "synthetic": build_synthetic_manifest(root, series=2, series_len=60, seed=2),
         "motion": root / "motion.npy",
@@ -104,6 +108,54 @@ class TestKinematicsDt:
         err = capsys.readouterr().err
         assert err.startswith("error: --dt ") and repr(float(dt)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dt", ["1e100", "1e3"])
+    def test_all_zero_output_rejected(self, files, capsys, tmp_path, dt):
+        """0.1 m per frame at these steps is below the six written decimals."""
+        out = tmp_path / "o.csv"
+        assert main(["kinematics", str(files["motion"]), str(out), "--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --dt {float(dt)!r} ") and "largest |a|" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("moving, dt", [(True, "0.02"), (False, "0.02"), (False, "1e100")])
+    def test_written(self, files, tmp_path, moving, dt):
+        motion = files["motion"] if moving else tmp_path / "still.npy"
+        if not moving:
+            np.save(motion, np.zeros((30, 22, 3)))
+        out = tmp_path / "o.csv"
+        assert main(["kinematics", str(motion), str(out), "--dt", dt]) == 0
+        body = out.read_text().splitlines()[1:]
+        assert len(body) == 29 and any(row != "0.000000;0.000000;0.000000" for row in body) == moving
+
+
+class TestMalformedStructureExit3:
+    """Manifest entries and NPY headers of the wrong structure are data errors."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("path", 5), ("path", None), ("activity", []), ("rate_hz", True), ("rate_hz", 1e999), ("extra", 1),
+    ])
+    def test_manifest_entry(self, capsys, tmp_path, key, value):
+        (tmp_path / "a.csv").write_bytes(b"x;y;z\n1;2;3\n")
+        manifest = tmp_path / "m.json"
+        # json.dumps writes infinity as Infinity; a manifest may spell it 1e999.
+        manifest.write_text(json.dumps([dict(MANIFEST_ENTRY, **{key: value})]).replace("Infinity", "1e999"))
+        assert main(["ingest", str(manifest)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest entry 0") or err.startswith("error: unknown manifest entry 0")
+        assert key in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("shape", 5), ("shape", (2.5, 22, 3)), ("shape", (2, 22, True)),
+        ("fortran_order", []), ("fortran_order", 0), ("extra", 1),
+    ])
+    def test_npy_header(self, capsys, tmp_path, key, value):
+        motion = tmp_path / "m.npy"
+        motion.write_bytes(npy_with_header(repr(dict(NPY_HEADER, **{key: value}))))
+        assert main(["kinematics", str(motion), str(tmp_path / "o.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NPY header" in err and key in err
+        assert not (tmp_path / "o.csv").exists()
 
 
 _fresh = itertools.count()

@@ -1,16 +1,22 @@
 import io
 import json
+import tempfile
 from itertools import combinations
+from pathlib import Path
+from typing import Literal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import MANIFEST_ENTRY, NPY_HEADER, npy_with_header
 from synthfall.errors import ConfigError, DataError
 from synthfall.ingest import (
     VARIANT_TAGS,
     PromptCatalog,
+    _checked,
+    _fits,
     catalog_dataset,
     generate_prompt_variants,
     load_entry,
@@ -26,6 +32,59 @@ def npy_bytes(arr):
     buf = io.BytesIO()
     np.save(buf, arr)
     return buf.getvalue()
+
+
+# Decoded JSON of any shape.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def npy_headers(draw):
+    """Header dicts whose values are valid or drawn from Python literals,
+    sometimes with a key dropped or an extra key."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner, inner), max_leaves=6)
+    header = {key: draw(st.just(value) | values) for key, value in NPY_HEADER.items()}
+    if draw(st.booleans()):
+        header["shape"] = draw(st.tuples(st.integers(), st.sampled_from([22, 66]), st.integers(0, 4)))
+    if draw(st.integers(0, 4)) == 0:
+        del header[draw(st.sampled_from(sorted(header)))]
+    if draw(st.integers(0, 4)) == 0:
+        header[draw(st.text(max_size=4) | st.integers())] = draw(values)
+    return header
+
+
+@st.composite
+def manifest_entries(draw):
+    """Entries whose values are valid or arbitrary JSON, sometimes with a key
+    dropped or an extra key, and sometimes not an object at all."""
+    entry = {key: draw(st.just(value) | JSON_VALUES) for key, value in MANIFEST_ENTRY.items()}
+    if draw(st.integers(0, 4)) == 0:
+        del entry[draw(st.sampled_from(sorted(entry)))]
+    if draw(st.integers(0, 4)) == 0:
+        entry[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+    return draw(st.just(entry) | JSON_VALUES)
+
+
+class TestCheckedLoader:
+    def test_literal_matches_type_and_value(self):
+        assert _fits(1, Literal[1]) and _fits("adl", Literal["adl", "fall"])
+        assert not _fits(True, Literal[1])
+        assert not _fits(1.0, Literal[1])
+        assert not _fits(1, Literal[True])
+        assert not _fits("jump", Literal["adl", "fall"])
+
+    def test_literal_worded_as_choices(self):
+        with pytest.raises(DataError, match=r"^x field a must be one of 'adl', 'fall', got 1$"):
+            _checked({"a": Literal["adl", "fall"]}, {"a": 1}, "x", DataError)
+
+    def test_unknown_keys_of_mixed_types_are_listed(self):
+        with pytest.raises(DataError, match=r"^unknown x fields: \['1', 'b'\]$"):
+            _checked({"a": int}, {"a": 1, 1: 2, "b": 3}, "x", DataError)
 
 
 class TestAccelCsv:
@@ -273,6 +332,26 @@ class TestMotionArray:
         traj = read_motion_array(npy_bytes(np.zeros((2, 22, 3))))
         assert traj.frame_rate == 46.0
 
+    @settings(max_examples=400, deadline=None)
+    @given(npy_headers())
+    @example({**NPY_HEADER, "shape": 5})
+    @example({**NPY_HEADER, "shape": (2.5, 22, 3)})
+    @example({**NPY_HEADER, "shape": (-2, 22, 3)})
+    @example({**NPY_HEADER, "shape": (10**30, 22, 3)})
+    @example({**NPY_HEADER, "fortran_order": []})
+    @example({**NPY_HEADER, "extra": 1})
+    def test_arbitrary_headers_raise_only_data_errors(self, header):
+        try:
+            traj = read_motion_array(npy_with_header(repr(header)))
+        except DataError:
+            return
+        assert header.keys() == NPY_HEADER.keys() and type(header["fortran_order"]) is bool
+        assert traj.positions.shape == (2, 22, 3)
+
+    def test_unhashable_header_key_is_malformed(self):
+        with pytest.raises(DataError, match="malformed NPY header"):
+            read_motion_array(npy_with_header("{[]: 1}"))
+
 
 class TestPromptCatalog:
     def test_bundled_catalog_has_50(self):
@@ -404,3 +483,35 @@ class TestCatalog:
         e["activity"] = "jump"
         with pytest.raises(DataError, match="activity"):
             catalog_dataset(self.write_manifest(tmp_path, [e]))
+
+    def test_unknown_activity_names_the_choices(self, tmp_path):
+        e = self.entry(tmp_path)
+        e["activity"] = "jump"
+        with pytest.raises(DataError, match=r"^manifest entry 0 field activity must be one of 'adl', 'fall', got 'jump'$"):
+            catalog_dataset(self.write_manifest(tmp_path, [e]))
+
+    def test_path_too_long_for_the_file_system(self, tmp_path):
+        e = self.entry(tmp_path)
+        e["path"] = "a" * 300
+        with pytest.raises(DataError, match="manifest entry 0: cannot read"):
+            catalog_dataset(self.write_manifest(tmp_path, [e]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(manifest_entries(), min_size=1, max_size=3))
+    @example([{**MANIFEST_ENTRY, "path": 5}])
+    @example([{**MANIFEST_ENTRY, "path": None}])
+    @example([{**MANIFEST_ENTRY, "activity": []}])
+    @example([{**MANIFEST_ENTRY, "rate_hz": True}])
+    @example([{**MANIFEST_ENTRY, "rate_hz": float("inf")}])
+    def test_arbitrary_entries_raise_only_data_errors(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "a.csv").write_bytes(b"x;y;z\n1;2;3\n")
+            manifest = root / "manifest.json"
+            manifest.write_text(json.dumps(entries), "utf-8")
+            try:
+                catalog = catalog_dataset(manifest)
+            except DataError:
+                return
+        assert len(catalog) == len(entries)
+        assert all(e.keys() == MANIFEST_ENTRY.keys() and _fits(e["rate_hz"], float) for e in entries)
