@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .ingest import read_file, write_file
 from .metrics import ClassificationMetrics, classification_metrics
 from .windowing import WindowSet
 
@@ -498,19 +499,17 @@ def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128)
     Version 2 stores the fused LSTM tensors in ``GATE_ORDER``; version 1,
     which held the twelve per-gate tensors, is still read.
     """
-    path = Path(path)
     itemsize = model.dtype.itemsize
-    with path.open("wb") as fh:
-        fh.write(_CKPT_HEADER.pack(
-            _CKPT_MAGIC, _CKPT_VERSION, model.hidden_size, model.dense_units,
-            model.input_dim, window_len, itemsize,
-        ))
-        fh.write(np.ascontiguousarray(model.flat, dtype=f"<f{itemsize}").tobytes())
+    header = _CKPT_HEADER.pack(
+        _CKPT_MAGIC, _CKPT_VERSION, model.hidden_size, model.dense_units,
+        model.input_dim, window_len, itemsize,
+    )
+    write_file(path, header + np.ascontiguousarray(model.flat, dtype=f"<f{itemsize}").tobytes())
 
 
 def load_checkpoint(path: str | Path):
     """Load a checkpoint; returns (model, window_len)."""
-    data = Path(path).read_bytes()
+    data = read_file(path, "checkpoint")
     if data[:4] != _CKPT_MAGIC:
         raise DataError("not a checkpoint: bad magic")
     if len(data) < _CKPT_HEADER.size:

@@ -15,9 +15,8 @@ import logging
 import math
 import sys
 from dataclasses import fields
-from pathlib import Path
 
-from . import ingest, windowing
+from . import ingest
 from .classifier import save_checkpoint
 from .errors import ConfigError, DataError, ToolkitError
 from .harness import (
@@ -25,7 +24,6 @@ from .harness import (
     AlignmentOptions,
     ExperimentConfig,
     emit_report,
-    ensure_output_dir,
     load_report,
     run_ablation_quantity,
     run_alignment,
@@ -102,20 +100,6 @@ def _build_experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(base)
 
 
-def _read_file(path: str, what: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from None
-
-
-def _write_file(path: str, data: bytes) -> None:
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror}") from None
-
-
 def _cmd_ingest(args) -> int:
     catalog = ingest.catalog_dataset(args.manifest)
     hist = catalog.activity_histogram()
@@ -131,7 +115,7 @@ def _cmd_kinematics(args) -> int:
     # The scheme divides by dt**2, so its square must be a normal float.
     if not (args.dt > 0 and sys.float_info.min <= args.dt * args.dt < math.inf):
         raise ConfigError(f"--dt must be positive and finite with a normal float square, got {args.dt!r}")
-    traj = ingest.read_motion_array(_read_file(args.motion, "motion file"), frame_rate=1.0 / args.dt)
+    traj = ingest.read_motion_array(ingest.read_file(args.motion, "motion file"), frame_rate=1.0 / args.dt)
     series = differentiate_to_accel(
         extract_joint(traj, placement),
         central_second_difference=args.central_diff,
@@ -141,7 +125,7 @@ def _cmd_kinematics(args) -> int:
     peak = float(abs(series.samples).max())
     if peak > 0 and not ingest.read_accel_csv(data).samples.any():
         raise ConfigError(f"--dt {args.dt!r} writes every acceleration as 0 (largest |a| {peak:.3g})")
-    _write_file(args.output, data)
+    ingest.write_file(args.output, data)
     print(f"wrote {len(series)} samples at {series.sampling_rate:g} Hz to {args.output}")
     return 0
 
@@ -161,12 +145,12 @@ def _cmd_align(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _build_experiment_config(args)
-    out_dir = ensure_output_dir(args.out)
+    out_dir = ingest.ensure_output_dir(args.out)
     model, history, result = run_training(config)
     tag = config.fingerprint()[:12]
     ckpt = out_dir / f"model_{tag}.ckpt"
     save_checkpoint(model, ckpt, window_len=config.window)
-    (out_dir / f"history_{tag}.csv").write_text(history.to_csv(), "utf-8")
+    ingest.write_file(out_dir / f"history_{tag}.csv", history.to_csv().encode("utf-8"))
     print(f"test f1: {result.f1:.4f}  precision: {result.precision:.4f}  recall: {result.recall:.4f}")
     print(f"wrote {ckpt}")
     return 0
@@ -174,7 +158,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_experiment(args, runner) -> int:
     config = _build_experiment_config(args)
-    ensure_output_dir(args.out)
+    ingest.ensure_output_dir(args.out)
     report = runner(config)
     paths = emit_report(report, args.format, args.out)
     print(f"mean f1: {report.mean_f1:.4f} over {len(report.iterations)} iterations")
@@ -191,7 +175,7 @@ def _cmd_prompts(args) -> int:
     prompts = ingest.generate_prompt_variants(catalog, variants)
     text = "\n".join(prompts) + "\n"
     if args.out:
-        _write_file(args.out, text.encode("utf-8"))
+        ingest.write_file(args.out, text.encode("utf-8"))
         print(f"wrote {len(prompts)} prompts to {args.out}")
     else:
         sys.stdout.write(text)
@@ -229,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="real-vs-synthetic alignment report")
     p.add_argument("real_manifest")
     p.add_argument("synthetic_manifest")
-    p.add_argument("--window", type=int, default=windowing.DEFAULT_WINDOW)
-    p.add_argument("--stride", type=int, default=windowing.DEFAULT_STRIDE)
-    p.add_argument("--bins", type=int, default=100)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--window", type=int, default=AlignmentOptions.window)
+    p.add_argument("--stride", type=int, default=AlignmentOptions.stride)
+    p.add_argument("--bins", type=int, default=AlignmentOptions.bins)
+    p.add_argument("--k", type=int, default=AlignmentOptions.k)
     p.add_argument("--per-axis", action="store_true", help="also report per-axis JSD")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_align)

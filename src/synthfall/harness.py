@@ -21,7 +21,7 @@ import numpy as np
 
 from .classifier import TrainConfig, evaluate, init_model, train
 from .errors import ConfigError, DataError, NumericError
-from .ingest import DatasetCatalog, _checked, catalog_dataset, load_entry, read_json
+from .ingest import DatasetCatalog, _checked, catalog_dataset, ensure_output_dir, load_entry, read_json, write_file
 from .kinematics import ActivityLabel
 from .metrics import (
     ClassificationMetrics,
@@ -34,6 +34,8 @@ from .metrics import (
     percent_delta,
 )
 from .windowing import (
+    DEFAULT_STRIDE,
+    DEFAULT_WINDOW,
     MixSpec,
     WindowSet,
     apply_scaler,
@@ -75,8 +77,8 @@ def _catalog_windows(catalog: DatasetCatalog, width: int, stride: int, activity=
 
 @dataclass(frozen=True)
 class AlignmentOptions:
-    window: int = 128
-    stride: int = 10
+    window: int = DEFAULT_WINDOW
+    stride: int = DEFAULT_STRIDE
     bins: int = 100
     k: int = 5
     per_axis: bool = False
@@ -166,8 +168,8 @@ class ExperimentConfig:
     real_manifest: str
     seed: int
     synthetic_manifests: tuple[str, ...] = ()
-    window: int = 128
-    stride: int = 10
+    window: int = DEFAULT_WINDOW
+    stride: int = DEFAULT_STRIDE
     mix: MixSpec = MixSpec(0.6, 0.2, 0.2)
     split_sizes: tuple[int, int, int] = (8, 2, 2)
     iterations: int = 5
@@ -363,7 +365,7 @@ def _subject_mask(windows: WindowSet, subjects) -> np.ndarray:
 def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, WindowSet]:
     real_catalog = catalog_dataset(config.real_manifest)
     subjects = real_catalog.subjects()
-    if len(subjects) < sum(config.split_sizes):
+    if len(subjects) != sum(config.split_sizes):
         raise DataError(
             f"manifest has {len(subjects)} subjects; split sizes {config.split_sizes} need {sum(config.split_sizes)}"
         )
@@ -493,16 +495,6 @@ def run_ablation_quantity(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # Report emission
 
-def ensure_output_dir(out_dir: str | Path) -> Path:
-    """``out_dir`` as a directory, created if missing; DataError if it cannot be."""
-    out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out_dir}: {exc}") from None
-    return out_dir
-
-
 def emit_report(report, fmt: str = "json", out_dir: str | Path = ".") -> list[Path]:
     """Write a report (plus any density-curve CSVs) into ``out_dir``.
 
@@ -520,16 +512,16 @@ def emit_report(report, fmt: str = "json", out_dir: str | Path = ".") -> list[Pa
 
     if isinstance(report, ExperimentReport):
         path = out_dir / f"report_{report.fingerprint[:12]}.{fmt}"
-        path.write_text(report.to_json() if fmt == "json" else report.to_csv(), "utf-8")
+        write_file(path, (report.to_json() if fmt == "json" else report.to_csv()).encode("utf-8"))
         return [path]
 
-    payload = _json_text(report.to_dict())
-    tag = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+    payload = _json_text(report.to_dict()).encode("utf-8")
+    tag = hashlib.sha256(payload).hexdigest()[:12]
     path = out_dir / f"alignment_{tag}.json"
-    path.write_text(payload, "utf-8")
+    write_file(path, payload)
     written = [path]
     for name in _CURVES:
         curve_path = out_dir / f"density_{name}_{tag}.csv"
-        curve_path.write_text(getattr(report, f"{name}_curve").to_csv(), "utf-8")
+        write_file(curve_path, getattr(report, f"{name}_curve").to_csv().encode("utf-8"))
         written.append(curve_path)
     return written

@@ -1,9 +1,9 @@
-"""File formats and catalogs: accelerometer CSV, motion arrays, dataset
+"""The file layer and file formats: accelerometer CSV, motion arrays, dataset
 manifests, and prompt-variant generation.
 
-All readers take bytes (or str) so callers decide where data comes from;
-writers return bytes.  Dataset layout is decoupled from directory conventions
-through a JSON manifest, one entry per recording.
+Only ``read_file`` and ``write_file`` touch a file's bytes, and only this
+module maps an OSError to a toolkit error; readers of a format take bytes,
+writers return bytes.  A JSON manifest lists one recording per entry.
 """
 
 from __future__ import annotations
@@ -231,10 +231,8 @@ def load_prompt_catalog(source: str | Path | None = None) -> PromptCatalog:
         text = (resources.files("synthfall.data") / "base_prompts.txt").read_text("utf-8")
     else:
         path = Path(source)
-        if not path.is_file():
-            raise DataError(f"prompt file not found: {path}")
         try:
-            text = path.read_text("utf-8")
+            text = read_file(path, "prompt file").decode("utf-8")
         except UnicodeDecodeError:
             raise DataError(f"prompt file is not UTF-8 text: {path}") from None
     prompts = tuple(line.strip() for line in text.splitlines() if line.strip())
@@ -275,7 +273,7 @@ def generate_prompt_variants(catalog: PromptCatalog, variants) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Dataset manifests
+# Files, checked JSON and dataset manifests
 
 _ACTIVITY_FROM_STR = {"adl": ActivityLabel.ADL, "fall": ActivityLabel.FALL}
 
@@ -318,13 +316,39 @@ class DatasetCatalog:
         return len(self.entries)
 
 
-def read_json(path: str | Path, what: str, error):
-    """The decoded JSON file at ``path``; ``error`` if it is missing or not JSON."""
+def read_file(path: str | Path, what: str, error=DataError) -> bytes:
+    """The bytes of the ``what`` file at ``path``; ``error`` naming the path if it cannot be read."""
     path = Path(path)
-    if not path.is_file():
-        raise error(f"{what} not found: {path}")
     try:
-        return json.loads(path.read_text("utf-8"))
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except OSError as exc:  # a directory, no permission, a name too long
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path``; DataError naming the path if it cannot be."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def ensure_output_dir(out_dir: str | Path) -> Path:
+    """``out_dir`` as a directory, created if missing; DataError if it cannot be."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out_dir}: {exc}") from None
+    return out_dir
+
+
+def read_json(path: str | Path, what: str, error):
+    """The decoded JSON file at ``path``; ``error`` if it cannot be read or is not JSON."""
+    try:
+        return json.loads(read_file(path, what, error).decode("utf-8"))
     except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
 
@@ -443,7 +467,7 @@ def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
 def load_entry(entry: CatalogEntry) -> AccelSeries:
     """Read one cataloged file as an AccelSeries with the manifest's metadata."""
     return read_accel_csv(
-        entry.path.read_bytes(),
+        read_file(entry.path, "recording"),
         sampling_rate=entry.sampling_rate,
         label=entry.activity,
         provenance=entry.provenance,

@@ -535,6 +535,12 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
+    def test_missing_or_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="^checkpoint not found: "):
+            load_checkpoint(tmp_path / "none.ckpt")
+        with pytest.raises(DataError, match="^cannot read checkpoint .*: Is a directory$"):
+            load_checkpoint(tmp_path)
+
     def test_reads_v1_per_gate_checkpoint(self, tmp_path):
         for dtype in (np.float32, np.float64):
             model = init_model(23, hidden_size=6, dense_units=5, dtype=dtype)

@@ -16,7 +16,9 @@ from synthfall.harness import ExperimentReport, IterationResult
 
 NON_UTF8 = b"\xff\xfe not utf-8 \xc3\x28"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
-INPUT_KINDS = ("missing", "directory", "empty", "non_utf8", "deep_json", "bad_manifest", "bad_npy", "valid")
+INPUT_KINDS = (
+    "missing", "directory", "long_name", "empty", "non_utf8", "deep_json", "bad_manifest", "bad_npy", "valid",
+)
 OUTPUT_KINDS = ("fresh", "missing_parent", "existing_dir")
 
 
@@ -45,6 +47,7 @@ def files(tmp_path_factory):
         "root": root,
         "missing": root / "missing.json",
         "directory": root / "a_dir",
+        "long_name": root / ("n" * 300),  # longer than any file system allows
         "empty": root / "empty",
         "non_utf8": root / "non_utf8",
         "deep_json": root / "deep.json",
@@ -94,6 +97,47 @@ class TestFileErrorsExit3:
 
     def test_prompts_base_not_utf8(self, files, capsys):
         expect_data_error(capsys, ["prompts", "--base", str(files["non_utf8"])], files["non_utf8"])
+
+    @pytest.mark.parametrize("argv, code", [
+        ("ingest {name}", 3),
+        ("report {name} --out {out}", 3),
+        ("prompts --base {name} --out {out}", 3),
+        ("experiment --config {name} --seed 1 --out {out}", 2),
+    ])
+    def test_name_too_long(self, files, capsys, tmp_path, argv, code):
+        name = str(files["long_name"])
+        assert main(argv.format(name=name, out=tmp_path / "out").split()) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and name in err and "File name too long" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_output_name_is_a_directory(self, files, capsys, tmp_path):
+        taken = tmp_path / "report_0123456789ab.json"
+        taken.mkdir()
+        expect_data_error(capsys, ["report", str(files["report"]), "--out", str(tmp_path)], taken)
+
+    def test_align_output_name_is_a_directory(self, files, capsys, tmp_path):
+        argv = ["align", str(files["real"]), str(files["synthetic"]), "--window", "16", "--stride", "8", "--out"]
+        assert main(argv + [str(tmp_path / "first")]) == 0
+        (report,) = (tmp_path / "first").glob("alignment_*.json")
+        taken = tmp_path / "second" / report.name
+        taken.mkdir(parents=True)
+        expect_data_error(capsys, argv + [str(tmp_path / "second")], taken)
+
+    def test_train_output_names_are_directories(self, capsys, tmp_path, fixture_dataset):
+        real, syn = fixture_dataset
+        argv = [
+            "train", "--real-manifest", str(real), "--synthetic-manifest", str(syn), "--seed", "5",
+            "--window", "64", "--stride", "16", "--hidden-size", "8", "--dense-units", "8",
+            "--max-epochs", "2", "--patience", "2", "--out",
+        ]
+        assert main(argv + [str(tmp_path / "first")]) == 0
+        (ckpt,) = (tmp_path / "first").glob("model_*.ckpt")
+        (history,) = (tmp_path / "first").glob("history_*.csv")
+        for name in (ckpt.name, history.name):
+            taken = tmp_path / name.split(".")[0] / name
+            taken.mkdir(parents=True)
+            expect_data_error(capsys, argv + [str(taken.parent)], taken)
 
 
 class TestKinematicsDt:

@@ -297,6 +297,15 @@ class TestExperiment:
         with pytest.raises(DataError, match="subjects"):
             run_experiment(fast_config(real, (), split_sizes=(8, 2, 2)))
 
+    def test_too_many_subjects_before_windowing(self, tmp_path, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("windows cut before the split sizes were checked")
+
+        monkeypatch.setattr("synthfall.harness._catalog_windows", must_not_run)
+        real = build_dataset(tmp_path, subjects=4, series_len=200)
+        with pytest.raises(DataError, match="subjects"):
+            run_experiment(fast_config(real, (), split_sizes=(2, 1, 0)))
+
     def test_empty_synthetic_pool_with_positive_fraction(self, tmp_path):
         real = build_dataset(tmp_path, subjects=12, series_len=200)
         with pytest.raises(DataError, match="infeasible"):

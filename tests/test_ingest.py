@@ -1,6 +1,8 @@
 import io
 import json
+import re
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 from typing import Literal
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import synthfall
 from conftest import MANIFEST_ENTRY, NPY_HEADER, npy_with_header
 from synthfall.errors import ConfigError, DataError
 from synthfall.ingest import (
@@ -490,6 +493,11 @@ class TestCatalog:
         with pytest.raises(DataError, match=r"^manifest entry 0 field activity must be one of 'adl', 'fall', got 'jump'$"):
             catalog_dataset(self.write_manifest(tmp_path, [e]))
 
+    def test_load_entry_of_a_directory(self, tmp_path):
+        entry = catalog_dataset(self.write_manifest(tmp_path, [self.entry(tmp_path)])).entries[0]
+        with pytest.raises(DataError, match=f"^cannot read recording {re.escape(str(tmp_path))}: Is a directory$"):
+            load_entry(replace(entry, path=tmp_path))
+
     def test_path_too_long_for_the_file_system(self, tmp_path):
         e = self.entry(tmp_path)
         e["path"] = "a" * 300
@@ -515,3 +523,19 @@ class TestCatalog:
                 return
         assert len(catalog) == len(entries)
         assert all(e.keys() == MANIFEST_ENTRY.keys() and _fits(e["rate_hz"], float) for e in entries)
+
+
+# What only the file layer in ingest.py may do: catch an OSError, or read or
+# write a file's bytes.
+FILE_ACCESS = ("except OSError", ".read_bytes(", ".write_bytes(", ".read_text(", ".write_text(", "open(")
+
+
+def test_only_the_file_layer_touches_files():
+    found = [
+        (path.name, token)
+        for path in sorted(Path(synthfall.__file__).parent.glob("*.py"))
+        if path.name != "ingest.py"
+        for token in FILE_ACCESS
+        if token in path.read_text("utf-8")
+    ]
+    assert found == []
