@@ -492,7 +492,7 @@ _CKPT_VERSION = 2
 _CKPT_HEADER = struct.Struct("<4sHIIIIB")
 
 
-def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128) -> None:
+def checkpoint_bytes(model: ModelParams, window_len: int = 128) -> bytes:
     """Versioned binary checkpoint: header + ``model.flat`` as little-endian
     floats, i.e. every tensor in ``_tensor_shapes`` order.
 
@@ -504,7 +504,12 @@ def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128)
         _CKPT_MAGIC, _CKPT_VERSION, model.hidden_size, model.dense_units,
         model.input_dim, window_len, itemsize,
     )
-    write_file(path, header + np.ascontiguousarray(model.flat, dtype=f"<f{itemsize}").tobytes())
+    return header + np.ascontiguousarray(model.flat, dtype=f"<f{itemsize}").tobytes()
+
+
+def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128) -> None:
+    """Write ``checkpoint_bytes(model, window_len)`` to ``path``."""
+    write_file(path, checkpoint_bytes(model, window_len))
 
 
 def load_checkpoint(path: str | Path):

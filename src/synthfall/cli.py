@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields
 
 from . import ingest
-from .classifier import save_checkpoint
+from .classifier import checkpoint_bytes
 from .errors import ConfigError, DataError, ToolkitError
 from .harness import (
     TRAIN_FIELDS,
@@ -149,8 +149,10 @@ def _cmd_train(args) -> int:
     model, history, result = run_training(config)
     tag = config.fingerprint()[:12]
     ckpt = out_dir / f"model_{tag}.ckpt"
-    save_checkpoint(model, ckpt, window_len=config.window)
-    ingest.write_file(out_dir / f"history_{tag}.csv", history.to_csv().encode("utf-8"))
+    ingest.write_files([
+        (ckpt, checkpoint_bytes(model, window_len=config.window)),
+        (out_dir / f"history_{tag}.csv", history.to_csv().encode("utf-8")),
+    ])
     print(f"test f1: {result.f1:.4f}  precision: {result.precision:.4f}  recall: {result.recall:.4f}")
     print(f"wrote {ckpt}")
     return 0

@@ -21,7 +21,16 @@ import numpy as np
 
 from .classifier import TrainConfig, evaluate, init_model, train
 from .errors import ConfigError, DataError, NumericError
-from .ingest import DatasetCatalog, _checked, catalog_dataset, ensure_output_dir, load_entry, read_json, write_file
+from .ingest import (
+    DatasetCatalog,
+    _checked,
+    catalog_dataset,
+    ensure_output_dir,
+    load_entry,
+    read_json,
+    write_file,
+    write_files,
+)
 from .kinematics import ActivityLabel
 from .metrics import (
     ClassificationMetrics,
@@ -43,6 +52,7 @@ from .windowing import (
     fit_scaler,
     slide_windows,
     split_subjects,
+    window_counts,
 )
 
 logger = logging.getLogger(__name__)
@@ -56,11 +66,22 @@ def derive_seed(master_seed: int, index: int, role: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _catalog_windows(catalog: DatasetCatalog, width: int, stride: int, activity=None) -> WindowSet:
-    sets = []
-    for entry in catalog.entries:
-        if activity is not None and entry.activity != activity:
-            continue
+def _one_rate(entries: list) -> None:
+    """DataError, naming both rates, unless every entry was recorded at the
+    first one's sampling rate: a window of W samples spans W / rate seconds,
+    so windows of different rates cannot be pooled or compared."""
+    for entry in entries[1:]:
+        if entry.sampling_rate != entries[0].sampling_rate:
+            raise DataError(
+                f"recordings differ in sampling rate: {entries[0].path} at {entries[0].sampling_rate!r} Hz, "
+                f"{entry.path} at {entry.sampling_rate!r} Hz"
+            )
+
+
+def _catalog_series(entries, width: int, stride: int):
+    """Each entry's series with its windows, warning of any series shorter
+    than the window."""
+    for entry in entries:
         series = load_entry(entry)
         cut = slide_windows(series, width, stride)
         if not cut:
@@ -68,8 +89,15 @@ def _catalog_windows(catalog: DatasetCatalog, width: int, stride: int, activity=
                 "skipping %s: %d samples is shorter than the window (%d)",
                 entry.path, len(series), width,
             )
-        sets.append(cut)
-    return WindowSet.concat(sets)
+        yield series, cut
+
+
+def _catalog_windows(entries, width: int, stride: int) -> WindowSet:
+    return WindowSet.concat(cut for _, cut in _catalog_series(entries, width, stride))
+
+
+def _falls(catalog: DatasetCatalog) -> list:
+    return [e for e in catalog.entries if e.activity == ActivityLabel.FALL]
 
 
 # ---------------------------------------------------------------------------
@@ -84,53 +112,82 @@ class AlignmentOptions:
     per_axis: bool = False
 
 
-def _normalized_values(real: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z-score both value sets against the real set's statistics."""
-    mu = real.mean()
-    sd = max(float(real.std()), 1e-8)
-    return (real - mu) / sd, (other - mu) / sd
+def _held_samples(entries, width: int, stride: int, which: str) -> tuple[WindowSet, np.ndarray, np.ndarray]:
+    """The windows of the entries' series, and every sample some window
+    holds, once, with the number of windows that hold it.
+
+    Samples no window holds are left out, so they neither count nor widen a
+    density range.
+    """
+    cuts, samples, counts = [], [], []
+    for series, cut in _catalog_series(entries, width, stride):
+        held = window_counts(len(series), width, stride)
+        keep = held > 0
+        cuts.append(cut)
+        samples.append(series.samples[keep])
+        counts.append(held[keep])
+    if not any(map(len, cuts)):
+        raise DataError(f"{which} manifest yields no fall windows")
+    return WindowSet.concat(cuts), np.concatenate(samples), np.concatenate(counts)
 
 
-def _density_pair(real_vals: np.ndarray, syn_vals: np.ndarray, bins: int):
+def _scale_stats(real: np.ndarray) -> tuple[float, float]:
+    """Mean and standard deviation (floored at 1e-8) of the real values."""
+    return real.mean(), max(float(real.std()), 1e-8)
+
+
+def _density_pair(real, synthetic, bins: int):
+    """Density curves of the real and synthetic (values, counts) pairs on one
+    grid spanning both."""
+    (real_vals, real_counts), (syn_vals, syn_counts) = real, synthetic
     lo = min(float(real_vals.min()), float(syn_vals.min()))
     hi = max(float(real_vals.max()), float(syn_vals.max()))
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     return (
-        histogram_density(real_vals, bins=bins, value_range=(lo, hi)),
-        histogram_density(syn_vals, bins=bins, value_range=(lo, hi)),
+        histogram_density(real_vals, bins=bins, value_range=(lo, hi), counts=real_counts),
+        histogram_density(syn_vals, bins=bins, value_range=(lo, hi), counts=syn_counts),
     )
 
 
 def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions | None = None) -> AlignmentReport:
     """Window the fall data of both manifests and measure their alignment.
 
-    All values are standardized against the real set (pooled over axes);
-    density curves, JSD, per-axis KS, and coverage over flattened windows are
-    computed from the standardized windows.
+    All values are standardized against the real windows' values (pooled
+    over axes).  Coverage is computed over the flattened standardized
+    windows.  Density curves, JSD and per-axis KS are computed from each
+    recorded sample once, weighted by the number of windows that hold it,
+    which gives the same numbers as every window's copy of it would.  Every
+    fall recording of both manifests must share one sampling rate.
     """
     opts = options or AlignmentOptions()
-    real_windows = _catalog_windows(catalog_dataset(real_manifest), opts.window, opts.stride, ActivityLabel.FALL)
-    syn_windows = _catalog_windows(catalog_dataset(synthetic_manifest), opts.window, opts.stride, ActivityLabel.FALL)
-    if not real_windows:
-        raise DataError("real manifest yields no fall windows")
-    if not syn_windows:
-        raise DataError("synthetic manifest yields no fall windows")
+    real_entries = _falls(catalog_dataset(real_manifest))
+    syn_entries = _falls(catalog_dataset(synthetic_manifest))
+    _one_rate(real_entries + syn_entries)
+    real_windows, real_samples, real_counts = _held_samples(real_entries, opts.window, opts.stride, "real")
+    syn_windows, syn_samples, syn_counts = _held_samples(syn_entries, opts.window, opts.stride, "synthetic")
 
     real_arr = real_windows.values
     syn_arr = syn_windows.values
-    real_norm, syn_norm = _normalized_values(real_arr, syn_arr)
+    # The statistics come from the window values, so every standardized
+    # sample equals its windowed copies bit for bit.
+    mu, sd = _scale_stats(real_arr)
+    real_norm = (real_samples - mu) / sd
+    syn_norm = (syn_samples - mu) / sd
 
-    real_curve, syn_curve = _density_pair(real_norm.ravel(), syn_norm.ravel(), opts.bins)
+    # Each sample's three values share its count.
+    real_curve, syn_curve = _density_pair(
+        (real_norm, np.repeat(real_counts, 3)), (syn_norm, np.repeat(syn_counts, 3)), opts.bins
+    )
     jsd_value = jsd(real_curve, syn_curve)
 
     ks = {
-        axis: ks_two_sample(real_norm[:, :, i].ravel(), syn_norm[:, :, i].ravel())
+        axis: ks_two_sample(real_norm[:, i], syn_norm[:, i], counts=(real_counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
     cov = coverage(
-        real_norm.reshape(real_norm.shape[0], -1),
-        syn_norm.reshape(syn_norm.shape[0], -1),
+        ((real_arr - mu) / sd).reshape(len(real_arr), -1),
+        ((syn_arr - mu) / sd).reshape(len(syn_arr), -1),
         k=opts.k,
     )
 
@@ -138,8 +195,12 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     if opts.per_axis:
         jsd_per_axis = {}
         for i, axis in enumerate(_AXES):
-            r_ax, s_ax = _normalized_values(real_arr[:, :, i], syn_arr[:, :, i])
-            curves = _density_pair(r_ax.ravel(), s_ax.ravel(), opts.bins)
+            mu_ax, sd_ax = _scale_stats(real_arr[:, :, i])
+            curves = _density_pair(
+                ((real_samples[:, i] - mu_ax) / sd_ax, real_counts),
+                ((syn_samples[:, i] - mu_ax) / sd_ax, syn_counts),
+                opts.bins,
+            )
             jsd_per_axis[axis] = jsd(*curves)
 
     return AlignmentReport(
@@ -369,11 +430,10 @@ def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, W
         raise DataError(
             f"manifest has {len(subjects)} subjects; split sizes {config.split_sizes} need {sum(config.split_sizes)}"
         )
-    real_windows = _catalog_windows(real_catalog, config.window, config.stride)
-    synthetic_pool = WindowSet.concat(
-        _catalog_windows(catalog_dataset(manifest), config.window, config.stride, ActivityLabel.FALL)
-        for manifest in config.synthetic_manifests
-    )
+    synthetic_entries = [e for manifest in config.synthetic_manifests for e in _falls(catalog_dataset(manifest))]
+    _one_rate([*real_catalog.entries, *synthetic_entries])
+    real_windows = _catalog_windows(real_catalog.entries, config.window, config.stride)
+    synthetic_pool = _catalog_windows(synthetic_entries, config.window, config.stride)
     return subjects, real_windows, synthetic_pool
 
 
@@ -517,11 +577,8 @@ def emit_report(report, fmt: str = "json", out_dir: str | Path = ".") -> list[Pa
 
     payload = _json_text(report.to_dict()).encode("utf-8")
     tag = hashlib.sha256(payload).hexdigest()[:12]
-    path = out_dir / f"alignment_{tag}.json"
-    write_file(path, payload)
-    written = [path]
+    files = [(out_dir / f"alignment_{tag}.json", payload)]
     for name in _CURVES:
-        curve_path = out_dir / f"density_{name}_{tag}.csv"
-        write_file(curve_path, getattr(report, f"{name}_curve").to_csv().encode("utf-8"))
-        written.append(curve_path)
-    return written
+        files.append((out_dir / f"density_{name}_{tag}.csv", getattr(report, f"{name}_curve").to_csv().encode("utf-8")))
+    write_files(files)
+    return [path for path, _ in files]

@@ -9,6 +9,7 @@ writers return bytes.  A JSON manifest lists one recording per entry.
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import math
 import re
@@ -335,13 +336,29 @@ def write_file(path: str | Path, data: bytes) -> None:
         raise DataError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def write_files(files) -> None:
+    """Write each ``(path, data)`` pair in order.  If a write fails, remove
+    the files this call already wrote, then raise that write's DataError, so
+    a failed call leaves no partial set of outputs behind."""
+    written = []
+    try:
+        for path, data in files:
+            write_file(path, data)
+            written.append(Path(path))
+    except DataError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+
+
 def ensure_output_dir(out_dir: str | Path) -> Path:
     """``out_dir`` as a directory, created if missing; DataError if it cannot be."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise DataError(f"cannot create output directory {out_dir}: {exc}") from None
+        raise DataError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
     return out_dir
 
 

@@ -20,6 +20,20 @@ EXACT_KS_LIMIT = 14
 COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
 
 
+def _value_counts(values: np.ndarray, counts=None, what: str = "value") -> np.ndarray:
+    """``counts`` as the int64 number of times each of ``values`` occurs,
+    ones when None; DataError unless they are non-negative integers, one per
+    value."""
+    if counts is None:
+        return np.ones(values.size, dtype=np.int64)
+    counts = np.asarray(counts)
+    if counts.shape != values.shape or not (counts.dtype.kind in "iu" or counts.size == 0):
+        raise DataError(f"{what} counts must be integers, one per value")
+    if np.any(counts < 0):
+        raise DataError(f"{what} counts must be non-negative")
+    return counts.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
@@ -28,21 +42,25 @@ class KsResult:
     m: int
 
 
-def _ecdf_gap(a: np.ndarray, b: np.ndarray) -> float:
+def _ecdf_gap(a: np.ndarray, b: np.ndarray, count_a=None, count_b=None) -> float:
     """sup over thresholds of |ECDF_a - ECDF_b|, evaluated at pooled points.
 
-    One sort of the pooled sample: the running count of ``a`` members at the
-    last index of each run of equal values is ``a``'s count at or below that
-    value.  It does not depend on the order inside a run, so the sort need not
-    be stable.
+    ``count_a`` and ``count_b`` give how many times each value occurs in its
+    sample (once when None).  One sort of the pooled values: the running sum
+    of ``a``'s counts at the last index of each run of equal values is
+    ``a``'s count at or below that value.  It does not depend on the order
+    inside a run, so the sort need not be stable; a value counted 0 times
+    adds a point whose gap repeats the one before it.
     """
     pooled = np.concatenate([a, b])
     order = np.argsort(pooled)
     values = pooled[order]
-    count_a = np.cumsum(order < a.size)
-    count_b = np.arange(1, pooled.size + 1) - count_a
+    counts = np.concatenate([_value_counts(a, count_a), _value_counts(b, count_b)])[order]
+    below_a = np.cumsum(np.where(order < a.size, counts, 0))
+    below_b = np.cumsum(counts) - below_a
     run_end = np.append(values[1:] != values[:-1], True)
-    return float(np.max(np.abs(count_a[run_end] / a.size - count_b[run_end] / b.size)))
+    n, m = below_a[-1], below_b[-1]
+    return float(np.max(np.abs(below_a[run_end] / n - below_b[run_end] / m)))
 
 
 def _kolmogorov_survival(lam: float) -> float:
@@ -62,7 +80,7 @@ def _kolmogorov_survival(lam: float) -> float:
     return min(max(2.0 * total, 0.0), 1.0)
 
 
-def ks_two_sample(a, b, exact: bool = False) -> KsResult:
+def ks_two_sample(a, b, exact: bool = False, counts=None) -> KsResult:
     """Two-sample Kolmogorov-Smirnov test.
 
     D is the maximum gap between the two empirical CDFs.  The default p-value
@@ -71,19 +89,28 @@ def ks_two_sample(a, b, exact: bool = False) -> KsResult:
     size ne = n*m/(n+m).  With ``exact=True`` (n+m <= 14 only) the p-value is
     the fraction of all C(n+m, n) label assignments whose D reaches the
     observed one.
+
+    ``counts``, a pair of integer arrays, says how many times each value of
+    ``a`` and of ``b`` occurs; n and m are their sums.  The result is the one
+    ``np.repeat(a, counts[0])`` against ``np.repeat(b, counts[1])`` gives,
+    bit for bit, so overlapping windows can pass each sample once with the
+    number of windows that hold it.  None counts every value once.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size == 0 or b.size == 0:
+    count_a, count_b = (None, None) if counts is None else counts
+    count_a = _value_counts(a, count_a, "ks_two_sample")
+    count_b = _value_counts(b, count_b, "ks_two_sample")
+    n, m = int(count_a.sum()), int(count_b.sum())
+    if n == 0 or m == 0:
         raise DataError("ks_two_sample requires non-empty samples")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise DataError("ks_two_sample requires finite samples")
-    d = _ecdf_gap(a, b)
-    n, m = a.size, b.size
+    d = _ecdf_gap(a, b, count_a, count_b)
     if exact:
         if n + m > EXACT_KS_LIMIT:
             raise ConfigError(f"exact mode supports n+m <= {EXACT_KS_LIMIT}, got {n + m}")
-        pooled = np.concatenate([a, b])
+        pooled = np.repeat(np.concatenate([a, b]), np.concatenate([count_a, count_b]))
         hits = 0
         total = 0
         for pick in combinations(range(n + m), n):
@@ -139,16 +166,27 @@ class DensityCurve:
         return "\n".join(lines)
 
 
-def histogram_density(values, bins: int = 100, value_range: tuple[float, float] | None = None) -> DensityCurve:
+def histogram_density(
+    values, bins: int = 100, value_range: tuple[float, float] | None = None, counts=None,
+) -> DensityCurve:
     """Histogram density over equal-width bins; out-of-range values land in
-    the edge bins rather than being dropped."""
+    the edge bins rather than being dropped.
+
+    ``counts``, integers one per value, says how many times each value
+    occurs: the curve is the one ``np.repeat(values, counts)`` gives, bit for
+    bit, and a value counted 0 times neither fills a bin nor widens the
+    default range.  None counts every value once.
+    """
     values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
+    counts = _value_counts(values, counts, "histogram_density")
+    total = int(counts.sum())
+    if total == 0:
         raise DataError("histogram_density requires at least one value")
     if bins < 1:
         raise ConfigError("bins must be >= 1")
     if value_range is None:
-        lo, hi = float(values.min()), float(values.max())
+        present = values[counts > 0]
+        lo, hi = float(present.min()), float(present.max())
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
     else:
@@ -156,9 +194,9 @@ def histogram_density(values, bins: int = 100, value_range: tuple[float, float] 
     if not lo < hi:
         raise ConfigError(f"range must satisfy lo < hi, got ({lo}, {hi})")
     clipped = np.clip(values, lo, hi)
-    counts, edges = np.histogram(clipped, bins=bins, range=(lo, hi))
+    hist, edges = np.histogram(clipped, bins=bins, range=(lo, hi), weights=counts)
     width = (hi - lo) / bins
-    densities = counts / (values.size * width)
+    densities = hist / (total * width)
     centers = (edges[:-1] + edges[1:]) / 2.0
     return DensityCurve(bin_centers=centers, densities=densities)
 

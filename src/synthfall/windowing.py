@@ -92,6 +92,25 @@ def slide_windows(series: AccelSeries, width: int = DEFAULT_WINDOW, stride: int 
     )
 
 
+def window_counts(length: int, width: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> np.ndarray:
+    """For each sample of a series of ``length``, the number of the windows
+    ``slide_windows`` cuts from it that contain the sample.
+
+    A sample held by no window, such as the tail past the last window or any
+    sample of a series shorter than the window, counts 0.  The counts sum to
+    the window count times ``width``.
+    """
+    if width < 1 or stride < 1:
+        raise ConfigError("window width and stride must be >= 1")
+    # +1 where a window starts, -1 just past where it ends; starts are
+    # distinct and so are ends, so plain fancy indexing adds each one once.
+    steps = np.zeros(length + 1, dtype=np.int64)
+    starts = np.arange(0, length - width + 1, stride)
+    steps[starts] += 1
+    steps[starts + width] -= 1
+    return np.cumsum(steps[:-1])
+
+
 # ---------------------------------------------------------------------------
 # Standardization
 

@@ -119,10 +119,12 @@ class TestFileErrorsExit3:
     def test_align_output_name_is_a_directory(self, files, capsys, tmp_path):
         argv = ["align", str(files["real"]), str(files["synthetic"]), "--window", "16", "--stride", "8", "--out"]
         assert main(argv + [str(tmp_path / "first")]) == 0
-        (report,) = (tmp_path / "first").glob("alignment_*.json")
-        taken = tmp_path / "second" / report.name
-        taken.mkdir(parents=True)
-        expect_data_error(capsys, argv + [str(tmp_path / "second")], taken)
+        # The report, then each density CSV: a failed write leaves no file behind.
+        for i, written in enumerate(sorted((tmp_path / "first").iterdir(), reverse=True)):
+            taken = tmp_path / f"second{i}" / written.name
+            taken.mkdir(parents=True)
+            expect_data_error(capsys, argv + [str(taken.parent)], taken)
+            assert list(taken.parent.iterdir()) == [taken]
 
     def test_train_output_names_are_directories(self, capsys, tmp_path, fixture_dataset):
         real, syn = fixture_dataset
@@ -138,6 +140,65 @@ class TestFileErrorsExit3:
             taken = tmp_path / name.split(".")[0] / name
             taken.mkdir(parents=True)
             expect_data_error(capsys, argv + [str(taken.parent)], taken)
+            assert list(taken.parent.iterdir()) == [taken]
+
+    @pytest.mark.parametrize("argv", [
+        "align {real} {synthetic} --window 16 --stride 8 --out afile",
+        "report {report} --out afile",
+    ])
+    def test_output_dir_is_a_file(self, files, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("a file")
+        assert main(argv.format(**files).split()) == 3
+        assert capsys.readouterr().err == "error: cannot create output directory afile: File exists\n"
+
+
+def set_rate(manifest, rate, index=None):
+    """Rewrite the manifest's rate_hz: of entry ``index``, or of all entries."""
+    entries = json.loads(manifest.read_text())
+    for i, entry in enumerate(entries):
+        if index is None or i == index:
+            entry["rate_hz"] = rate
+    manifest.write_text(json.dumps(entries))
+
+
+class TestSamplingRates:
+    """Windows of W samples span W / rate seconds, so recordings pooled or
+    compared in one run must share a rate."""
+
+    @pytest.fixture
+    def manifests(self, tmp_path):
+        real = build_dataset(tmp_path, subjects=4, series_len=60, rate_hz=20.0, seed=1)
+        synthetic = build_synthetic_manifest(tmp_path, series=2, series_len=60, rate_hz=20.0, seed=2)
+        return real, synthetic
+
+    @pytest.mark.parametrize("command", ["align", "experiment"])
+    @pytest.mark.parametrize("mixed", ["real_fall", "synthetic", "real_adl"])
+    def test_mixed_rates_exit_3(self, manifests, capsys, tmp_path, command, mixed):
+        real, synthetic = manifests
+        if mixed == "synthetic":
+            set_rate(synthetic, 46.0)
+        else:
+            # Entries alternate ADL, fall per subject.
+            set_rate(real, 46.0, index=3 if mixed == "real_fall" else 2)
+        if command == "align":
+            argv = ["align", str(real), str(synthetic), "--window", "16", "--stride", "8"]
+        else:
+            argv = [
+                "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(synthetic),
+                "--seed", "1", "--window", "16", "--stride", "8", "--split-sizes", "2,1,1",
+                "--iterations", "1", "--hidden-size", "4", "--dense-units", "4", "--max-epochs", "1",
+                "--patience", "1",
+            ]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        if command == "align" and mixed == "real_adl":
+            # Alignment compares falls only.
+            assert code == 0
+        else:
+            assert code == 3
+            assert err.startswith("error: recordings differ in sampling rate")
+            assert "20.0 Hz" in err and "46.0 Hz" in err
 
 
 class TestKinematicsDt:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import build_dataset, build_synthetic_manifest
 from synthfall.classifier import TrainConfig, init_model
 from synthfall.cli import main
+from synthfall import harness
 from synthfall.errors import ConfigError, DataError
 from synthfall.harness import (
     AlignmentOptions,
@@ -27,8 +28,10 @@ from synthfall.harness import (
     run_experiment,
     run_training,
 )
-from synthfall.metrics import DensityCurve, KsResult
-from synthfall.windowing import MixSpec
+from synthfall.ingest import catalog_dataset, load_entry, write_accel_csv
+from synthfall.kinematics import AccelSeries, ActivityLabel
+from synthfall.metrics import DensityCurve, KsResult, coverage, histogram_density, jsd, ks_two_sample
+from synthfall.windowing import MixSpec, slide_windows
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
 
@@ -174,6 +177,97 @@ class TestAlignment:
         other = build_synthetic_manifest(tmp_path, source="gen", series=4, series_len=200)
         with pytest.raises(DataError, match="fall"):
             run_alignment(real, other, AlignmentOptions(window=64, stride=16))
+
+
+def build_uneven_manifest(root, seed=7):
+    """Falls of three lengths under window 64, stride 25: 205 samples (six
+    windows; the last 16 samples are in none, and the final one holds the
+    largest and smallest value of the set), 40 (shorter than the window) and
+    300."""
+    rng = np.random.default_rng(seed)
+    (root / "uneven").mkdir()
+    entries = []
+    for name, length in (("tail", 205), ("short", 40), ("plain", 300)):
+        values = rng.normal(2.0, 0.3, size=(length, 3))
+        if name == "tail":
+            values[-1] = (9.0, -9.0, 9.0)
+        series = AccelSeries(samples=values, sampling_rate=32.0)
+        (root / "uneven" / f"{name}.csv").write_bytes(write_accel_csv(series))
+        entries.append({
+            "subject": name, "activity": "fall", "path": f"uneven/{name}.csv", "rate_hz": 32.0,
+            "placement": "left_wrist", "provenance": "real",
+        })
+    manifest = root / "uneven.json"
+    manifest.write_text(json.dumps(entries))
+    return manifest
+
+
+def replicated_alignment(real_manifest, synthetic_manifest, opts):
+    """The alignment computed from every window's copy of its samples, as
+    the windows ``slide_windows`` cuts hold them."""
+    def windows(manifest):
+        cuts = [
+            slide_windows(load_entry(e), opts.window, opts.stride).values
+            for e in catalog_dataset(manifest).entries if e.activity == ActivityLabel.FALL
+        ]
+        return np.concatenate(cuts)
+
+    def densities(r, s):
+        lo, hi = min(r.min(), s.min()), max(r.max(), s.max())
+        return [histogram_density(v.ravel(), opts.bins, (float(lo), float(hi))) for v in (r, s)]
+
+    def zscore(r, s):
+        mu, sd = r.mean(), max(float(r.std()), 1e-8)
+        return (r - mu) / sd, (s - mu) / sd
+
+    real, syn = windows(real_manifest), windows(synthetic_manifest)
+    r, s = zscore(real, syn)
+    real_curve, syn_curve = densities(r, s)
+    ks = [ks_two_sample(r[:, :, i].ravel(), s[:, :, i].ravel()) for i in range(3)]
+    per_axis = None
+    if opts.per_axis:
+        per_axis = {axis: jsd(*densities(*zscore(real[:, :, i], syn[:, :, i]))) for i, axis in enumerate("xyz")}
+    return AlignmentReport(
+        *ks, jsd=jsd(real_curve, syn_curve),
+        coverage=coverage(r.reshape(len(r), -1), s.reshape(len(s), -1), opts.k),
+        real_curve=real_curve, synthetic_curve=syn_curve, jsd_per_axis=per_axis,
+    )
+
+
+class TestAlignmentFromCountedSamples:
+    @pytest.mark.parametrize("per_axis", [False, True])
+    @pytest.mark.parametrize("uneven_side", ["real", "synthetic"])
+    def test_equals_window_replicated_oracle(self, tmp_path, per_axis, uneven_side):
+        uneven = build_uneven_manifest(tmp_path)
+        other = build_synthetic_manifest(tmp_path, series=4, series_len=180, seed=3)
+        pair = (uneven, other) if uneven_side == "real" else (other, uneven)
+        opts = AlignmentOptions(window=64, stride=25, bins=20, k=2, per_axis=per_axis)
+        report = run_alignment(*pair, opts)
+        expect = replicated_alignment(*pair, opts)
+        assert json.dumps(report.to_dict()) == json.dumps(expect.to_dict())
+        for name in ("real_curve", "synthetic_curve"):
+            assert getattr(report, name).to_csv() == getattr(expect, name).to_csv()
+        # The fixture's premise: the set's extreme is in the series but in no window.
+        tail = load_entry(catalog_dataset(uneven).entries[0])
+        assert tail.samples.max() == 9.0 and slide_windows(tail, 64, 25).values.max() < 9.0
+
+    def test_ks_gets_each_sample_once(self, tmp_path, monkeypatch):
+        real = build_dataset(tmp_path, subjects=4, series_len=200, seed=0)
+        syn = build_synthetic_manifest(tmp_path, series=3, series_len=150, seed=1)
+        samples = sum(
+            len(load_entry(e)) for m in (real, syn) for e in catalog_dataset(m).entries
+            if e.activity == ActivityLabel.FALL
+        )
+        sizes = []
+
+        def counting_ks(a, b, *args, **kwargs):
+            sizes.append(np.size(a) + np.size(b))
+            return ks_two_sample(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "ks_two_sample", counting_ks)
+        report = run_alignment(real, syn, AlignmentOptions(window=64, stride=4, bins=20, k=2))
+        assert len(sizes) == 3 and max(sizes) <= samples
+        assert report.ks_x.n + report.ks_x.m > 10 * samples
 
 
 class TestExperimentConfig:

@@ -58,6 +58,33 @@ def exact_p_oracle(a, b):
     return hits / total
 
 
+# Values with many ties (and signed zeros), each with a count that may be 0.
+_VALUE = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-1e6, 1e6, allow_nan=False)
+COUNTED = st.lists(st.tuples(_VALUE, st.integers(0, 4)), min_size=1, max_size=25).map(
+    lambda pairs: (np.array([v for v, _ in pairs]), np.array([c for _, c in pairs]))
+)
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type of the toolkit error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ConfigError, DataError) as exc:
+        return type(exc)
+
+
+def ks_bits(result):
+    if isinstance(result, type):
+        return result
+    return (result.statistic.hex(), result.p_value.hex(), result.n, result.m)
+
+
+def curve_bits(result):
+    if isinstance(result, type):
+        return result
+    return (result.bin_centers.tobytes(), result.densities.tobytes())
+
+
 class TestKs:
     def test_identical_samples(self):
         res = ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -160,6 +187,29 @@ class TestKs:
             assert 0.0 <= res.statistic <= 1.0
 
 
+    @given(COUNTED, COUNTED, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_repeated_values(self, a, b, exact):
+        (a, ca), (b, cb) = a, b
+        exact = exact and ca.sum() + cb.sum() <= 14
+        counted = outcome(ks_two_sample, a, b, exact, counts=(ca, cb))
+        repeated = outcome(ks_two_sample, np.repeat(a, ca), np.repeat(b, cb), exact)
+        assert ks_bits(counted) == ks_bits(repeated)
+
+    def test_plain_call_counts_each_value_once(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.integers(-3, 4, size=40).astype(float), rng.normal(size=30)
+        ones = (np.ones(40, dtype=int), np.ones(30, dtype=int))
+        assert ks_two_sample(a, b) == ks_two_sample(a, b, counts=ones)
+
+    @pytest.mark.parametrize("counts", [
+        ([1, -1], [1]), ([1.0, 1.0], [1]), ([1], [1]), ([True, True], [1]),
+    ])
+    def test_bad_counts(self, counts):
+        with pytest.raises(DataError, match="counts"):
+            ks_two_sample([0.0, 1.0], [0.5], counts=counts)
+
+
 class TestHistogramDensity:
     def test_single_bin_density(self):
         curve = histogram_density(np.full(10, 0.5), bins=1, value_range=(0.0, 1.0))
@@ -195,6 +245,25 @@ class TestHistogramDensity:
         lines = curve.to_csv().splitlines()
         assert lines[0] == "center;density"
         assert len(lines) == 3
+
+
+    @given(COUNTED, st.integers(1, 12), st.none() | st.tuples(st.floats(-5, 0), st.floats(0.5, 5)))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_repeated_values(self, counted, bins, value_range):
+        values, counts = counted
+        got = outcome(histogram_density, values, bins, value_range, counts=counts)
+        expect = outcome(histogram_density, np.repeat(values, counts), bins, value_range)
+        assert curve_bits(got) == curve_bits(expect)
+
+    def test_uncounted_value_does_not_widen_range(self):
+        curve = histogram_density([0.0, 1.0, 100.0], bins=2, counts=[3, 1, 0])
+        assert curve_bits(curve) == curve_bits(histogram_density([0.0, 0.0, 0.0, 1.0], bins=2))
+
+    def test_bad_counts(self):
+        with pytest.raises(DataError, match="counts"):
+            histogram_density([0.0, 1.0], bins=2, counts=[1])
+        with pytest.raises(DataError, match="at least one"):
+            histogram_density([0.0, 1.0], bins=2, counts=[0, 0])
 
 
 class TestJsd:

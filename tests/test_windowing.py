@@ -13,6 +13,7 @@ from synthfall.windowing import (
     fit_scaler,
     slide_windows,
     split_subjects,
+    window_counts,
 )
 
 
@@ -108,6 +109,33 @@ class TestSlideWindows:
         series = make_accel(n)
         expected = (n - width) // stride + 1 if n >= width else 0
         assert len(slide_windows(series, width, stride)) == expected
+
+
+class TestWindowCounts:
+    @given(
+        n=st.integers(min_value=1, max_value=400),
+        width=st.integers(min_value=1, max_value=150),
+        stride=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_counts_how_often_slide_windows_holds_each_sample(self, n, width, stride):
+        # Each sample's x value is its index, so the windows' x values list
+        # every index once per window that holds it.
+        samples = np.zeros((n, 3))
+        samples[:, 0] = np.arange(n)
+        windows = slide_windows(AccelSeries(samples=samples, sampling_rate=32.0), width, stride)
+        held = np.bincount(windows.values[:, :, 0].ravel().astype(int), minlength=n)
+        assert np.array_equal(window_counts(n, width, stride), held)
+
+    def test_uncovered_tail_and_short_series(self):
+        assert window_counts(7, 4, 2).tolist() == [1, 1, 2, 2, 1, 1, 0]
+        assert window_counts(3, 4, 2).tolist() == [0, 0, 0]
+
+    def test_invalid_params(self):
+        with pytest.raises(ConfigError):
+            window_counts(10, 0, 1)
+        with pytest.raises(ConfigError):
+            window_counts(10, 4, 0)
 
 
 class TestScaler:
