@@ -203,17 +203,22 @@ def _lstm(model: ModelParams, batch: np.ndarray, keep_history: bool):
     return h[-1], history
 
 
-def _forward(model: ModelParams, batch: np.ndarray, train_mode: bool, keep_history: bool = False):
-    """Run the network, returning clipped probabilities plus the backprop cache."""
+def _forward(model: ModelParams, batch: np.ndarray, train: bool):
+    """Run the network, returning clipped probabilities plus the backprop cache.
+
+    ``train`` normalizes with the batch's statistics and keeps the LSTM
+    history BPTT reads; otherwise the stored running statistics normalize and
+    no history is kept.
+    """
     m = model
     dtype = m.dtype
-    h_t, history = _lstm(m, batch, keep_history)
+    h_t, history = _lstm(m, batch, train)
     _check_finite("lstm", h_t)
 
     z1 = h_t @ m.dense1_w.T + m.dense1_b
     _check_finite("dense1", z1)
     r = np.maximum(z1, 0)
-    if train_mode:
+    if train:
         mu = r.mean(axis=0)
         var = r.var(axis=0)
     else:
@@ -231,36 +236,22 @@ def _forward(model: ModelParams, batch: np.ndarray, train_mode: bool, keep_histo
     p = np.clip(p_raw, lo, hi)
     cache = {
         "history": history, "h_last": h_t, "z1": z1, "r": r,
-        "mu": mu, "var": var, "inv_std": inv_std, "x_hat": x_hat,
+        "mu": mu, "var": var, "inv_std": inv_std, "x_hat": x_hat, "y_bn": y_bn,
         "p_raw": p_raw, "p": p, "clip_lo": lo, "clip_hi": hi,
     }
     return p, cache
 
 
-def forward(model: ModelParams, batch, mode: str = "eval") -> np.ndarray:
-    """Probabilities in (0, 1) for a batch of windows.
+def forward(model: ModelParams, batch) -> np.ndarray:
+    """Eval-mode probabilities in (0, 1) for a batch of windows.
 
-    ``train`` mode normalizes with batch statistics and updates the running
-    BN statistics in place; ``eval`` mode uses the stored running statistics,
-    is a pure function of (model, input) and runs in near-equal batches of at
-    most ``EVAL_BATCH`` windows.  Neither keeps the per-step history that
-    backpropagation needs.
+    Normalizes with the stored running BN statistics, so it is a pure
+    function of (model, input); keeps no BPTT history and runs in near-equal
+    batches of at most ``EVAL_BATCH`` windows.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     arr = _as_batch(batch, model.dtype)
-    if mode == "train":
-        p, cache = _forward(model, arr, train_mode=True)
-        _update_running_stats(model, cache)
-        return p
     chunks = np.array_split(arr, -(-len(arr) // EVAL_BATCH))
-    return np.concatenate([_forward(model, chunk, train_mode=False)[0] for chunk in chunks])
-
-
-def _update_running_stats(model: ModelParams, cache: dict) -> None:
-    mom = np.asarray(BN_MOMENTUM, dtype=model.dtype)
-    model.bn_mean[:] = mom * model.bn_mean + (1 - mom) * cache["mu"]
-    model.bn_var[:] = mom * model.bn_var + (1 - mom) * cache["var"]
+    return np.concatenate([_forward(model, chunk, train=False)[0] for chunk in chunks])
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -284,8 +275,10 @@ def loss_and_gradients(model: ModelParams, batch, labels):
         raise DataError("labels must be 0 or 1")
     y = y.astype(model.dtype)
 
-    p, cache = _forward(model, arr, train_mode=True, keep_history=True)
-    _update_running_stats(model, cache)
+    p, cache = _forward(model, arr, train=True)
+    mom = np.asarray(BN_MOMENTUM, dtype=model.dtype)
+    model.bn_mean[:] = mom * model.bn_mean + (1 - mom) * cache["mu"]
+    model.bn_var[:] = mom * model.bn_var + (1 - mom) * cache["var"]
     loss = _bce(p, y)
 
     m = model
@@ -299,8 +292,7 @@ def loss_and_gradients(model: ModelParams, batch, labels):
     dp = (p - y) / (p * (1.0 - p)) / np.asarray(b, dtype=dtype)
     dz2 = dp * inside * p_raw * (1.0 - p_raw)
 
-    y_bn = m.bn_gamma * cache["x_hat"] + m.bn_beta
-    g_dense2_w = dz2[None, :] @ y_bn
+    g_dense2_w = dz2[None, :] @ cache["y_bn"]
     g_dense2_b = dz2.sum(keepdims=True).astype(dtype)
     dy_bn = dz2[:, None] @ m.dense2_w
 
@@ -366,7 +358,6 @@ class TrainConfig:
     patience: int = 50
     batch_size: int = 64
     shuffle: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -402,8 +393,9 @@ def _labels_of(windows) -> np.ndarray:
     raise DataError("expected a non-empty WindowSet")
 
 
-def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):
-    """Adam minibatch training with early stopping on validation loss.
+def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, seed: int = 0):
+    """Adam minibatch training with early stopping on validation loss;
+    ``seed`` drives the epoch shuffles.
 
     Returns (best_model, history): the parameters from the epoch with the
     lowest validation loss, and per-epoch losses/F1.  Stops after ``patience``
@@ -417,7 +409,7 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):
     y_val = _labels_of(val_windows)
 
     n = x_train.shape[0]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     # Adam's moments over the trainable prefix of the flat parameter buffer.
     theta = model.flat[: model.n_trainable]
     adam_m = np.zeros_like(theta)
@@ -453,7 +445,7 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig):
         history.train_loss.append(total / n)
 
         try:
-            val_probs = forward(model, x_val, mode="eval")
+            val_probs = forward(model, x_val)
         except NumericError as exc:
             raise exc.within(f"epoch {epoch}", "validation") from exc
         val_loss = _bce(val_probs, y_val)
@@ -479,7 +471,7 @@ def evaluate(model: ModelParams, test_windows, threshold: float = 0.5) -> Classi
     """Eval-mode forward over the test windows, scored against their labels."""
     if not test_windows:
         raise DataError("test set must be non-empty")
-    probs = forward(model, test_windows, mode="eval")
+    probs = forward(model, test_windows)
     return classification_metrics(probs, _labels_of(test_windows), threshold)
 
 

@@ -17,10 +17,9 @@ import sys
 from dataclasses import fields
 
 from . import ingest
-from .classifier import checkpoint_bytes
+from .classifier import TrainConfig, checkpoint_bytes
 from .errors import ConfigError, DataError, ToolkitError
 from .harness import (
-    TRAIN_FIELDS,
     AlignmentOptions,
     ExperimentConfig,
     emit_report,
@@ -88,7 +87,7 @@ def _build_experiment_config(args) -> ExperimentConfig:
     for f in fields(ExperimentConfig):
         if flags.get(f.name) is not None:
             base[f.name] = flags[f.name]
-    train_flags = {name: flags[name] for name in TRAIN_FIELDS if flags.get(name) is not None}
+    train_flags = {f.name: flags[f.name] for f in fields(TrainConfig) if flags.get(f.name) is not None}
     if args.no_shuffle:
         train_flags["shuffle"] = False
     train_cfg = base.get("train", {})

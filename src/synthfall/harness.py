@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -69,9 +70,11 @@ def derive_seed(master_seed: int, index: int, role: str) -> int:
 def _one_rate(entries: list) -> None:
     """DataError, naming both rates, unless every entry was recorded at the
     first one's sampling rate: a window of W samples spans W / rate seconds,
-    so windows of different rates cannot be pooled or compared."""
+    so windows of different rates cannot be pooled or compared.  Rates equal
+    to a relative 1e-9 match, as a rate read back as 1 / (1 / r) may differ
+    from r in its last bit."""
     for entry in entries[1:]:
-        if entry.sampling_rate != entries[0].sampling_rate:
+        if not math.isclose(entry.sampling_rate, entries[0].sampling_rate, rel_tol=1e-9):
             raise DataError(
                 f"recordings differ in sampling rate: {entries[0].path} at {entries[0].sampling_rate!r} Hz, "
                 f"{entry.path} at {entry.sampling_rate!r} Hz"
@@ -218,12 +221,6 @@ def _json_text(d: dict) -> str:
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
-# Train settings a config carries.  train.seed is left out: per-iteration
-# training seeds derive from the master seed, so the nested value never
-# takes effect.
-TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     real_manifest: str
@@ -256,7 +253,7 @@ class ExperimentConfig:
             synthetic_manifests=list(self.synthetic_manifests),
             mix=list(self.mix.as_tuple()),
             split_sizes=list(self.split_sizes),
-            train={name: getattr(self.train, name) for name in TRAIN_FIELDS},
+            train=asdict(self.train),
         )
         return out
 
@@ -267,7 +264,6 @@ class ExperimentConfig:
         # JSON spells the mix as its three fractions and train as an object.
         d = _checked(cls, d, "config", ConfigError, mix=tuple[float, float, float], train=dict)
         train = _checked(TrainConfig, d.get("train", {}), "train config", ConfigError)
-        train.pop("seed", None)
         kwargs = dict(d, train=TrainConfig(**train))
         if "mix" in d:
             kwargs["mix"] = MixSpec(*d["mix"])
@@ -468,9 +464,8 @@ def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
         hidden_size=config.hidden_size,
         dense_units=config.dense_units,
     )
-    train_cfg = replace(config.train, seed=derive_seed(config.seed, i, "train"))
     try:
-        best, history = train(model, train_w, val_w, train_cfg)
+        best, history = train(model, train_w, val_w, config.train, seed=derive_seed(config.seed, i, "train"))
         scores = evaluate(best, test_w, config.threshold)
     except NumericError as exc:
         raise exc.within(f"iteration {i}") from exc

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import errno
 import json
 import math
 import re
+import stat
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from itertools import repeat
@@ -277,6 +279,8 @@ def generate_prompt_variants(catalog: PromptCatalog, variants) -> list[str]:
 # Files, checked JSON and dataset manifests
 
 _ACTIVITY_FROM_STR = {"adl": ActivityLabel.ADL, "fall": ActivityLabel.FALL}
+# Errors for which ``Path.is_file`` answers False rather than raising.
+_NOT_FOUND_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
 
 _MANIFEST_ENTRY = {
     "subject": str,
@@ -448,7 +452,7 @@ def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
         raise DataError("manifest must be a JSON array of entries")
     root = manifest_path.parent
     entries: list[CatalogEntry] = []
-    seen_paths: set[Path] = set()
+    seen: dict[tuple[int, int], tuple[int, Path]] = {}
     for i, item in enumerate(raw):
         where = f"manifest entry {i}"
         item = _checked(_MANIFEST_ENTRY, item, where, DataError)
@@ -459,15 +463,23 @@ def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
         path = Path(item["path"])
         if not path.is_absolute():
             path = root / path
-        if path in seen_paths:
-            raise DataError(f"{where}: duplicate file entry {path}")
-        seen_paths.add(path)
         try:
-            found = path.is_file()
-        except OSError as exc:  # e.g. a name too long for the file system
-            raise DataError(f"{where}: cannot read {path}: {exc.strerror}") from None
+            st = path.stat()
+            found = stat.S_ISREG(st.st_mode)
+        except ValueError:  # a NUL byte in the path
+            found = False
+        except OSError as exc:
+            if exc.errno not in _NOT_FOUND_ERRNOS:  # e.g. a name too long for the file system
+                raise DataError(f"{where}: cannot read {path}: {exc.strerror}") from None
+            found = False
         if not found:
             raise DataError(f"{where}: file not found: {path}")
+        # A file spelled two ways (``..``, a symlink, a hard link) has one identity.
+        key = (st.st_dev, st.st_ino)
+        if key in seen:
+            j, first = seen[key]
+            raise DataError(f"{where}: duplicate file entry {path}, the file of manifest entry {j} ({first})")
+        seen[key] = (i, path)
         entries.append(
             CatalogEntry(
                 subject_id=item["subject"],

@@ -142,19 +142,14 @@ def differentiate_to_accel(
     pos: PositionSeries,
     *,
     central_second_difference: bool = False,
-    label: ActivityLabel = ActivityLabel.FALL,
-    provenance: Provenance = Provenance.SYNTHETIC,
     subject_id: str | None = None,
 ) -> AccelSeries:
-    """Differentiate a position track into an accelerometer series.
+    """Differentiate a position track into a synthetic fall accelerometer series.
 
     Default scheme: a(f) = (p(f+1) - p(f)) / dt^2, yielding F-1 samples; each
     axis is computed independently.  With ``central_second_difference`` the
     scheme is (p(f+1) - 2 p(f) + p(f-1)) / dt^2, yielding F-2 samples; this
     variant exists for sensitivity studies only.
-
-    Motion-derived series default to synthetic fall metadata; override
-    ``label``/``provenance`` for other uses.
     """
     p = pos.samples
     dt2 = pos.dt * pos.dt
@@ -163,13 +158,11 @@ def differentiate_to_accel(
             raise DataError("central second difference needs at least 3 frames")
         accel = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / dt2
     else:
-        if pos.frames < 2:
-            raise DataError("differentiation needs at least 2 frames")
         accel = (p[1:] - p[:-1]) / dt2
     return AccelSeries(
         samples=accel,
         sampling_rate=1.0 / pos.dt,
-        label=label,
-        provenance=provenance,
+        label=ActivityLabel.FALL,
+        provenance=Provenance.SYNTHETIC,
         subject_id=subject_id,
     )

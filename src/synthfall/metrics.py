@@ -184,6 +184,8 @@ def histogram_density(
         raise DataError("histogram_density requires at least one value")
     if bins < 1:
         raise ConfigError("bins must be >= 1")
+    if not np.all(np.isfinite(values)):
+        raise DataError("histogram_density requires finite values")
     if value_range is None:
         present = values[counts > 0]
         lo, hi = float(present.min()), float(present.max())

@@ -14,6 +14,7 @@ from synthfall.classifier import (
     TrainConfig,
     TrainHistory,
     _forward,
+    _lstm,
     _sigmoid,
     evaluate,
     forward,
@@ -41,6 +42,11 @@ def toy_windows(n_per_class, width=16, offset=2.0, seed=0, scale=0.3):
         subjects=[f"s{label}{i}" for label in (0, 1) for i in range(n_per_class)],
         synthetic=np.zeros(2 * n_per_class, dtype=bool),
     )
+
+
+def move_running_stats(model, windows):
+    """One train-mode pass, which moves the BN running statistics."""
+    loss_and_gradients(model, windows, windows.labels)
 
 
 def stable_sigmoid(x):
@@ -100,12 +106,12 @@ def v2_checkpoint_bytes(model, window_len):
     return b"".join(out)
 
 
-def reference_adam_epochs(model, windows, config):
+def reference_adam_epochs(model, windows, config, seed):
     """Textbook Adam with one (m, v) pair per tensor, on the batches ``train``
-    draws; returns a copy of the parameters after each epoch."""
+    draws with ``seed``; returns a copy of the parameters after each epoch."""
     x = windows.values.astype(model.dtype)
     y = windows.labels
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     moments = {name: (np.zeros_like(t), np.zeros_like(t)) for name, t in model.trainable().items()}
     lr = np.asarray(config.learning_rate, dtype=model.dtype)
     step = 0
@@ -228,7 +234,7 @@ class TestForward:
 
     def test_eval_mode_duplicates_identical(self):
         model = init_model(1, hidden_size=8, dense_units=8)
-        probs = forward(model, toy_windows(2).take([0, 0]), mode="eval")
+        probs = forward(model, toy_windows(2).take([0, 0]))
         assert probs[0] == probs[1]
 
     def test_zero_head_gives_half(self):
@@ -242,13 +248,13 @@ class TestForward:
         model = init_model(3, hidden_size=8, dense_units=8)
         batch = toy_windows(3)
         before = model.bn_mean.copy()
-        forward(model, batch, mode="eval")
+        forward(model, batch)
         assert np.array_equal(model.bn_mean, before)
 
     def test_train_mode_updates_running_stats(self):
         model = init_model(3, hidden_size=8, dense_units=8)
         before = model.bn_var.copy()
-        forward(model, toy_windows(4), mode="train")
+        move_running_stats(model, toy_windows(4))
         assert not np.array_equal(model.bn_var, before)
 
     def test_non_finite_input_raises_numeric_error(self):
@@ -258,25 +264,20 @@ class TestForward:
         with pytest.raises(NumericError, match="lstm"):
             forward(model, bad)
 
-    def test_bad_mode(self):
-        model = init_model(0, hidden_size=4, dense_units=4)
-        with pytest.raises(ConfigError):
-            forward(model, toy_windows(1), mode="predict")
-
     def test_matches_per_gate_reference(self):
         model = init_model(17, hidden_size=7, dense_units=5, dtype=np.float64)
-        forward(model, toy_windows(6, seed=18), mode="train")  # move running stats
+        move_running_stats(model, toy_windows(6, seed=18))
         batch = np.random.default_rng(19).normal(size=(9, 20, 3))
-        probs = forward(model, batch, mode="eval")
+        probs = forward(model, batch)
         np.testing.assert_allclose(probs, reference_forward(model, batch), rtol=0, atol=1e-12)
 
     def test_eval_equals_history_keeping_pass(self):
         model = init_model(20, hidden_size=8, dense_units=8)
         batch = toy_windows(5, seed=21).values.astype(np.float32)
-        p_eval = forward(model, batch, mode="eval")
-        p_hist, cache = _forward(model, batch, train_mode=False, keep_history=True)
-        assert cache["history"] is not None
-        assert np.array_equal(p_eval, p_hist)
+        h_eval, no_history = _lstm(model, batch, False)
+        h_hist, history = _lstm(model, batch, True)
+        assert no_history is None and history is not None
+        assert np.array_equal(h_eval, h_hist)
 
     def test_eval_keeps_no_bptt_history(self):
         b, w, hid = 100, 64, 32
@@ -293,7 +294,7 @@ class TestForward:
             finally:
                 tracemalloc.stop()
 
-        eval_peak = peak(lambda: forward(model, batch, mode="eval"))
+        eval_peak = peak(lambda: forward(model, batch))
         train_peak = peak(lambda: loss_and_gradients(train_model, batch, labels))
         # h and c of shape (W+1, B, H) plus tanh(c) of shape (W, B, H).
         history = (3 * w + 2) * b * hid * np.dtype(np.float32).itemsize
@@ -303,10 +304,10 @@ class TestForward:
     @pytest.mark.parametrize("dtype, hidden", [(np.float32, 8), (np.float64, 8), (np.float32, 64)])
     def test_eval_batches_equal_whole_set_pass(self, dtype, hidden):
         model = init_model(30, hidden_size=hidden, dense_units=8, dtype=dtype)
-        forward(model, toy_windows(6, seed=31), mode="train")  # move running stats
+        move_running_stats(model, toy_windows(6, seed=31))
         batch = np.random.default_rng(32).normal(size=(4 * EVAL_BATCH + 1, 16, 3)).astype(dtype)
-        whole, _ = _forward(model, batch, train_mode=False)
-        assert np.array_equal(forward(model, batch, mode="eval"), whole)
+        whole, _ = _forward(model, batch, train=False)
+        assert np.array_equal(forward(model, batch), whole)
 
     def test_eval_memory_bounded_by_batch(self):
         w, hid = 16, 16
@@ -316,7 +317,7 @@ class TestForward:
         def peak(arr):
             tracemalloc.start()
             try:
-                forward(model, arr, mode="eval")
+                forward(model, arr)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -406,30 +407,30 @@ class TestTrain:
         train_w = toy_windows(60, seed=0)
         val_w = toy_windows(20, seed=1)
         assert stump_f1(train_w) >= 0.95  # separability oracle
-        config = TrainConfig(max_epochs=60, patience=10, batch_size=32, seed=2)
+        config = TrainConfig(max_epochs=60, patience=10, batch_size=32)
         model = init_model(7, hidden_size=16, dense_units=16)
-        best, history = train(model, train_w, val_w, config)
+        best, history = train(model, train_w, val_w, config, seed=2)
         assert max(history.val_f1) >= 0.95
         assert history.epochs() <= 60
 
     def test_memorizes_training_set(self):
         windows = toy_windows(40, seed=3)
-        config = TrainConfig(max_epochs=60, patience=15, batch_size=32, seed=4)
-        best, _ = train(init_model(8, hidden_size=16, dense_units=16), windows, windows, config)
+        config = TrainConfig(max_epochs=60, patience=15, batch_size=32)
+        best, _ = train(init_model(8, hidden_size=16, dense_units=16), windows, windows, config, seed=4)
         assert evaluate(best, windows).f1 >= 0.95
 
     def test_loss_decreases_on_first_epochs(self):
         windows = toy_windows(60, seed=5)
-        config = TrainConfig(learning_rate=0.001, max_epochs=5, patience=5, batch_size=32, seed=6)
-        _, history = train(init_model(9, hidden_size=16, dense_units=16), windows, windows, config)
+        config = TrainConfig(learning_rate=0.001, max_epochs=5, patience=5, batch_size=32)
+        _, history = train(init_model(9, hidden_size=16, dense_units=16), windows, windows, config, seed=6)
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_deterministic_history(self):
         train_w = toy_windows(20, seed=7)
         val_w = toy_windows(8, seed=8)
-        config = TrainConfig(max_epochs=8, patience=8, batch_size=16, seed=9)
-        _, h1 = train(init_model(10, hidden_size=8, dense_units=8), train_w, val_w, config)
-        _, h2 = train(init_model(10, hidden_size=8, dense_units=8), train_w, val_w, config)
+        config = TrainConfig(max_epochs=8, patience=8, batch_size=16)
+        _, h1 = train(init_model(10, hidden_size=8, dense_units=8), train_w, val_w, config, seed=9)
+        _, h2 = train(init_model(10, hidden_size=8, dense_units=8), train_w, val_w, config, seed=9)
         assert h1.train_loss == h2.train_loss
         assert h1.val_loss == h2.val_loss
         assert h1.val_f1 == h2.val_f1
@@ -442,8 +443,8 @@ class TestTrain:
         model = init_model(11, hidden_size=8, dense_units=8)
         model.dense2_w[:] = 0.0
         model.dense2_b[:] = 0.0
-        config = TrainConfig(learning_rate=1e-30, max_epochs=50, patience=7, batch_size=32, seed=11)
-        _, history = train(model, windows, windows, config)
+        config = TrainConfig(learning_rate=1e-30, max_epochs=50, patience=7, batch_size=32)
+        _, history = train(model, windows, windows, config, seed=11)
         assert history.stop_reason == "early_stop"
         assert history.epochs() == config.patience + 1
         assert history.val_loss[0] == pytest.approx(math.log(2.0), abs=1e-6)
@@ -451,9 +452,9 @@ class TestTrain:
     def test_best_model_restored(self):
         train_w = toy_windows(30, seed=12)
         val_w = toy_windows(10, seed=13)
-        config = TrainConfig(max_epochs=30, patience=30, batch_size=16, seed=14)
-        best, history = train(init_model(12, hidden_size=8, dense_units=8), train_w, val_w, config)
-        probs = forward(best, val_w, mode="eval")
+        config = TrainConfig(max_epochs=30, patience=30, batch_size=16)
+        best, history = train(init_model(12, hidden_size=8, dense_units=8), train_w, val_w, config, seed=14)
+        probs = forward(best, val_w)
         labels = val_w.labels
         p = probs.astype(np.float64)
         val_loss = float(-np.mean(labels * np.log(p) + (1 - labels) * np.log1p(-p)))
@@ -462,28 +463,28 @@ class TestTrain:
     def test_flat_adam_matches_per_tensor_adam(self):
         model = init_model(35, hidden_size=6, dense_units=5)
         windows = toy_windows(10, width=12, seed=35)
-        config = TrainConfig(max_epochs=6, patience=6, batch_size=8, seed=36)
-        best, history = train(model.copy(), windows, toy_windows(3, width=12, seed=37), config)
-        snapshots = reference_adam_epochs(model.copy(), windows, config)
+        config = TrainConfig(max_epochs=6, patience=6, batch_size=8)
+        best, history = train(model.copy(), windows, toy_windows(3, width=12, seed=37), config, seed=36)
+        snapshots = reference_adam_epochs(model.copy(), windows, config, seed=36)
         assert np.array_equal(best.flat, snapshots[history.best_epoch].flat)
 
     def test_training_a_copy_leaves_the_original(self):
         model = init_model(38, hidden_size=6, dense_units=5)
         before = model.flat.copy()
-        config = TrainConfig(max_epochs=2, patience=2, batch_size=8, seed=0)
+        config = TrainConfig(max_epochs=2, patience=2, batch_size=8)
         best, _ = train(model.copy(), toy_windows(6, width=12), toy_windows(2, width=12), config)
         assert np.array_equal(model.flat, before)
         assert not np.array_equal(best.flat, before)
 
     def test_empty_sets_rejected(self):
-        config = TrainConfig(max_epochs=2, patience=1, seed=0)
+        config = TrainConfig(max_epochs=2, patience=1)
         with pytest.raises(DataError):
             train(init_model(0, hidden_size=4, dense_units=4), toy_windows(0), toy_windows(2), config)
 
     def test_non_finite_weights_name_epoch_and_batch(self):
         model = init_model(15, hidden_size=8, dense_units=8)
         model.w_h[0, 0] = np.inf
-        config = TrainConfig(max_epochs=2, patience=1, batch_size=8, seed=0)
+        config = TrainConfig(max_epochs=2, patience=1, batch_size=8)
         with np.errstate(invalid="ignore"), pytest.raises(
             NumericError, match=r"^non-finite values in lstm \(epoch 0, batch 0\)$"
         ) as info:
@@ -518,7 +519,7 @@ class TestEvaluate:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = init_model(15, hidden_size=8, dense_units=8)
-        forward(model, toy_windows(4), mode="train")  # move running stats
+        move_running_stats(model, toy_windows(4))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, window_len=16)
         loaded, window_len = load_checkpoint(path)
@@ -544,7 +545,7 @@ class TestCheckpoint:
     def test_reads_v1_per_gate_checkpoint(self, tmp_path):
         for dtype in (np.float32, np.float64):
             model = init_model(23, hidden_size=6, dense_units=5, dtype=dtype)
-            forward(model, toy_windows(4), mode="train")  # move running stats
+            move_running_stats(model, toy_windows(4))
             path = tmp_path / "v1.ckpt"
             path.write_bytes(v1_checkpoint_bytes(model, window_len=16))
             loaded, window_len = load_checkpoint(path)
@@ -561,7 +562,7 @@ class TestCheckpoint:
     def test_v2_bytes_match_reference_writer(self, tmp_path):
         for dtype in (np.float32, np.float64):
             model = init_model(39, hidden_size=6, dense_units=5, input_dim=2, dtype=dtype)
-            forward(model, np.random.default_rng(39).normal(size=(4, 9, 2)), mode="train")
+            loss_and_gradients(model, np.random.default_rng(39).normal(size=(4, 9, 2)), [0, 1, 0, 1])
             assert not np.all(model.bn_var == 1.0)
             path = tmp_path / "v2.ckpt"
             save_checkpoint(model, path, window_len=9)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import MANIFEST_ENTRY, NPY_HEADER, build_dataset, build_synthetic_manifest, npy_with_header
 from synthfall.cli import main
 from synthfall.harness import ExperimentReport, IterationResult
+from synthfall.kinematics import JointTrajectory, SensorPlacement, differentiate_to_accel, extract_joint
 
 NON_UTF8 = b"\xff\xfe not utf-8 \xc3\x28"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -199,6 +200,17 @@ class TestSamplingRates:
             assert code == 3
             assert err.startswith("error: recordings differ in sampling rate")
             assert "20.0 Hz" in err and "46.0 Hz" in err
+
+
+    def test_rate_of_a_converted_motion_aligns(self, tmp_path, capsys):
+        # A converted series' rate is 1 / (1 / frame_rate), 49.00000000000001 here.
+        traj = JointTrajectory(np.zeros((3, 22, 3)), frame_rate=49.0)
+        rate = differentiate_to_accel(extract_joint(traj, SensorPlacement.LEFT_WRIST)).sampling_rate
+        assert rate != 49.0
+        real = build_dataset(tmp_path, subjects=4, series_len=60, rate_hz=49.0, seed=1)
+        synthetic = build_synthetic_manifest(tmp_path, series=2, series_len=60, rate_hz=rate, seed=2)
+        argv = ["align", str(real), str(synthetic), "--window", "16", "--stride", "8"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 class TestKinematicsDt:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import build_dataset, build_synthetic_manifest
 from synthfall.classifier import TrainConfig, init_model
-from synthfall.cli import main
+from synthfall.cli import build_parser, main
 from synthfall import harness
 from synthfall.errors import ConfigError, DataError
 from synthfall.harness import (
@@ -722,6 +722,25 @@ class TestCli:
         code = main(["experiment", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o"), *flags])
         assert code == 2
         assert "error: config field" in capsys.readouterr().err
+
+    def test_train_seed_in_config_exit_2(self, tmp_path, capsys, fixture_dataset):
+        # Per-iteration training seeds derive from --seed; a nested one is refused, not ignored.
+        real, _ = fixture_dataset
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "real_manifest": str(real), "window": 64, "stride": 16, "iterations": 1,
+            "hidden_size": 4, "dense_units": 4, "train": {"max_epochs": 1, "patience": 1, "seed": 3},
+        }))
+        code = main(["experiment", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "error: unknown train config fields: ['seed']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "experiment", "ablate-quantity"])
+    def test_every_config_field_is_a_flag(self, command):
+        dests = set(vars(build_parser().parse_args([command, "--seed", "1"])))
+        expected = {f.name for f in fields(ExperimentConfig) if f.name != "train"}
+        expected |= {"no_shuffle" if f.name == "shuffle" else f.name for f in fields(TrainConfig)}
+        assert expected <= dests, sorted(expected - dests)
 
     def test_windows_command_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

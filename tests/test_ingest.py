@@ -451,10 +451,38 @@ class TestCatalog:
         with pytest.raises(DataError, match="not found"):
             catalog_dataset(self.write_manifest(tmp_path, entries))
 
+    @pytest.mark.parametrize("path", ["sub", "a.csv/x", "loop.csv"])
+    def test_not_a_regular_file_is_not_found(self, tmp_path, path):
+        # A directory, a path through a file, a symlink loop: as Path.is_file judges them.
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "loop.csv").symlink_to("loop.csv")
+        e = dict(self.entry(tmp_path), path=path)
+        with pytest.raises(DataError, match=f"^manifest entry 0: file not found: {re.escape(str(tmp_path / path))}$"):
+            catalog_dataset(self.write_manifest(tmp_path, [e]))
+
     def test_duplicate_path(self, tmp_path):
         e = self.entry(tmp_path)
         with pytest.raises(DataError, match="duplicate"):
             catalog_dataset(self.write_manifest(tmp_path, [e, dict(e, subject="s2")]))
+
+    @pytest.mark.parametrize("spelling", ["dotdot", "symlink", "hardlink"])
+    def test_one_file_under_two_spellings(self, tmp_path, spelling):
+        (tmp_path / "real").mkdir()
+        e = self.entry(tmp_path, name="real/x.csv")
+        if spelling == "dotdot":
+            other = "real/../real/x.csv"
+        else:
+            other = "real/y.csv"
+            if spelling == "symlink":
+                (tmp_path / other).symlink_to("x.csv")
+            else:
+                (tmp_path / other).hardlink_to(tmp_path / "real/x.csv")
+        manifest = self.write_manifest(tmp_path, [e, dict(e, subject="s2", path=other)])
+        with pytest.raises(DataError, match=re.escape(
+            f"manifest entry 1: duplicate file entry {tmp_path / other}, "
+            f"the file of manifest entry 0 ({tmp_path / 'real/x.csv'})"
+        )):
+            catalog_dataset(manifest)
 
     def test_bad_rate(self, tmp_path):
         e = self.entry(tmp_path, rate=0.0)

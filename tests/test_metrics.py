@@ -240,6 +240,12 @@ class TestHistogramDensity:
         with pytest.raises(DataError):
             histogram_density([], bins=4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value_range", [None, (0.0, 1.0)])
+    def test_non_finite_values(self, bad, value_range):
+        with pytest.raises(DataError, match="^histogram_density requires finite values$"):
+            histogram_density([bad, 1.0, 0.0], bins=2, value_range=value_range)
+
     def test_csv_format(self):
         curve = histogram_density([0.25, 0.75], bins=2, value_range=(0.0, 1.0))
         lines = curve.to_csv().splitlines()
