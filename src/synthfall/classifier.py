@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .ingest import read_file, write_file
+from .ingest import read_file
 from .metrics import ClassificationMetrics, classification_metrics
 from .windowing import WindowSet
 
@@ -36,8 +36,8 @@ ADAM_EPS = 1e-8
 # (input, forget, output) fill columns [0, 3H) of a step's gate activations,
 # the tanh cell candidate g fills [3H, 4H).
 GATE_ORDER = ("i", "f", "o", "g")
-# Checkpoint v1 and the seeded init draw the blocks in (i, f, c, o) order, c
-# being the cell candidate; this permutation takes that order to GATE_ORDER.
+# The seeded init draws the blocks in (i, f, c, o) order, c being the cell
+# candidate; this permutation takes that order to GATE_ORDER.
 _FROM_IFCO = (0, 1, 3, 2)
 # Most windows one eval-mode pass projects at once; larger sets run in
 # near-equal batches, so memory stays bounded.  Batches this large give
@@ -484,12 +484,10 @@ _CKPT_VERSION = 2
 _CKPT_HEADER = struct.Struct("<4sHIIIIB")
 
 
-def checkpoint_bytes(model: ModelParams, window_len: int = 128) -> bytes:
+def checkpoint_bytes(model: ModelParams, window_len: int) -> bytes:
     """Versioned binary checkpoint: header + ``model.flat`` as little-endian
-    floats, i.e. every tensor in ``_tensor_shapes`` order.
-
-    Version 2 stores the fused LSTM tensors in ``GATE_ORDER``; version 1,
-    which held the twelve per-gate tensors, is still read.
+    floats, i.e. every tensor in ``_tensor_shapes`` order, the fused LSTM
+    tensors in ``GATE_ORDER``.  Only this version is written or read.
     """
     itemsize = model.dtype.itemsize
     header = _CKPT_HEADER.pack(
@@ -499,20 +497,15 @@ def checkpoint_bytes(model: ModelParams, window_len: int = 128) -> bytes:
     return header + np.ascontiguousarray(model.flat, dtype=f"<f{itemsize}").tobytes()
 
 
-def save_checkpoint(model: ModelParams, path: str | Path, window_len: int = 128) -> None:
-    """Write ``checkpoint_bytes(model, window_len)`` to ``path``."""
-    write_file(path, checkpoint_bytes(model, window_len))
-
-
 def load_checkpoint(path: str | Path):
-    """Load a checkpoint; returns (model, window_len)."""
+    """Load a version-2 checkpoint; returns (model, window_len)."""
     data = read_file(path, "checkpoint")
     if data[:4] != _CKPT_MAGIC:
         raise DataError("not a checkpoint: bad magic")
     if len(data) < _CKPT_HEADER.size:
         raise DataError("truncated checkpoint header")
     _, version, hidden, dense, input_dim, window_len, itemsize = _CKPT_HEADER.unpack_from(data)
-    if version not in (1, _CKPT_VERSION):
+    if version != _CKPT_VERSION:
         raise DataError(f"unsupported checkpoint version {version}")
     if itemsize not in (4, 8):
         raise DataError(f"unsupported checkpoint itemsize {itemsize}")
@@ -525,9 +518,4 @@ def load_checkpoint(path: str | Path):
     if len(data) > size:
         raise DataError(f"{len(data) - size} trailing bytes after checkpoint payload")
     flat = np.frombuffer(data, dtype=f"<f{itemsize}", offset=_CKPT_HEADER.size).copy()
-    model = ModelParams(flat, hidden, dense, input_dim)
-    if version == 1:
-        # v1 wrote the per-gate tensors w_{i,f,c,o}x, then w_{i,f,c,o}h, then
-        # b_{i,f,c,o}: byte for byte the fused tensors with blocks in (i, f, c, o).
-        _from_ifco(model)
-    return model, window_len
+    return ModelParams(flat, hidden, dense, input_dim), window_len

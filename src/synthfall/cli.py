@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ingest, kinematics, align, train, experiment,
-ablate-quantity, prompts, report.  Experiment-style commands read a JSON
-config file mirroring ExperimentConfig; every field can be overridden by a
-flag, and --seed is always required for them.
+Subcommands: ingest, kinematics, align, train, experiment, prompts,
+report.  train and experiment read a JSON config file mirroring
+ExperimentConfig; every field can be overridden by a flag, and --seed is
+always required for them.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
 """
@@ -24,7 +24,6 @@ from .harness import (
     ExperimentConfig,
     emit_report,
     load_report,
-    run_ablation_quantity,
     run_alignment,
     run_experiment,
     run_training,
@@ -149,7 +148,7 @@ def _cmd_train(args) -> int:
     tag = config.fingerprint()[:12]
     ckpt = out_dir / f"model_{tag}.ckpt"
     ingest.write_files([
-        (ckpt, checkpoint_bytes(model, window_len=config.window)),
+        (ckpt, checkpoint_bytes(model, config.window)),
         (out_dir / f"history_{tag}.csv", history.to_csv().encode("utf-8")),
     ])
     print(f"test f1: {result.f1:.4f}  precision: {result.precision:.4f}  recall: {result.recall:.4f}")
@@ -157,10 +156,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_experiment(args, runner) -> int:
+def _cmd_experiment(args) -> int:
     config = _build_experiment_config(args)
     ingest.ensure_output_dir(args.out)
-    report = runner(config)
+    report = run_experiment(config)
     paths = emit_report(report, args.format, args.out)
     print(f"mean f1: {report.mean_f1:.4f} over {len(report.iterations)} iterations")
     if report.delta_percent is not None:
@@ -229,12 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="multi-iteration augmentation experiment")
     _add_experiment_flags(p)
     p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.set_defaults(func=lambda args: _cmd_experiment(args, run_experiment))
-
-    p = sub.add_parser("ablate-quantity", help="experiment with the 50/10/40 quantity mix")
-    _add_experiment_flags(p)
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.set_defaults(func=lambda args: _cmd_experiment(args, run_ablation_quantity))
+    p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("prompts", help="generate a prompt variant catalog")
     p.add_argument("--base", help="base prompt file (default: bundled catalog)")

@@ -1,5 +1,6 @@
 """Experiment orchestration: alignment studies, augmentation runs with
-iterated subject splits, ablations, and report emission.
+iterated subject splits, and report emission.  A quantity ablation is an
+augmentation run with its mix set, e.g. ``MixSpec(0.5, 0.1, 0.4)``.
 
 Every run is driven by a master seed.  Per-iteration seeds are derived as
 hashes of (master seed, iteration, role), so the subject split of iteration
@@ -15,7 +16,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,8 @@ class ExperimentConfig:
             raise ConfigError("iterations must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        if not 0 < self.threshold < 1:
+            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold!r}")
         object.__setattr__(self, "synthetic_manifests", tuple(self.synthetic_manifests))
         object.__setattr__(self, "split_sizes", tuple(self.split_sizes))
 
@@ -499,7 +502,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     condition), standardizes with training statistics, trains the classifier,
     and scores the held-out test subjects.  Metrics are averaged over
     iterations; when a baseline report is referenced, the percentage delta of
-    mean F1 is included.
+    mean F1 is included.  Multiple synthetic manifests are pooled before
+    sampling, so the drawn synthetic windows can come from any of them.
     """
     subjects, real_windows, synthetic_pool = _load_pools(config)
     results = []
@@ -533,18 +537,6 @@ def _load_baseline_mean_f1(path: str | Path) -> float:
         return ExperimentReport.from_dict(payload).mean_f1
     except DataError as exc:
         raise DataError(f"baseline report is not a valid experiment report: {exc}") from None
-
-
-ABLATION_MIX = MixSpec(0.5, 0.1, 0.4)
-
-
-def run_ablation_quantity(config: ExperimentConfig) -> ExperimentReport:
-    """Quantity ablation: identical mechanics with the 50/10/40 mix.
-
-    Multiple synthetic manifests are pooled before sampling, so the drawn
-    synthetic windows can come from any of the listed sources.
-    """
-    return run_experiment(replace(config, mix=ABLATION_MIX))
 
 
 # ---------------------------------------------------------------------------

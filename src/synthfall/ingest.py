@@ -268,6 +268,8 @@ def generate_prompt_variants(catalog: PromptCatalog, variants) -> list[str]:
     toolkit convention.
     """
     tags = list(dict.fromkeys(variants))
+    if not tags:
+        raise ConfigError("no variant tags given")
     unknown = [t for t in tags if t not in VARIANT_TAGS]
     if unknown:
         raise ConfigError(f"unknown variant tags: {unknown}")

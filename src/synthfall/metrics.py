@@ -195,6 +195,11 @@ def histogram_density(
         lo, hi = value_range
     if not lo < hi:
         raise ConfigError(f"range must satisfy lo < hi, got ({lo}, {hi})")
+    # np.histogram cuts the range at these edges and refuses bins of no width.
+    edges = np.linspace(lo, hi, bins + 1)
+    if not np.all(edges[:-1] < edges[1:]):
+        error = DataError if value_range is None else ConfigError
+        raise error(f"range ({lo}, {hi}) is too narrow for {bins} bins")
     clipped = np.clip(values, lo, hi)
     hist, edges = np.histogram(clipped, bins=bins, range=(lo, hi), weights=counts)
     width = (hi - lo) / bins

@@ -16,12 +16,12 @@ from synthfall.classifier import (
     _forward,
     _lstm,
     _sigmoid,
+    checkpoint_bytes,
     evaluate,
     forward,
     init_model,
     load_checkpoint,
     loss_and_gradients,
-    save_checkpoint,
     train,
 )
 from synthfall.errors import ConfigError, DataError, NumericError
@@ -75,23 +75,6 @@ def reference_forward(model, batch):
     y_bn = f64["bn_gamma"] * (r - f64["bn_mean"]) / np.sqrt(f64["bn_var"] + 1e-3) + f64["bn_beta"]
     p = stable_sigmoid((y_bn @ f64["dense2_w"].T + f64["dense2_b"]).ravel())
     return np.clip(p, 1e-7, 1 - 1e-7)
-
-
-def v1_checkpoint_bytes(model, window_len):
-    """Checkpoint v1: twelve per-gate tensors w_{i,f,c,o}x, w_{i,f,c,o}h,
-    b_{i,f,c,o}, then the head and BN tensors, little-endian."""
-    hid = model.hidden_size
-    blocks = {
-        name: dict(zip(GATE_ORDER, np.split(getattr(model, name), 4)))
-        for name in ("w_x", "w_h", "b")
-    }
-    itemsize = model.dtype.itemsize
-    out = [b"SFCK", struct.pack("<HIIIIB", 1, hid, model.dense_units, model.input_dim, window_len, itemsize)]
-    tensors = [blocks[name][gate] for name in ("w_x", "w_h", "b") for gate in ("i", "f", "g", "o")]
-    tensors += [getattr(model, name) for name in (
-        "dense1_w", "dense1_b", "bn_gamma", "bn_beta", "dense2_w", "dense2_b", "bn_mean", "bn_var")]
-    out += [np.ascontiguousarray(t, dtype=f"<f{itemsize}").tobytes() for t in tensors]
-    return b"".join(out)
 
 
 def v2_checkpoint_bytes(model, window_len):
@@ -521,7 +504,7 @@ class TestCheckpoint:
         model = init_model(15, hidden_size=8, dense_units=8)
         move_running_stats(model, toy_windows(4))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, window_len=16)
+        path.write_bytes(checkpoint_bytes(model, 16))
         loaded, window_len = load_checkpoint(path)
         assert window_len == 16
         for name in list(model.trainable()) + ["bn_mean", "bn_var"]:
@@ -542,51 +525,42 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="^cannot read checkpoint .*: Is a directory$"):
             load_checkpoint(tmp_path)
 
-    def test_reads_v1_per_gate_checkpoint(self, tmp_path):
-        for dtype in (np.float32, np.float64):
-            model = init_model(23, hidden_size=6, dense_units=5, dtype=dtype)
-            move_running_stats(model, toy_windows(4))
-            path = tmp_path / "v1.ckpt"
-            path.write_bytes(v1_checkpoint_bytes(model, window_len=16))
-            loaded, window_len = load_checkpoint(path)
-            assert window_len == 16
-            assert loaded.dtype == dtype
-            batch = toy_windows(3, seed=24)
-            assert np.array_equal(forward(loaded, batch), forward(model, batch))
+    def test_writes_v2(self):
+        data = checkpoint_bytes(init_model(25, hidden_size=4, dense_units=4), 16)
+        assert struct.unpack_from("<H", data, 4) == (2,)
 
-    def test_writes_v2(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_versions_refused(self, tmp_path, version):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_model(25, hidden_size=4, dense_units=4), path)
-        assert struct.unpack_from("<H", path.read_bytes(), 4) == (2,)
+        data = checkpoint_bytes(init_model(25, hidden_size=4, dense_units=4), 16)
+        path.write_bytes(data[:4] + struct.pack("<H", version) + data[6:])
+        with pytest.raises(DataError, match=f"^unsupported checkpoint version {version}$"):
+            load_checkpoint(path)
 
-    def test_v2_bytes_match_reference_writer(self, tmp_path):
+    def test_v2_bytes_match_reference_writer(self):
         for dtype in (np.float32, np.float64):
             model = init_model(39, hidden_size=6, dense_units=5, input_dim=2, dtype=dtype)
             loss_and_gradients(model, np.random.default_rng(39).normal(size=(4, 9, 2)), [0, 1, 0, 1])
             assert not np.all(model.bn_var == 1.0)
-            path = tmp_path / "v2.ckpt"
-            save_checkpoint(model, path, window_len=9)
-            assert path.read_bytes() == v2_checkpoint_bytes(model, window_len=9)
+            assert checkpoint_bytes(model, 9) == v2_checkpoint_bytes(model, window_len=9)
 
     def test_short_header_is_data_error(self, tmp_path):
         path = tmp_path / "short.ckpt"
-        save_checkpoint(init_model(26, hidden_size=4, dense_units=4), path)
+        data = checkpoint_bytes(init_model(26, hidden_size=4, dense_units=4), 16)
         for size in (4, 5, 22):
-            path.write_bytes(path.read_bytes()[:size])
+            path.write_bytes(data[:size])
             with pytest.raises(DataError, match="truncated checkpoint header"):
                 load_checkpoint(path)
 
     def test_trailing_bytes_are_data_error(self, tmp_path):
         path = tmp_path / "long.ckpt"
-        save_checkpoint(init_model(27, hidden_size=4, dense_units=4), path)
-        path.write_bytes(path.read_bytes() + b"\x00")
+        path.write_bytes(checkpoint_bytes(init_model(27, hidden_size=4, dense_units=4), 16) + b"\x00")
         with pytest.raises(DataError, match="trailing bytes"):
             load_checkpoint(path)
 
     def test_truncated_payload_and_zero_sizes(self, tmp_path):
         path = tmp_path / "cut.ckpt"
-        save_checkpoint(init_model(28, hidden_size=4, dense_units=4), path)
-        data = path.read_bytes()
+        data = checkpoint_bytes(init_model(28, hidden_size=4, dense_units=4), 16)
         path.write_bytes(data[:-1])
         with pytest.raises(DataError, match="truncated checkpoint payload"):
             load_checkpoint(path)
@@ -601,7 +575,7 @@ class TestCheckpoint:
     def test_float64_roundtrip(self, tmp_path):
         model = init_model(16, hidden_size=4, dense_units=4, dtype=np.float64)
         path = tmp_path / "model64.ckpt"
-        save_checkpoint(model, path)
+        path.write_bytes(checkpoint_bytes(model, 16))
         loaded, _ = load_checkpoint(path)
         assert loaded.dtype == np.float64
 

@@ -23,7 +23,6 @@ from synthfall.harness import (
     derive_seed,
     emit_report,
     load_report,
-    run_ablation_quantity,
     run_alignment,
     run_experiment,
     run_training,
@@ -407,12 +406,6 @@ class TestExperiment:
 
 
 class TestAblation:
-    def test_mix_forced_to_ablation_ratio(self, fixture_dataset):
-        real, syn = fixture_dataset
-        config = fast_config(real, [syn], mix=(0.6, 0.2, 0.2))
-        report = run_ablation_quantity(config)
-        assert report.config["mix"] == [0.5, 0.1, 0.4]
-
     def test_pooled_sources_sampled(self, tmp_path):
         real = build_dataset(tmp_path, subjects=12, series_len=200, seed=0)
         sources = [
@@ -438,12 +431,6 @@ class TestAblation:
             if seed >= 3 and len(prefixes) >= 2:
                 break
         assert len(prefixes) >= 2
-
-    def test_ablation_runs_with_forced_mix(self, fixture_dataset):
-        real, syn = fixture_dataset
-        report = run_ablation_quantity(fast_config(real, [syn], iterations=1))
-        total = report.iterations[0].train_size
-        assert total > 0
 
 
 class TestRunTraining:
@@ -694,14 +681,16 @@ class TestCli:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "exp2"
+        # The paper's quantity ablation is the 50/10/40 mix.
         code = main([
             "experiment", "--config", str(cfg_path), "--seed", "9",
-            "--iterations", "1", "--out", str(out),
+            "--iterations", "1", "--mix", "0.5,0.1,0.4", "--out", str(out),
         ])
         assert code == 0
         (report_path,) = out.glob("report_*.json")
         payload = json.loads(report_path.read_text())
         assert payload["config"]["seed"] == 9
+        assert payload["config"]["mix"] == [0.5, 0.1, 0.4]
 
     @pytest.mark.parametrize("override", [
         {"mix": [0.5, 0.5]},
@@ -735,7 +724,7 @@ class TestCli:
         assert code == 2
         assert "error: unknown train config fields: ['seed']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "experiment", "ablate-quantity"])
+    @pytest.mark.parametrize("command", ["train", "experiment"])
     def test_every_config_field_is_a_flag(self, command):
         dests = set(vars(build_parser().parse_args([command, "--seed", "1"])))
         expected = {f.name for f in fields(ExperimentConfig) if f.name != "train"}
@@ -746,6 +735,31 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["windows", "manifest.json", "cache.bin"])
         assert exc.value.code == 2
+
+    def test_ablate_quantity_command_removed(self, capsys):
+        # The quantity ablation is `experiment --mix 0.5,0.1,0.4`.
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate-quantity", "--real-manifest", "real.json", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'ablate-quantity'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["5", "1", "0", "-0.5"])
+    def test_threshold_outside_unit_interval_exit_2_before_reading(self, tmp_path, capsys, threshold):
+        out = tmp_path / "o"
+        code = main([
+            "experiment", "--real-manifest", str(tmp_path / "missing.json"), "--seed", "1",
+            "--threshold", threshold, "--out", str(out),
+        ])
+        assert code == 2
+        assert f"error: threshold must lie in (0, 1), got {float(threshold)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variants", ["", ",", " , "])
+    def test_prompts_without_variants_exit_2(self, tmp_path, capsys, variants):
+        out = tmp_path / "prompts.txt"
+        assert main(["prompts", "--variants", variants, "--out", str(out)]) == 2
+        assert "error: no variant tags given" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_mix_flag_exit_2(self, capsys, fixture_dataset):
         real, _ = fixture_dataset

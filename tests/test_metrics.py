@@ -246,6 +246,12 @@ class TestHistogramDensity:
         with pytest.raises(DataError, match="^histogram_density requires finite values$"):
             histogram_density([bad, 1.0, 0.0], bins=2, value_range=value_range)
 
+    @pytest.mark.parametrize("value_range, error", [(None, DataError), ((0.0, 5e-324), ConfigError)])
+    def test_range_too_narrow_for_bins(self, value_range, error):
+        # The values' own range here is one subnormal step, which two bins cannot split.
+        with pytest.raises(error, match=r"^range \(-?0\.0, 5e-324\) is too narrow for 2 bins$"):
+            histogram_density([-0.0, 5e-324], bins=2, value_range=value_range)
+
     def test_csv_format(self):
         curve = histogram_density([0.25, 0.75], bins=2, value_range=(0.0, 1.0))
         lines = curve.to_csv().splitlines()
