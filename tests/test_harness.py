@@ -406,6 +406,13 @@ class TestExperiment:
 
 
 class TestAblation:
+    def test_mix_forced_to_ablation_ratio(self, fixture_dataset):
+        # The quantity ablation is an ordinary experiment run with the 50/10/40 mix.
+        real, syn = fixture_dataset
+        report = run_experiment(fast_config(real, [syn], mix=(0.5, 0.1, 0.4), iterations=1))
+        assert report.config["mix"] == [0.5, 0.1, 0.4]
+        assert report.iterations[0].train_size > 0
+
     def test_pooled_sources_sampled(self, tmp_path):
         real = build_dataset(tmp_path, subjects=12, series_len=200, seed=0)
         sources = [
