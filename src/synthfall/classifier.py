@@ -357,7 +357,6 @@ class TrainConfig:
     max_epochs: int = 250
     patience: int = 50
     batch_size: int = 64
-    shuffle: bool = True
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -424,7 +423,7 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
     since_improve = 0
 
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]

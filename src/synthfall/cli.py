@@ -52,9 +52,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-epochs", type=int)
     parser.add_argument("--patience", type=int)
     parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--no-shuffle", action="store_true", help="disable epoch shuffling")
-    parser.add_argument("--bins", type=int)
-    parser.add_argument("--k", type=int)
     parser.add_argument("--threshold", type=float)
     parser.add_argument("--baseline-report", help="baseline report JSON for the percent delta")
     parser.add_argument("--out", default=".", help="output directory")
@@ -87,8 +84,6 @@ def _build_experiment_config(args) -> ExperimentConfig:
         if flags.get(f.name) is not None:
             base[f.name] = flags[f.name]
     train_flags = {f.name: flags[f.name] for f in fields(TrainConfig) if flags.get(f.name) is not None}
-    if args.no_shuffle:
-        train_flags["shuffle"] = False
     train_cfg = base.get("train", {})
     # A train value that is not an object is left for from_dict to reject.
     if train_flags and isinstance(train_cfg, dict):
@@ -144,8 +139,8 @@ def _cmd_align(args) -> int:
 def _cmd_train(args) -> int:
     config = _build_experiment_config(args)
     out_dir = ingest.ensure_output_dir(args.out)
-    model, history, result = run_training(config)
-    tag = config.fingerprint()[:12]
+    model, history, result, fingerprint = run_training(config)
+    tag = fingerprint[:12]
     ckpt = out_dir / f"model_{tag}.ckpt"
     ingest.write_files([
         (ckpt, checkpoint_bytes(model, config.window)),

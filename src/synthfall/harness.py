@@ -96,12 +96,28 @@ def _catalog_series(entries, width: int, stride: int):
         yield series, cut
 
 
-def _catalog_windows(entries, width: int, stride: int) -> WindowSet:
-    return WindowSet.concat(cut for _, cut in _catalog_series(entries, width, stride))
+def _catalog_windows(entries, width: int, stride: int, data) -> WindowSet:
+    """The entries' windows; each series read is also fed to the ``data``
+    hash: its manifest fields as a JSON line, then its float64 samples."""
+    cuts = []
+    for series, cut in _catalog_series(entries, width, stride):
+        meta = [
+            series.subject_id, series.label.name.lower(), series.sampling_rate, series.provenance.value, len(series),
+        ]
+        data.update(json.dumps(meta).encode("utf-8") + b"\n")
+        # A view of the parsed buffer: no copy for C-contiguous little-endian float64.
+        data.update(np.ascontiguousarray(series.samples, dtype="<f8"))
+        cuts.append(cut)
+    return WindowSet.concat(cuts)
 
 
 def _falls(catalog: DatasetCatalog) -> list:
     return [e for e in catalog.entries if e.activity == ActivityLabel.FALL]
+
+
+def _at_least_one(options, name: str) -> None:
+    if getattr(options, name) < 1:
+        raise ConfigError(f"{name} must be >= 1, got {getattr(options, name)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +130,10 @@ class AlignmentOptions:
     bins: int = 100
     k: int = 5
     per_axis: bool = False
+
+    def __post_init__(self):
+        for name in ("window", "stride", "bins", "k"):
+            _at_least_one(self, name)
 
 
 def _held_samples(entries, width: int, stride: int, which: str) -> tuple[WindowSet, np.ndarray, np.ndarray]:
@@ -235,8 +255,6 @@ class ExperimentConfig:
     hidden_size: int = 128
     dense_units: int = 128
     train: TrainConfig = TrainConfig()
-    bins: int = 100
-    k: int = 5
     threshold: float = 0.5
     baseline_report: str | None = None
 
@@ -247,8 +265,14 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if not 0 < self.threshold < 1:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold!r}")
+        for name in ("window", "stride", "hidden_size", "dense_units"):
+            _at_least_one(self, name)
         object.__setattr__(self, "synthetic_manifests", tuple(self.synthetic_manifests))
         object.__setattr__(self, "split_sizes", tuple(self.split_sizes))
+        if any(n < 0 for n in self.split_sizes) or 0 in self.split_sizes[1:]:
+            raise ConfigError(
+                f"split sizes must be non-negative with validation and test sizes >= 1, got {self.split_sizes}"
+            )
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -275,6 +299,11 @@ class ExperimentConfig:
     def fingerprint(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _run_fingerprint(config: ExperimentConfig, data_sha256: str) -> str:
+    """The identity that names a run's files: its config and the data it read."""
+    return hashlib.sha256(f"{config.fingerprint()}:{data_sha256}".encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +335,7 @@ class IterationResult:
 class ExperimentReport:
     fingerprint: str
     config: dict
+    data_sha256: str
     iterations: tuple[IterationResult, ...]
     mean_precision: float
     mean_recall: float
@@ -422,7 +452,9 @@ def _subject_mask(windows: WindowSet, subjects) -> np.ndarray:
     return np.isin(windows.subjects, np.array(list(subjects), dtype=str))
 
 
-def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, WindowSet]:
+def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, WindowSet, str]:
+    """The real subjects, the real and synthetic window pools, and the
+    SHA-256 of every recording read, real then synthetic, in read order."""
     real_catalog = catalog_dataset(config.real_manifest)
     subjects = real_catalog.subjects()
     if len(subjects) != sum(config.split_sizes):
@@ -431,9 +463,10 @@ def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, W
         )
     synthetic_entries = [e for manifest in config.synthetic_manifests for e in _falls(catalog_dataset(manifest))]
     _one_rate([*real_catalog.entries, *synthetic_entries])
-    real_windows = _catalog_windows(real_catalog.entries, config.window, config.stride)
-    synthetic_pool = _catalog_windows(synthetic_entries, config.window, config.stride)
-    return subjects, real_windows, synthetic_pool
+    data = hashlib.sha256()
+    real_windows = _catalog_windows(real_catalog.entries, config.window, config.stride, data)
+    synthetic_pool = _catalog_windows(synthetic_entries, config.window, config.stride, data)
+    return subjects, real_windows, synthetic_pool, data.hexdigest()
 
 
 def _scaled_sets(config, i, split, real_windows, synthetic_pool):
@@ -487,11 +520,12 @@ def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
 def run_training(config: ExperimentConfig):
     """Single training round (iteration 0 of the experiment protocol).
 
-    Returns (model, history, iteration_result) for checkpointing.
+    Returns (model, history, iteration_result, fingerprint) for
+    checkpointing; the fingerprint names the run by its config and data.
     """
-    subjects, real_windows, synthetic_pool = _load_pools(config)
+    subjects, real_windows, synthetic_pool, data_sha256 = _load_pools(config)
     result, model, history = _run_iteration(config, 0, subjects, real_windows, synthetic_pool)
-    return model, history, result
+    return model, history, result, _run_fingerprint(config, data_sha256)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -505,7 +539,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     mean F1 is included.  Multiple synthetic manifests are pooled before
     sampling, so the drawn synthetic windows can come from any of them.
     """
-    subjects, real_windows, synthetic_pool = _load_pools(config)
+    subjects, real_windows, synthetic_pool, data_sha256 = _load_pools(config)
     results = []
     for i in range(config.iterations):
         result, _, _ = _run_iteration(config, i, subjects, real_windows, synthetic_pool)
@@ -520,8 +554,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         baseline_mean_f1 = _load_baseline_mean_f1(config.baseline_report)
         delta = percent_delta(baseline_mean_f1, mean_f1)
     return ExperimentReport(
-        fingerprint=config.fingerprint(),
+        fingerprint=_run_fingerprint(config, data_sha256),
         config=config.to_dict(),
+        data_sha256=data_sha256,
         iterations=tuple(results),
         mean_precision=mean_precision,
         mean_recall=mean_recall,

@@ -40,6 +40,7 @@ def files(tmp_path_factory):
     report = ExperimentReport(
         fingerprint="0123456789abcdef" * 4,
         config={"seed": 1},
+        data_sha256="fedcba9876543210" * 4,
         iterations=(IterationResult(0, 1.0, 0.5, 2 / 3, 1, 0, 1, 2, ("s1",), ("s2",), 10, 3, "patience"),),
         mean_precision=1.0, mean_recall=0.5, mean_f1=2 / 3,
     )

@@ -1,6 +1,8 @@
 import functools
+import hashlib
 import json
 import operator
+import shutil
 import tempfile
 from dataclasses import fields
 
@@ -54,6 +56,7 @@ ALIGNMENT = AlignmentReport(
 EXPERIMENT = ExperimentReport(
     fingerprint="0123456789abcdef" * 4,
     config={"seed": 1, "mix": [0.6, 0.2, 0.2]},
+    data_sha256="fedcba9876543210" * 4,
     iterations=(IterationResult(0, 1.0, 0.5, 2 / 3, 1, 0, 1, 2, ("s1",), ("s2",), 10, 3, "patience"),),
     mean_precision=1.0, mean_recall=0.5, mean_f1=2 / 3,
 )
@@ -81,6 +84,13 @@ def damaged(report, *path, value=None, drop=False):
         parent[path[-1]] = value
     return payload
 
+
+# An experiment report as written before reports named their data: no
+# data_sha256, and a config that still holds bins, k and train.shuffle.
+UNNAMED_DATA_REPORT = dict(
+    damaged(EXPERIMENT, "data_sha256", drop=True),
+    config={**EXPERIMENT.config, "bins": 100, "k": 5, "train": {"shuffle": True}},
+)
 
 MALFORMED_REPORTS = {
     "iterations_int": {"iterations": 5},
@@ -296,8 +306,6 @@ class TestExperimentConfig:
             hidden_size=9,
             dense_units=10,
             train={"max_epochs": 7, "patience": 7, "batch_size": 64},
-            bins=99,
-            k=4,
             threshold=0.4,
             baseline_report="somewhere.json",
         )
@@ -323,7 +331,7 @@ class TestExperimentConfig:
             {"mix": [0.5, 0.5]}, {"mix": "0.6,0.2,0.2"}, {"mix": [0.6, 0.2, None]},
             {"split_sizes": [8, 2, 2.0]}, {"threshold": float("nan")},
             {"synthetic_manifests": [1]}, {"baseline_report": 3},
-            {"train": {"max_epochs": "3"}}, {"train": {"shuffle": 1}}, {"train": {"lr": 0.1}},
+            {"train": {"max_epochs": "3"}}, {"train": {"lr": 0.1}},
         ):
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict({**base, **bad})
@@ -335,6 +343,11 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(config)
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize("sizes", [(-1, 3, 2), (8, 0, 2), (8, 2, 0)])
+    def test_split_sizes_refused(self, sizes):
+        with pytest.raises(ConfigError, match="split sizes"):
+            ExperimentConfig(real_manifest="real.json", seed=1, split_sizes=sizes)
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 0, "split") == derive_seed(1, 0, "split")
@@ -397,7 +410,7 @@ class TestExperiment:
         monkeypatch.setattr("synthfall.harness._catalog_windows", must_not_run)
         real = build_dataset(tmp_path, subjects=4, series_len=200)
         with pytest.raises(DataError, match="subjects"):
-            run_experiment(fast_config(real, (), split_sizes=(2, 1, 0)))
+            run_experiment(fast_config(real, (), split_sizes=(1, 1, 1)))
 
     def test_empty_synthetic_pool_with_positive_fraction(self, tmp_path):
         real = build_dataset(tmp_path, subjects=12, series_len=200)
@@ -423,7 +436,7 @@ class TestAblation:
         from synthfall.harness import _load_pools
         from synthfall.windowing import compose_training_mix
 
-        subjects, real_windows, synthetic_pool = _load_pools(config)
+        subjects, real_windows, synthetic_pool, _ = _load_pools(config)
         prefixes = set()
         for seed in range(100):
             mix = compose_training_mix(
@@ -443,7 +456,7 @@ class TestAblation:
 class TestRunTraining:
     def test_returns_model_and_history(self, fixture_dataset):
         real, syn = fixture_dataset
-        model, history, result = run_training(fast_config(real, [syn], iterations=1))
+        model, history, result, _ = run_training(fast_config(real, [syn], iterations=1))
         assert history.epochs() >= 1
         assert 0.0 <= result.f1 <= 1.0
         assert model.hidden_size == 8
@@ -471,6 +484,56 @@ class TestEmitReport:
         report = run_experiment(fast_config(real, [syn], iterations=1))
         with pytest.raises(ConfigError):
             emit_report(report, "xml", ".")
+
+
+class TestDataIdentity:
+    def test_rewritten_recording_renames_report(self, tmp_path, fixture_dataset):
+        real, syn = fixture_dataset
+        config = fast_config(real, [syn], iterations=1, train={"max_epochs": 1, "patience": 1})
+        report = run_experiment(config)
+        (first,) = emit_report(report, "json", tmp_path / "a")
+        (again,) = emit_report(run_experiment(config), "json", tmp_path / "b")
+        assert (again.name, again.read_bytes()) == (first.name, first.read_bytes())
+
+        # The same path, other values.
+        entry = catalog_dataset(real).entries[0]
+        series = load_entry(entry)
+        entry.path.write_bytes(write_accel_csv(AccelSeries(
+            samples=series.samples + 0.5, sampling_rate=series.sampling_rate,
+            label=series.label, provenance=series.provenance, subject_id=series.subject_id,
+        )))
+        changed = run_experiment(config)
+        assert changed.config == report.config
+        assert changed.data_sha256 != report.data_sha256
+        (path,) = emit_report(changed, "json", tmp_path / "c")
+        assert path.name != first.name
+
+    def test_digest_hashes_fields_and_samples_in_read_order(self, fixture_dataset):
+        real, syn = fixture_dataset
+        expected = hashlib.sha256()
+        falls = [e for e in catalog_dataset(syn).entries if e.activity == ActivityLabel.FALL]
+        for entry in [*catalog_dataset(real).entries, *falls]:
+            samples = load_entry(entry).samples
+            meta = [entry.subject_id, entry.activity.name.lower(), entry.sampling_rate, entry.provenance.value]
+            expected.update(json.dumps(meta + [len(samples)]).encode() + b"\n")
+            expected.update(samples.astype("<f8").tobytes())
+        assert harness._load_pools(fast_config(real, [syn]))[3] == expected.hexdigest()
+
+    def test_moved_data_keeps_its_digest(self, tmp_path, fixture_dataset):
+        real, syn = fixture_dataset
+        moved = tmp_path / "moved"
+        shutil.copytree(tmp_path, moved, ignore=shutil.ignore_patterns("moved"))
+        config = fast_config(real, [syn])
+        moved_config = fast_config(moved / real.name, [moved / syn.name])
+        assert harness._load_pools(moved_config)[3] == harness._load_pools(config)[3]
+        assert moved_config.fingerprint() != config.fingerprint()
+
+    def test_train_named_like_the_report(self, fixture_dataset):
+        real, syn = fixture_dataset
+        config = fast_config(real, [syn], iterations=1, train={"max_epochs": 1, "patience": 1})
+        *_, fingerprint = run_training(config)
+        report = run_experiment(config)
+        assert fingerprint == report.fingerprint != config.fingerprint()
 
 
 class TestLoadReport:
@@ -630,6 +693,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    def test_report_without_data_digest_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(UNNAMED_DATA_REPORT))
+        assert main(["report", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "error: report requires data_sha256" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_baseline_report_without_data_digest_exit_3(self, tmp_path, capsys, fixture_dataset):
+        real, _ = fixture_dataset
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(UNNAMED_DATA_REPORT))
+        out = tmp_path / "o"
+        code = main([
+            "experiment", "--real-manifest", str(real), "--seed", "1", "--iterations", "1",
+            "--window", "64", "--stride", "16", "--hidden-size", "4", "--dense-units", "4",
+            "--max-epochs", "1", "--patience", "1", "--mix", "0.7,0.3,0",
+            "--baseline-report", str(path), "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: baseline report is not a valid experiment report: report requires data_sha256" in err
+        assert list(out.iterdir()) == []
+
     def test_alignment_report_csv_exit_2(self, tmp_path, capsys):
         path = tmp_path / "alignment.json"
         path.write_text(json.dumps(ALIGNMENT.to_dict()))
@@ -735,8 +821,30 @@ class TestCli:
     def test_every_config_field_is_a_flag(self, command):
         dests = set(vars(build_parser().parse_args([command, "--seed", "1"])))
         expected = {f.name for f in fields(ExperimentConfig) if f.name != "train"}
-        expected |= {"no_shuffle" if f.name == "shuffle" else f.name for f in fields(TrainConfig)}
+        expected |= {f.name for f in fields(TrainConfig)}
         assert expected <= dests, sorted(expected - dests)
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("flag", [["--bins", "30"], ["--k", "3"], ["--no-shuffle"]], ids=["bins", "k", "no_shuffle"])
+    def test_removed_flags_exit_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--real-manifest", "real.json", "--seed", "1", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("config, message", [
+        ({"bins": 100}, "unknown config fields: ['bins']"),
+        ({"k": 5}, "unknown config fields: ['k']"),
+        ({"train": {"shuffle": True}}, "unknown train config fields: ['shuffle']"),
+    ], ids=["bins", "k", "train_shuffle"])
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys, command, config, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"real_manifest": str(tmp_path / "missing.json"), **config}))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), "--seed", "1", "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_windows_command_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -759,6 +867,35 @@ class TestCli:
         ])
         assert code == 2
         assert f"error: threshold must lie in (0, 1), got {float(threshold)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--window", "0"], "window must be >= 1, got 0"),
+        (["--stride", "0"], "stride must be >= 1, got 0"),
+        (["--hidden-size", "0"], "hidden_size must be >= 1, got 0"),
+        (["--dense-units", "0"], "dense_units must be >= 1, got 0"),
+        (["--split-sizes", "10,0,2"], "split sizes must be non-negative"),
+        (["--split-sizes", "10,2,0"], "split sizes must be non-negative"),
+        (["--split-sizes=-1,2,2"], "split sizes must be non-negative"),
+    ], ids=["window", "stride", "hidden_size", "dense_units", "no_validation", "no_test", "negative_split"])
+    def test_bad_size_exit_2_before_reading(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        code = main([
+            "experiment", "--real-manifest", str(tmp_path / "missing.json"), "--seed", "1", *flags,
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--window", "--stride", "--bins", "--k"])
+    def test_align_size_below_one_exit_2_before_reading(self, tmp_path, capsys, flag):
+        out = tmp_path / "o"
+        code = main([
+            "align", str(tmp_path / "missing.json"), str(tmp_path / "missing2.json"), flag, "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"error: {flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("variants", ["", ",", " , "])

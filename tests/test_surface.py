@@ -1,14 +1,19 @@
 """The hand-written lists of the public surface match the code: the package's
-``__all__`` and the subcommands in the README's CLI block."""
+``__all__`` and the subcommands in the README's CLI block.  Every settable
+field of a run's config is read by the run."""
 
 import argparse
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import synthfall
+from synthfall.classifier import TrainConfig
 from synthfall.cli import build_parser
+from synthfall.harness import AlignmentOptions, ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(synthfall.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +37,20 @@ def test_readme_cli_block_names_every_subcommand():
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("synthfall ")}
     (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert documented == set(subcommands.choices)
+
+
+def attributes_read(module: str, name: str) -> set[str]:
+    """Every attribute read as ``<name>.<attribute>`` in a module of the package."""
+    tree = ast.parse((SRC / f"{module}.py").read_text("utf-8"))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and isinstance(node.value, ast.Name) and node.value.id == name
+    }
+
+
+def test_every_config_field_is_read():
+    read = attributes_read("harness", "config") | attributes_read("classifier", "config")
+    settable = {f.name for cls in (ExperimentConfig, TrainConfig) for f in fields(cls)}
+    assert sorted(settable - read) == []
+    assert sorted({f.name for f in fields(AlignmentOptions)} - attributes_read("harness", "opts")) == []
