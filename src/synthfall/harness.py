@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ from .windowing import (
     fit_scaler,
     slide_windows,
     split_subjects,
-    window_counts,
 )
 
 logger = logging.getLogger(__name__)
@@ -136,23 +135,19 @@ class AlignmentOptions:
             _at_least_one(self, name)
 
 
-def _held_samples(entries, width: int, stride: int, which: str) -> tuple[WindowSet, np.ndarray, np.ndarray]:
-    """The windows of the entries' series, and every sample some window
-    holds, once, with the number of windows that hold it.
-
-    Samples no window holds are left out, so they neither count nor widen a
-    density range.
-    """
-    cuts, samples, counts = [], [], []
-    for series, cut in _catalog_series(entries, width, stride):
-        held = window_counts(len(series), width, stride)
-        keep = held > 0
-        cuts.append(cut)
-        samples.append(series.samples[keep])
-        counts.append(held[keep])
-    if not any(map(len, cuts)):
+def _fall_windows(entries, width: int, stride: int, which: str) -> WindowSet:
+    """The windows of the entries' series, over their samples joined."""
+    windows = WindowSet.concat(cut for _, cut in _catalog_series(entries, width, stride))
+    if not windows:
         raise DataError(f"{which} manifest yields no fall windows")
-    return WindowSet.concat(cuts), np.concatenate(samples), np.concatenate(counts)
+    return windows
+
+
+def _held(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample row some window holds, once, with the number of windows
+    that hold it.  Rows no window holds neither count nor widen a range."""
+    counts = windows.counts()
+    return windows.samples[counts > 0], counts[counts > 0]
 
 
 def _scale_stats(real: np.ndarray) -> tuple[float, float]:
@@ -188,41 +183,38 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     real_entries = _falls(catalog_dataset(real_manifest))
     syn_entries = _falls(catalog_dataset(synthetic_manifest))
     _one_rate(real_entries + syn_entries)
-    real_windows, real_samples, real_counts = _held_samples(real_entries, opts.window, opts.stride, "real")
-    syn_windows, syn_samples, syn_counts = _held_samples(syn_entries, opts.window, opts.stride, "synthetic")
+    real_windows = _fall_windows(real_entries, opts.window, opts.stride, "real")
+    syn_windows = _fall_windows(syn_entries, opts.window, opts.stride, "synthetic")
 
-    real_arr = real_windows.values
-    syn_arr = syn_windows.values
     # The statistics come from the window values, so every standardized
     # sample equals its windowed copies bit for bit.
+    real_arr = real_windows.values
     mu, sd = _scale_stats(real_arr)
-    real_norm = (real_samples - mu) / sd
-    syn_norm = (syn_samples - mu) / sd
+    axis_stats = [_scale_stats(real_arr[:, :, i]) for i in range(3)] if opts.per_axis else ()
+    del real_arr
+    real_norm, syn_norm = (replace(w, samples=(w.samples - mu) / sd) for w in (real_windows, syn_windows))
+    (real_vals, real_counts), (syn_vals, syn_counts) = _held(real_norm), _held(syn_norm)
 
     # Each sample's three values share its count.
     real_curve, syn_curve = _density_pair(
-        (real_norm, np.repeat(real_counts, 3)), (syn_norm, np.repeat(syn_counts, 3)), opts.bins
+        (real_vals, np.repeat(real_counts, 3)), (syn_vals, np.repeat(syn_counts, 3)), opts.bins
     )
     jsd_value = jsd(real_curve, syn_curve)
 
     ks = {
-        axis: ks_two_sample(real_norm[:, i], syn_norm[:, i], counts=(real_counts, syn_counts))
+        axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real_counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
-    cov = coverage(
-        ((real_arr - mu) / sd).reshape(len(real_arr), -1),
-        ((syn_arr - mu) / sd).reshape(len(syn_arr), -1),
-        k=opts.k,
-    )
+    cov = coverage(real_norm.values.reshape(len(real_norm), -1), syn_norm.values.reshape(len(syn_norm), -1), k=opts.k)
 
     jsd_per_axis = None
     if opts.per_axis:
+        (real_raw, _), (syn_raw, _) = _held(real_windows), _held(syn_windows)
         jsd_per_axis = {}
-        for i, axis in enumerate(_AXES):
-            mu_ax, sd_ax = _scale_stats(real_arr[:, :, i])
+        for i, (axis, (mu_ax, sd_ax)) in enumerate(zip(_AXES, axis_stats)):
             curves = _density_pair(
-                ((real_samples[:, i] - mu_ax) / sd_ax, real_counts),
-                ((syn_samples[:, i] - mu_ax) / sd_ax, syn_counts),
+                ((real_raw[:, i] - mu_ax) / sd_ax, real_counts),
+                ((syn_raw[:, i] - mu_ax) / sd_ax, syn_counts),
                 opts.bins,
             )
             jsd_per_axis[axis] = jsd(*curves)
@@ -472,9 +464,8 @@ def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, W
 def _scaled_sets(config, i, split, real_windows, synthetic_pool):
     """The standardized (train, validation, test) sets of one iteration.
 
-    Masks select each pool straight from the real windows, so only the
-    selected rows are copied, and the unscaled copies are freed on return,
-    before training allocates its own buffers.
+    Every set selects windows of the pools' sample buffers without copying
+    them; scaling copies each set's buffer once.
     """
     in_train = _subject_mask(real_windows, split.train)
     adl_pool = real_windows.take(in_train & (real_windows.labels == ActivityLabel.ADL))
@@ -521,11 +512,13 @@ def run_training(config: ExperimentConfig):
     """Single training round (iteration 0 of the experiment protocol).
 
     Returns (model, history, iteration_result, fingerprint) for
-    checkpointing; the fingerprint names the run by its config and data.
+    checkpointing.  The fingerprint names the run by its data and the
+    settings it reads: that of a one-iteration experiment without a
+    baseline, whatever ``iterations`` and ``baseline_report`` say.
     """
     subjects, real_windows, synthetic_pool, data_sha256 = _load_pools(config)
     result, model, history = _run_iteration(config, 0, subjects, real_windows, synthetic_pool)
-    return model, history, result, _run_fingerprint(config, data_sha256)
+    return model, history, result, _run_fingerprint(replace(config, iterations=1, baseline_report=None), data_sha256)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -535,10 +528,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     configured fractions (synthetic fraction 0 reproduces the baseline
     condition), standardizes with training statistics, trains the classifier,
     and scores the held-out test subjects.  Metrics are averaged over
-    iterations; when a baseline report is referenced, the percentage delta of
-    mean F1 is included.  Multiple synthetic manifests are pooled before
+    iterations; when a baseline report is referenced, it is read before any
+    recording and the percentage delta of mean F1 is included.  Multiple synthetic manifests are pooled before
     sampling, so the drawn synthetic windows can come from any of them.
     """
+    baseline_mean_f1 = None
+    if config.baseline_report is not None:
+        baseline_mean_f1 = _load_baseline_mean_f1(config.baseline_report)
     subjects, real_windows, synthetic_pool, data_sha256 = _load_pools(config)
     results = []
     for i in range(config.iterations):
@@ -548,11 +544,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     mean_f1 = sum(r.f1 for r in results) / len(results)
     mean_precision = sum(r.precision for r in results) / len(results)
     mean_recall = sum(r.recall for r in results) / len(results)
-    baseline_mean_f1 = None
-    delta = None
-    if config.baseline_report is not None:
-        baseline_mean_f1 = _load_baseline_mean_f1(config.baseline_report)
-        delta = percent_delta(baseline_mean_f1, mean_f1)
+    delta = None if baseline_mean_f1 is None else percent_delta(baseline_mean_f1, mean_f1)
     return ExperimentReport(
         fingerprint=_run_fingerprint(config, data_sha256),
         config=config.to_dict(),

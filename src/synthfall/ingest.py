@@ -180,17 +180,6 @@ def read_motion_array(data: bytes, frame_rate: float = DEFAULT_FRAME_RATE_HZ) ->
 # ---------------------------------------------------------------------------
 # Prompt catalogs and variant generation
 
-VARIANT_TAGS = (
-    "neutral",
-    "man",
-    "woman",
-    "young",
-    "elderly",
-    "left_wrist",
-    "right_wrist",
-    "waist",
-)
-
 _SUBJECT_PHRASE = {
     "man": "a man",
     "woman": "a woman",
@@ -203,6 +192,8 @@ _PLACEMENT_CLAUSE = {
     "right_wrist": "The sensor is worn on the right wrist.",
     "waist": "The sensor is worn on the waist.",
 }
+
+VARIANT_TAGS = ("neutral", *_SUBJECT_PHRASE, *_PLACEMENT_CLAUSE)
 
 _SUBJECT_RE = re.compile(
     r"^(a|an)\s+(?:(?:elderly|old|young)\s+)?(?:person|man|woman|child|lady|gentleman)\b",

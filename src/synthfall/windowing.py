@@ -7,7 +7,7 @@ and draws seeded real/synthetic training mixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,90 +25,103 @@ _FLOOR_EPS = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class WindowSet:
-    """N windows of W x 3 samples stored as columns.
+    """N windows of ``width`` consecutive rows of one sample buffer.
 
-    ``values`` is a C-contiguous float64 array of shape (N, W, 3); ``labels``
-    (activity label values), ``subjects`` (subject ids, "" when unknown) and
-    ``synthetic`` (provenance flag) hold one entry per window.
+    ``samples`` is a C-contiguous float64 (S, 3) buffer and ``starts`` the
+    row where each window begins, so overlapping windows share their rows.
+    ``labels`` (activity label values), ``subjects`` (subject ids, "" when
+    unknown) and ``synthetic`` (provenance flag) hold one entry per window.
     """
 
-    values: np.ndarray
+    samples: np.ndarray
+    starts: np.ndarray
+    width: int
     labels: np.ndarray
     subjects: np.ndarray
     synthetic: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 3 or values.shape[2] != 3:
-            raise DataError(f"windows must have shape (N, W, 3), got {values.shape}")
-        object.__setattr__(self, "values", values)
+        samples = np.ascontiguousarray(self.samples, dtype=np.float64)
+        if samples.ndim != 2 or samples.shape[1] != 3:
+            raise DataError(f"window samples must have shape (S, 3), got {samples.shape}")
+        starts = np.asarray(self.starts, dtype=np.int64)
+        if starts.ndim != 1:
+            raise DataError("window starts must be one-dimensional")
+        if starts.size and (self.width < 1 or starts.min() < 0 or starts.max() + self.width > len(samples)):
+            raise DataError(f"windows of width {self.width} must lie in the {len(samples)} sample rows")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "starts", starts)
         for name, dtype in (("labels", np.int64), ("subjects", str), ("synthetic", bool)):
             column = np.asarray(getattr(self, name), dtype=dtype)
-            if column.shape != values.shape[:1]:
+            if column.shape != starts.shape:
                 raise DataError(f"window {name} must have one entry per window")
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.starts.shape[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """A new C-contiguous (N, W, 3) array of the window values."""
+        return self.samples[self.starts[:, None] + np.arange(self.width)]
+
+    def counts(self) -> np.ndarray:
+        """For each sample row, the number of windows that hold it; rows no
+        window holds, such as a series' tail past its last window, count 0."""
+        # +1 where a window starts, -1 just past where it ends.
+        edges = len(self.samples) + 1
+        steps = np.bincount(self.starts, minlength=edges) - np.bincount(self.starts + self.width, minlength=edges)
+        return np.cumsum(steps[:-1])
 
     def take(self, idx) -> "WindowSet":
-        """The windows selected by an index array or boolean mask, in that order."""
-        return WindowSet(self.values[idx], self.labels[idx], self.subjects[idx], self.synthetic[idx])
+        """The windows selected by an index array or boolean mask, in that
+        order, over the same sample buffer."""
+        return WindowSet(
+            self.samples, self.starts[idx], self.width, self.labels[idx], self.subjects[idx], self.synthetic[idx]
+        )
 
     @classmethod
     def concat(cls, sets) -> "WindowSet":
-        """The windows of every set, in order.  Empty sets add nothing, so
-        their width need not match; no sets at all give an empty set of
-        width 0."""
+        """The windows of every set, in order, over the sets' buffers joined
+        (sets that share a buffer share it here too).  Empty sets add
+        nothing, so their width need not match; no sets at all give an empty
+        set of width 0."""
         sets = list(sets)
         parts = [s for s in sets if len(s)] or sets[:1]
         if not parts:
-            return cls(np.empty((0, 0, 3)), np.empty(0), np.empty(0, dtype=str), np.empty(0))
-        return cls(*(np.concatenate([getattr(s, f.name) for s in parts]) for f in fields(cls)))
+            return cls(np.empty((0, 3)), [], 0, [], [], [])
+        if len({s.width for s in parts}) > 1:
+            raise DataError("cannot join windows of different widths")
+        offsets, buffers, starts, rows = {}, [], [], 0
+        for s in parts:
+            if id(s.samples) not in offsets:
+                offsets[id(s.samples)], rows = rows, rows + len(s.samples)
+                buffers.append(s.samples)
+            starts.append(s.starts + offsets[id(s.samples)])
+        columns = (np.concatenate([getattr(s, name) for s in parts]) for name in ("labels", "subjects", "synthetic"))
+        samples = buffers[0] if len(buffers) == 1 else np.concatenate(buffers)
+        return cls(samples, np.concatenate(starts), parts[0].width, *columns)
 
 
 def slide_windows(series: AccelSeries, width: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> WindowSet:
     """Cut overlapping windows starting at offsets 0, stride, 2*stride, ...
 
-    Yields floor((N - W)/stride) + 1 windows when N >= W, else an empty set
-    of shape (0, W, 3).  Windows inherit the series label, subject, and
-    provenance.
+    Yields floor((N - W)/stride) + 1 windows when N >= W, else none.  The
+    windows share the series' samples as their buffer and inherit its label,
+    subject, and provenance.
     """
     if width < 1 or stride < 1:
         raise ConfigError("window width and stride must be >= 1")
-    if len(series) < width:
-        values = np.empty((0, width, 3))
-    else:
-        # (N - W + 1, 3, W) read-only view of every offset; keep each
-        # stride-th and copy, so the set owns its values.
-        view = np.lib.stride_tricks.sliding_window_view(series.samples, width, axis=0)
-        values = view[::stride].transpose(0, 2, 1).copy()
-    count = values.shape[0]
+    starts = np.arange(0, len(series) - width + 1, stride)
+    count = len(starts)
     return WindowSet(
-        values,
+        series.samples,
+        starts,
+        width,
         np.full(count, int(series.label)),
         np.repeat(np.array(series.subject_id or ""), count),
         np.full(count, series.provenance == Provenance.SYNTHETIC),
     )
-
-
-def window_counts(length: int, width: int = DEFAULT_WINDOW, stride: int = DEFAULT_STRIDE) -> np.ndarray:
-    """For each sample of a series of ``length``, the number of the windows
-    ``slide_windows`` cuts from it that contain the sample.
-
-    A sample held by no window, such as the tail past the last window or any
-    sample of a series shorter than the window, counts 0.  The counts sum to
-    the window count times ``width``.
-    """
-    if width < 1 or stride < 1:
-        raise ConfigError("window width and stride must be >= 1")
-    # +1 where a window starts, -1 just past where it ends; starts are
-    # distinct and so are ends, so plain fancy indexing adds each one once.
-    steps = np.zeros(length + 1, dtype=np.int64)
-    starts = np.arange(0, length - width + 1, stride)
-    steps[starts] += 1
-    steps[starts + width] -= 1
-    return np.cumsum(steps[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +144,8 @@ class Scaler:
 
 
 def fit_scaler(windows: WindowSet) -> Scaler:
-    """Per-axis mean and population std over all window values pooled together."""
+    """Per-axis mean and population std over all window values pooled
+    together, each sample once per window that holds it."""
     if not windows:
         raise DataError("cannot fit a scaler on zero windows")
     pooled = windows.values.reshape(-1, 3)
@@ -141,11 +155,12 @@ def fit_scaler(windows: WindowSet) -> Scaler:
 
 
 def apply_scaler(scaler: Scaler, windows: WindowSet) -> WindowSet:
-    """Standardize window values; labels, subjects and provenance are untouched."""
-    values = (windows.values - scaler.mean) / scaler.std
-    if not np.all(np.isfinite(values)):
+    """Standardize the sample buffer; starts, labels, subjects and
+    provenance are untouched.  Only rows some window holds must stay finite."""
+    samples = (windows.samples - scaler.mean) / scaler.std
+    if np.any(~np.isfinite(samples).all(axis=1) & (windows.counts() > 0)):
         raise DataError("standardized windows contain non-finite values")
-    return replace(windows, values=values)
+    return replace(windows, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +262,5 @@ def compose_training_mix(
                 f"infeasible mix: need {count} windows from a pool of {len(pool)}"
             )
         picks.append((pool, rng.choice(len(pool), size=count, replace=False)))
-    # The per-pool selections are freed once joined: at most two copies of
-    # the mix are alive at a time.
-    mix = WindowSet.concat([pool.take(idx) for pool, idx in picks])
+    mix = WindowSet.concat(pool.take(idx) for pool, idx in picks)
     return mix.take(rng.permutation(len(mix)))

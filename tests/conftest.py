@@ -10,6 +10,7 @@ import pytest
 
 from synthfall.ingest import write_accel_csv
 from synthfall.kinematics import AccelSeries, ActivityLabel, Provenance
+from synthfall.windowing import WindowSet
 
 
 def make_series(rng, length: int, offset: float, scale: float = 0.3) -> np.ndarray:
@@ -97,6 +98,14 @@ def build_synthetic_manifest(
     manifest = root / f"{source}_manifest.json"
     manifest.write_text(json.dumps(entries, indent=1), "utf-8")
     return manifest
+
+
+def window_set(values, labels, subjects, synthetic) -> WindowSet:
+    """A WindowSet of the given (N, W, 3) window values, laid end to end in
+    its sample buffer."""
+    values = np.asarray(values, dtype=np.float64)
+    count, width = values.shape[:2]
+    return WindowSet(values.reshape(-1, 3), np.arange(count) * width, width, labels, subjects, synthetic)
 
 
 # A well-formed manifest entry (its file is `a.csv`) and NPY header, for

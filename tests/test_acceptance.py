@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import build_dataset, build_synthetic_manifest
+from conftest import build_dataset, build_synthetic_manifest, window_set
 from synthfall.classifier import init_model, loss_and_gradients
 from synthfall.cli import main
 from synthfall.ingest import VARIANT_TAGS, generate_prompt_variants, load_prompt_catalog
@@ -23,7 +23,7 @@ from synthfall.metrics import (
     ks_two_sample,
     percent_delta,
 )
-from synthfall.windowing import MixSpec, WindowSet, compose_training_mix, slide_windows
+from synthfall.windowing import MixSpec, compose_training_mix, slide_windows
 
 
 def _report(capsys, outcome: bool, number: int, name: str, elapsed: float, limit: float):
@@ -267,7 +267,7 @@ def test_criterion_09_mix_law(capsys):
     ok = True
     rng = np.random.default_rng(23)
     mega = {
-        name: WindowSet(
+        name: window_set(
             values=np.zeros((130, 2, 3)), labels=np.full(130, label),
             subjects=[f"{name}{i}" for i in range(130)], synthetic=np.full(130, synthetic),
         )

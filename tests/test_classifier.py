@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import window_set
 from synthfall.classifier import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -25,7 +26,6 @@ from synthfall.classifier import (
     train,
 )
 from synthfall.errors import ConfigError, DataError, NumericError
-from synthfall.windowing import WindowSet
 
 
 def toy_windows(n_per_class, width=16, offset=2.0, seed=0, scale=0.3):
@@ -36,7 +36,7 @@ def toy_windows(n_per_class, width=16, offset=2.0, seed=0, scale=0.3):
         for mu in (0.0, offset)
         for _ in range(n_per_class)
     ]
-    return WindowSet(
+    return window_set(
         values=np.reshape(values, (2 * n_per_class, width, 3)),
         labels=np.repeat([0, 1], n_per_class),
         subjects=[f"s{label}{i}" for label in (0, 1) for i in range(n_per_class)],

@@ -4,6 +4,7 @@ import json
 import operator
 import shutil
 import tempfile
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -462,6 +463,25 @@ class TestRunTraining:
         assert model.hidden_size == 8
 
 
+class TestWindowPools:
+    def test_memory_grows_with_samples_not_windows(self, fixture_dataset):
+        real, syn = fixture_dataset
+
+        def pools_peak(stride):
+            tracemalloc.start()
+            try:
+                real_windows, synthetic_pool = harness._load_pools(fast_config(real, [syn], stride=stride))[1:3]
+                return tracemalloc.get_traced_memory()[1], len(real_windows) + len(synthetic_pool)
+            finally:
+                tracemalloc.stop()
+
+        sparse, _ = pools_peak(32)
+        dense, windows = pools_peak(1)
+        # Stride 1 cuts about 30 times the windows of stride 32 from the same
+        # samples; a copy of their values would take windows * 64 * 3 * 8 bytes.
+        assert dense - sparse < windows * 64 * 3 * 8 / 10
+
+
 class TestEmitReport:
     def test_json_roundtrip(self, tmp_path, fixture_dataset):
         real, syn = fixture_dataset
@@ -534,6 +554,21 @@ class TestDataIdentity:
         *_, fingerprint = run_training(config)
         report = run_experiment(config)
         assert fingerprint == report.fingerprint != config.fingerprint()
+
+    def test_train_named_by_the_settings_it_reads(self, tmp_path, capsys, fixture_dataset):
+        real, syn = fixture_dataset
+        args = [
+            "train", "--real-manifest", str(real), "--synthetic-manifest", str(syn), "--seed", "5",
+            "--window", "64", "--stride", "16", "--hidden-size", "4", "--dense-units", "4",
+            "--max-epochs", "1", "--patience", "1", "--mix", "0.6,0.2,0.2",
+        ]
+        # train never reads the baseline, so it need not exist.
+        runs = [["--iterations", "1"], ["--iterations", "2"], ["--iterations", "2", "--baseline-report", "none.json"]]
+        written = []
+        for i, extra in enumerate(runs):
+            assert main(args + extra + ["--out", str(tmp_path / str(i))]) == 0
+            written.append({p.name: p.read_bytes() for p in (tmp_path / str(i)).iterdir()})
+        assert len(written[0]) == 2 and written[0] == written[1] == written[2]
 
 
 class TestLoadReport:
@@ -714,6 +749,22 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "error: baseline report is not a valid experiment report: report requires data_sha256" in err
+        assert list(out.iterdir()) == []
+
+    def test_missing_baseline_exit_3_before_reading(self, tmp_path, capsys, monkeypatch, fixture_dataset):
+        real, _ = fixture_dataset
+
+        def no_reading(entry):
+            raise AssertionError(f"read {entry.path} before the baseline report")
+
+        monkeypatch.setattr(harness, "load_entry", no_reading)
+        out = tmp_path / "o"
+        code = main([
+            "experiment", "--real-manifest", str(real), "--seed", "1", "--iterations", "1",
+            "--mix", "0.7,0.3,0", "--baseline-report", str(tmp_path / "missing.json"), "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: baseline report")
         assert list(out.iterdir()) == []
 
     def test_alignment_report_csv_exit_2(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
 """The hand-written lists of the public surface match the code: the package's
-``__all__`` and the subcommands in the README's CLI block.  Every settable
-field of a run's config is read by the run."""
+``__all__``, the subcommands in the README's CLI block and the module
+attributes the README names.  Every settable field of a run's config is read
+by the run."""
 
 import argparse
 import ast
+import importlib
+import pkgutil
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -37,6 +41,16 @@ def test_readme_cli_block_names_every_subcommand():
     documented = {line.split()[1] for line in block.splitlines() if line.startswith("synthfall ")}
     (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert documented == set(subcommands.choices)
+
+
+def test_readme_module_names_resolve():
+    modules = {"synthfall"} | {f"synthfall.{m.name}" for m in pkgutil.iter_modules(synthfall.__path__)}
+    named = re.findall(r"`((?:synthfall\.)?\w+)\.(\w+)`", README.read_text("utf-8"))
+    qualified = ((m if m.startswith("synthfall") else f"synthfall.{m}", name) for m, name in named)
+    checked = [(module, name) for module, name in qualified if module in modules]
+    assert {("synthfall.ingest", "write_files"), ("synthfall", "AlignmentReport")} <= set(checked)
+    missing = [f"{module}.{name}" for module, name in checked if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def attributes_read(module: str, name: str) -> set[str]:

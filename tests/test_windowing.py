@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import window_set
 from synthfall.errors import ConfigError, DataError
 from synthfall.kinematics import AccelSeries, ActivityLabel, Provenance
 from synthfall.windowing import (
@@ -13,7 +14,6 @@ from synthfall.windowing import (
     fit_scaler,
     slide_windows,
     split_subjects,
-    window_counts,
 )
 
 
@@ -27,7 +27,7 @@ def make_accel(n, subject="s1", label=ActivityLabel.ADL, seed=0):
 
 def make_windows(n, label=ActivityLabel.ADL, subject="s", width=8, seed=0, synthetic=False):
     rng = np.random.default_rng(seed)
-    return WindowSet(
+    return window_set(
         values=rng.normal(size=(n, width, 3)),
         labels=np.full(n, int(label)),
         subjects=[f"{subject}{i}" for i in range(n)],
@@ -36,7 +36,7 @@ def make_windows(n, label=ActivityLabel.ADL, subject="s", width=8, seed=0, synth
 
 
 def one_window(values):
-    return WindowSet(values=values[None], labels=[0], subjects=[""], synthetic=[False])
+    return window_set(values=values[None], labels=[0], subjects=[""], synthetic=[False])
 
 
 def naive_window_starts(n, width, stride):
@@ -84,6 +84,12 @@ class TestSlideWindows:
         for i, values in enumerate(windows.values):
             assert np.array_equal(values, series.samples[i * 7 : i * 7 + 16])
 
+    def test_windows_share_the_series_samples(self):
+        series = make_accel(100, seed=6)
+        windows = slide_windows(series, 16, 7)
+        assert windows.samples is series.samples
+        assert windows.starts.tolist() == naive_window_starts(100, 16, 7)
+
     def test_metadata_inherited(self):
         series = make_accel(64, subject="s7", label=ActivityLabel.FALL)
         w = slide_windows(series, 32, 32).take([0])
@@ -119,23 +125,20 @@ class TestWindowCounts:
     )
     @settings(max_examples=100, deadline=None)
     def test_counts_how_often_slide_windows_holds_each_sample(self, n, width, stride):
-        # Each sample's x value is its index, so the windows' x values list
-        # every index once per window that holds it.
-        samples = np.zeros((n, 3))
-        samples[:, 0] = np.arange(n)
-        windows = slide_windows(AccelSeries(samples=samples, sampling_rate=32.0), width, stride)
-        held = np.bincount(windows.values[:, :, 0].ravel().astype(int), minlength=n)
-        assert np.array_equal(window_counts(n, width, stride), held)
+        held = np.zeros(n, dtype=int)
+        for start in naive_window_starts(n, width, stride):
+            held[start : start + width] += 1
+        assert np.array_equal(slide_windows(make_accel(n), width, stride).counts(), held)
 
     def test_uncovered_tail_and_short_series(self):
-        assert window_counts(7, 4, 2).tolist() == [1, 1, 2, 2, 1, 1, 0]
-        assert window_counts(3, 4, 2).tolist() == [0, 0, 0]
+        assert slide_windows(make_accel(7), 4, 2).counts().tolist() == [1, 1, 2, 2, 1, 1, 0]
+        assert slide_windows(make_accel(3), 4, 2).counts().tolist() == [0, 0, 0]
 
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            window_counts(10, 0, 1)
-        with pytest.raises(ConfigError):
-            window_counts(10, 4, 0)
+    def test_selected_and_joined_windows(self):
+        windows = slide_windows(make_accel(7), 4, 2)
+        assert windows.take([1, 1]).counts().tolist() == [0, 0, 2, 2, 2, 2, 0]
+        joined = WindowSet.concat([windows.take([0]), slide_windows(make_accel(5), 4, 4), windows.take([1])])
+        assert joined.counts().tolist() == [1, 1, 2, 2, 1, 1, 0] + [1, 1, 1, 1, 0]
 
 
 class TestScaler:
@@ -207,6 +210,20 @@ class TestScaler:
         scaler = Scaler(mean=np.zeros(3), std=np.full(3, 1e-8))
         with pytest.raises(DataError, match="non-finite"), np.errstate(over="ignore"):
             apply_scaler(scaler, one_window(np.full((2, 3), 1e305)))
+
+    def test_rows_no_window_holds_may_overflow(self):
+        from synthfall.windowing import STD_FLOOR, Scaler
+
+        samples = np.zeros((10, 3))
+        samples[8:] = 1e301
+        series = AccelSeries(samples=samples, sampling_rate=32.0)
+        scaler = Scaler(mean=np.zeros(3), std=np.full(3, STD_FLOOR))
+        with np.errstate(over="ignore"):
+            # The tail past the last window, and rows only an unselected window holds.
+            assert np.all(apply_scaler(scaler, slide_windows(series, 4, 4)).values == 0.0)
+            assert np.all(apply_scaler(scaler, slide_windows(series, 4, 3).take([0, 1])).values == 0.0)
+            with pytest.raises(DataError, match="non-finite"):
+                apply_scaler(scaler, slide_windows(series, 4, 3))
 
 
 class TestSplitSubjects:
@@ -389,15 +406,35 @@ class TestWindowSet:
         assert len(WindowSet.concat([])) == 0
         assert WindowSet.concat([make_windows(0, width=5)]).values.shape == (0, 5, 3)
 
+    def test_selections_share_their_buffer(self):
+        pool = make_windows(6, seed=10)
+        mix = WindowSet.concat([pool.take([5, 1]), make_windows(2, seed=11), pool.take([0])])
+        assert len(mix.samples) == len(pool.samples) + 2 * 8
+        assert np.array_equal(mix.values, np.concatenate([pool.values[[5, 1]], make_windows(2, seed=11).values,
+                                                          pool.values[[0]]]))
+        assert pool.take([3, 4]).samples is pool.samples
+
+    def test_concat_refuses_mixed_widths(self):
+        with pytest.raises(DataError, match="widths"):
+            WindowSet.concat([make_windows(1, width=4), make_windows(1, width=5)])
+
     def test_values_are_contiguous_float64(self):
         windows = WindowSet(
-            values=np.ones((2, 4, 3), dtype=np.float32)[:, ::-1], labels=[0, 1],
+            samples=np.ones((8, 3), dtype=np.float32)[::-1], starts=[0, 4], width=4, labels=[0, 1],
             subjects=["a", "b"], synthetic=[False, True],
         )
+        assert windows.samples.dtype == np.float64 and windows.samples.flags.c_contiguous
         assert windows.values.dtype == np.float64 and windows.values.flags.c_contiguous
 
     def test_shape_checks(self):
+        columns = dict(labels=[0, 0], subjects=["a", "b"], synthetic=[False, False])
         with pytest.raises(DataError):
-            WindowSet(values=np.zeros((2, 4, 2)), labels=[0, 0], subjects=["a", "b"], synthetic=[False, False])
+            WindowSet(samples=np.zeros((8, 2)), starts=[0, 4], width=4, **columns)
         with pytest.raises(DataError):
-            WindowSet(values=np.zeros((2, 4, 3)), labels=[0], subjects=["a", "b"], synthetic=[False, False])
+            WindowSet(samples=np.zeros((8, 3)), starts=[0, 4], width=4, **dict(columns, labels=[0]))
+
+    @pytest.mark.parametrize("starts, width", [([0, 5], 4), ([-1, 0], 4), ([0, 4], 0)])
+    def test_window_outside_the_buffer_refused(self, starts, width):
+        with pytest.raises(DataError, match="must lie in"):
+            WindowSet(samples=np.zeros((8, 3)), starts=starts, width=width, labels=[0, 0], subjects=["a", "b"],
+                      synthetic=[False, False])
