@@ -24,6 +24,7 @@ from .harness import (
     ExperimentConfig,
     emit_report,
     load_report,
+    report_files,
     run_alignment,
     run_experiment,
     run_training,
@@ -128,11 +129,16 @@ def _cmd_align(args) -> int:
         window=args.window, stride=args.stride, bins=args.bins, k=args.k,
         per_axis=args.per_axis,
     )
-    report = run_alignment(args.real_manifest, args.synthetic_manifest, options)
-    paths = emit_report(report, "json", args.out)
-    print(f"jsd: {report.jsd:.6f}  coverage: {report.coverage:.6f}  ks mean D: {report.ks_mean_statistic:.6f}")
-    for path in paths:
-        print(f"wrote {path}")
+    # Every comparison runs before anything is written, so a failing one
+    # leaves no reports behind; one real set's coverage radii are computed once.
+    reports = [run_alignment(args.real_manifest, syn, options) for syn in args.synthetic_manifests]
+    files = [report_files(report, "json", args.out) for report in reports]
+    ingest.ensure_output_dir(args.out)
+    ingest.write_files([pair for pairs in files for pair in pairs])
+    for report, pairs in zip(reports, files):
+        print(f"jsd: {report.jsd:.6f}  coverage: {report.coverage:.6f}  ks mean D: {report.ks_mean_statistic:.6f}")
+        for path, _ in pairs:
+            print(f"wrote {path}")
     return 0
 
 
@@ -207,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("align", help="real-vs-synthetic alignment report")
     p.add_argument("real_manifest")
-    p.add_argument("synthetic_manifest")
+    p.add_argument("synthetic_manifests", nargs="+", metavar="synthetic_manifest",
+                   help="one report per synthetic manifest, in order")
     p.add_argument("--window", type=int, default=AlignmentOptions.window)
     p.add_argument("--stride", type=int, default=AlignmentOptions.stride)
     p.add_argument("--bins", type=int, default=AlignmentOptions.bins)

@@ -30,7 +30,6 @@ from .ingest import (
     ensure_output_dir,
     load_entry,
     read_json,
-    write_file,
     write_files,
 )
 from .kinematics import ActivityLabel
@@ -576,23 +575,30 @@ def emit_report(report, fmt: str = "json", out_dir: str | Path = ".") -> list[Pa
     hash).  Alignment reports are written as JSON only.  Returns the written
     paths.
     """
+    files = report_files(report, fmt, out_dir)
+    ensure_output_dir(out_dir)
+    write_files(files)
+    return [path for path, _ in files]
+
+
+def report_files(report, fmt: str = "json", out_dir: str | Path = ".") -> list[tuple[Path, bytes]]:
+    """The ``(path, data)`` pairs ``emit_report`` writes, without writing
+    them, so several reports can be written as one set."""
     if not isinstance(report, (ExperimentReport, AlignmentReport)):
         raise ConfigError(f"cannot emit report of type {type(report).__name__}")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
     if fmt == "csv" and isinstance(report, AlignmentReport):
         raise ConfigError("alignment reports are written as JSON only")
-    out_dir = ensure_output_dir(out_dir)
+    out_dir = Path(out_dir)
 
     if isinstance(report, ExperimentReport):
         path = out_dir / f"report_{report.fingerprint[:12]}.{fmt}"
-        write_file(path, (report.to_json() if fmt == "json" else report.to_csv()).encode("utf-8"))
-        return [path]
+        return [(path, (report.to_json() if fmt == "json" else report.to_csv()).encode("utf-8"))]
 
     payload = _json_text(report.to_dict()).encode("utf-8")
     tag = hashlib.sha256(payload).hexdigest()[:12]
     files = [(out_dir / f"alignment_{tag}.json", payload)]
     for name in _CURVES:
         files.append((out_dir / f"density_{name}_{tag}.csv", getattr(report, f"{name}_curve").to_csv().encode("utf-8")))
-    write_files(files)
-    return [path for path, _ in files]
+    return files

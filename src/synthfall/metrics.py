@@ -8,6 +8,7 @@ scores the downstream fall detector.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -230,12 +231,18 @@ def jsd(p: DensityCurve, q: DensityCurve) -> float:
 # Coverage
 
 def _as_matrix(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.float64)
+    arr = np.ascontiguousarray(samples, dtype=np.float64)
     if arr.ndim == 3:
         arr = arr.reshape(arr.shape[0], -1)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise DataError("expected a non-empty set of windows or sample vectors")
     return arr
+
+
+# The real k-NN radii of the last real set, keyed by its content, shape and
+# k.  One real set is compared with many synthetic ones in turn, and its
+# radii are half of each comparison.  One entry: a new real set replaces it.
+_RADII: dict = {}
 
 
 def coverage(real, synthetic, k: int = 5) -> float:
@@ -245,6 +252,8 @@ def coverage(real, synthetic, k: int = 5) -> float:
     Euclidean distance to its k-th nearest neighbor among the *other* real
     samples; it counts as covered when some synthetic sample lies within
     (<=) that radius.  Memory grows with the sample count, not its square.
+    The radii of the last real set are kept, so comparing it again with
+    another synthetic set computes only the real-synthetic distances.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -253,32 +262,44 @@ def coverage(real, synthetic, k: int = 5) -> float:
     n = r.shape[0]
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
-    radii, nearest = _knn_distances(r, s, k)
-    return float(np.count_nonzero(nearest <= radii) / n)
+    key = (hashlib.sha256(r).hexdigest(), r.shape, k)
+    radii = _RADII.get(key)
+    if radii is None:
+        radii = _knn_radii(r, k)
+        radii.flags.writeable = False
+        _RADII.clear()
+        _RADII[key] = radii
+    return float(np.count_nonzero(_nearest(r, s) <= radii) / n)
 
 
-def _knn_distances(r: np.ndarray, s: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per real row: the distance to its k-th nearest other real row, and to
-    its nearest synthetic row.
+# Real rows are taken COVERAGE_BLOCK at a time.  Distances stay squared
+# through the k-th smallest and the minimum; the square root, being
+# monotone, is taken after.
 
-    Real rows are taken ``COVERAGE_BLOCK`` at a time.  Distances stay squared
-    through the k-th smallest and the minimum; the square root, being
-    monotone, is taken after.
-    """
+def _knn_radii(r: np.ndarray, k: int) -> np.ndarray:
+    """Per real row, the distance to its k-th nearest other real row."""
     n = r.shape[0]
     r_sq = (r * r).sum(axis=1)
-    s_sq = (s * s).sum(axis=1)
     radii = np.empty(n)
-    nearest = np.empty(n)
     for start in range(0, n, COVERAGE_BLOCK):
         stop = min(start + COVERAGE_BLOCK, n)
-        block, block_sq = r[start:stop], r_sq[start:stop]
-        d_rr = _sq_dists(block, block_sq, r, r_sq)
+        d_rr = _sq_dists(r[start:stop], r_sq[start:stop], r, r_sq)
         own = np.arange(stop - start)
         d_rr[own, start + own] = np.inf
         radii[start:stop] = np.partition(d_rr, k - 1, axis=1)[:, k - 1]
-        nearest[start:stop] = _sq_dists(block, block_sq, s, s_sq).min(axis=1)
-    return np.sqrt(radii), np.sqrt(nearest)
+    return np.sqrt(radii)
+
+
+def _nearest(r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Per real row, the distance to its nearest synthetic row."""
+    n = r.shape[0]
+    r_sq = (r * r).sum(axis=1)
+    s_sq = (s * s).sum(axis=1)
+    nearest = np.empty(n)
+    for start in range(0, n, COVERAGE_BLOCK):
+        stop = min(start + COVERAGE_BLOCK, n)
+        nearest[start:stop] = _sq_dists(r[start:stop], r_sq[start:stop], s, s_sq).min(axis=1)
+    return np.sqrt(nearest)
 
 
 def _sq_dists(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:

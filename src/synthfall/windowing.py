@@ -18,6 +18,7 @@ DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 10
 
 STD_FLOOR = 1e-8
+SCALER_BLOCK = 256  # windows gathered at a time by fit_scaler
 
 # Guards floor() against float error in pool_size/fraction and total*fraction.
 _FLOOR_EPS = 1e-9
@@ -145,13 +146,34 @@ class Scaler:
 
 def fit_scaler(windows: WindowSet) -> Scaler:
     """Per-axis mean and population std over all window values pooled
-    together, each sample once per window that holds it."""
+    together, each sample once per window that holds it.
+
+    The windows are gathered ``SCALER_BLOCK`` at a time, so memory grows
+    with the block, not the set.  The result is ``pooled.mean(axis=0)`` and
+    ``pooled.std(axis=0)`` of the whole gathered set, bit for bit.
+    """
     if not windows:
         raise DataError("cannot fit a scaler on zero windows")
-    pooled = windows.values.reshape(-1, 3)
-    mean = pooled.mean(axis=0)
-    std = np.maximum(pooled.std(axis=0), STD_FLOOR)
-    return Scaler(mean=mean, std=std)
+    size = len(windows) * windows.width
+    mean = _running_sum(_blocks(windows)) / size
+    var = _running_sum(np.square(rows - mean) for rows in _blocks(windows)) / size
+    return Scaler(mean=mean, std=np.maximum(np.sqrt(var), STD_FLOOR))
+
+
+def _blocks(windows: WindowSet):
+    """The windows' rows, ``SCALER_BLOCK`` windows at a time, as (R, 3) arrays."""
+    for start in range(0, len(windows), SCALER_BLOCK):
+        yield windows.take(slice(start, start + SCALER_BLOCK)).values.reshape(-1, 3)
+
+
+def _running_sum(blocks) -> np.ndarray:
+    """The column sums of the blocks stacked in order.  Each block is reduced
+    with the total so far as its first row, which adds the rows in the order
+    one reduction over the stacked rows does."""
+    total = np.zeros(3)
+    for rows in blocks:
+        total = np.add.reduce(np.concatenate([total[None], rows]), axis=0)
+    return total
 
 
 def apply_scaler(scaler: Scaler, windows: WindowSet) -> WindowSet:

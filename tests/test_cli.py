@@ -69,6 +69,47 @@ def expect_data_error(capsys, argv, path):
     assert err.startswith("error: ") and str(path) in err
 
 
+class TestAlignSeveralGenerators:
+    ARGS = ["--window", "16", "--stride", "8", "--k", "2"]
+
+    @pytest.fixture(scope="class")
+    def generators(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("generators")
+        return [
+            build_synthetic_manifest(root, source=f"gen{i}", series=2, series_len=60, seed=10 + i, value_shift=0.2 * i)
+            for i in range(2)
+        ]
+
+    def test_one_run_writes_what_single_runs_write(self, files, generators, capsys, tmp_path):
+        real = str(files["real"])
+        single = []
+        for i, gen in enumerate(generators):
+            assert main(["align", real, str(gen), *self.ARGS, "--out", str(tmp_path / "single")]) == 0
+            single.append(capsys.readouterr().out)
+        assert main(["align", real, *map(str, generators), *self.ARGS, "--out", str(tmp_path / "both")]) == 0
+        assert capsys.readouterr().out == "".join(single).replace("single", "both")
+        written = {p.name: p.read_bytes() for p in (tmp_path / "single").iterdir()}
+        assert len(written) == 6
+        assert {p.name: p.read_bytes() for p in (tmp_path / "both").iterdir()} == written
+
+    @pytest.mark.parametrize("bad", ["missing", "bad_manifest", "other_rate"])
+    def test_a_failing_generator_writes_nothing(self, files, generators, capsys, tmp_path, bad):
+        if bad == "other_rate":
+            failing = build_synthetic_manifest(tmp_path, series=2, series_len=60, rate_hz=50.0)
+        else:
+            failing = files[bad]
+        out = tmp_path / "out"
+        argv = ["align", str(files["real"]), str(generators[0]), str(failing), *self.ARGS, "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_needs_a_generator(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["align", str(files["real"])])
+        assert exc.value.code == 2
+
+
 class TestFileErrorsExit3:
     @pytest.mark.parametrize("command", ["ingest", "align"])
     @pytest.mark.parametrize("kind", ["non_utf8", "deep_json"])
@@ -127,6 +168,17 @@ class TestFileErrorsExit3:
             taken.mkdir(parents=True)
             expect_data_error(capsys, argv + [str(taken.parent)], taken)
             assert list(taken.parent.iterdir()) == [taken]
+
+    def test_align_failed_write_removes_every_generators_files(self, files, capsys, tmp_path):
+        argv = ["align", str(files["real"]), str(files["synthetic"]), "--window", "16", "--stride", "8", "--out"]
+        assert main(argv + [str(tmp_path / "single")]) == 0
+        # The second report's density CSV is written last of all six files.
+        (last,) = (tmp_path / "single").glob("density_synthetic_*.csv")
+        taken = tmp_path / "out" / last.name
+        taken.mkdir(parents=True)
+        other = build_synthetic_manifest(tmp_path, series=2, series_len=60, seed=3)
+        expect_data_error(capsys, argv[:2] + [str(other)] + argv[2:] + [str(taken.parent)], taken)
+        assert list(taken.parent.iterdir()) == [taken]
 
     def test_train_output_names_are_directories(self, capsys, tmp_path, fixture_dataset):
         real, syn = fixture_dataset

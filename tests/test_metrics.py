@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from synthfall import metrics
 from synthfall.errors import ConfigError, DataError
 from synthfall.metrics import (
     COVERAGE_BLOCK,
     DensityCurve,
     _ecdf_gap,
-    _knn_distances,
+    _knn_radii,
+    _nearest,
     classification_metrics,
     coverage,
     histogram_density,
@@ -390,10 +392,12 @@ class TestCoverage:
         rng = np.random.default_rng(n)
         real = rng.normal(size=(n, 24))
         synthetic = rng.normal(0.1, 1.1, size=(300, 24))
+        nearest = _nearest(real, synthetic)
         for k in (1, 5):
-            radii, nearest = _knn_distances(real, synthetic, k)
             dense_radii, dense_nearest = dense_knn_distances(real, synthetic, k)
-            np.testing.assert_allclose(radii, dense_radii, rtol=1e-12, atol=0)
+            # A block's matrix product may round differently from the whole
+            # matrix's in the last bit.
+            np.testing.assert_allclose(_knn_radii(real, k), dense_radii, rtol=1e-12, atol=0)
             np.testing.assert_allclose(nearest, dense_nearest, rtol=1e-12, atol=0)
             assert coverage(real, synthetic, k=k) == float(np.mean(dense_nearest <= dense_radii))
 
@@ -443,6 +447,80 @@ class TestCoverage:
         rng = np.random.default_rng(6)
         with pytest.raises(DataError):
             coverage(rng.normal(size=(3, 2)), rng.normal(size=(5, 2)), k=3)
+
+
+class TestCoverageRadiiMemo:
+    """coverage keeps the k-NN radii of the last real set it saw."""
+
+    @pytest.fixture
+    def radii_calls(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_RADII", {})
+        calls = []
+
+        def counted(r, k):
+            calls.append((r.shape, k))
+            return compute(r, k)
+
+        compute = metrics._knn_radii
+        monkeypatch.setattr(metrics, "_knn_radii", counted)
+        return calls
+
+    @staticmethod
+    def check(real, synthetic, k):
+        got = coverage(real, synthetic, k=k)
+        assert got == coverage_oracle(real.tolist(), synthetic.reshape(len(synthetic), -1).tolist(), k)
+        assert len(metrics._RADII) == 1
+        return got
+
+    def test_same_real_set_reuses_radii(self, radii_calls):
+        rng = np.random.default_rng(10)
+        real = rng.normal(size=(20, 4))
+        for _ in range(3):
+            self.check(real, rng.normal(size=(15, 4)), 3)
+        # An equal copy, and the same rows as windows, are the same real set.
+        self.check(real.copy(), rng.normal(size=(15, 4)), 3)
+        coverage(real.reshape(20, 2, 2), rng.normal(size=(15, 2, 2)), k=3)
+        assert radii_calls == [((20, 4), 3)]
+
+    def test_new_values_shape_or_k_recompute(self, radii_calls):
+        rng = np.random.default_rng(11)
+        real = rng.normal(size=(20, 4))
+        synthetic = rng.normal(size=(15, 4))
+        changed = real.copy()
+        changed[7, 2] += 1e-12
+        self.check(real, synthetic, 3)
+        self.check(changed, synthetic, 3)
+        self.check(real.reshape(40, 2), synthetic.reshape(30, 2), 3)
+        self.check(real, synthetic, 2)
+        self.check(real, synthetic, 3)
+        assert radii_calls == [((20, 4), 3), ((20, 4), 3), ((40, 2), 3), ((20, 4), 2), ((20, 4), 3)]
+
+    def test_editing_the_real_array_in_place_recomputes(self, radii_calls):
+        rng = np.random.default_rng(12)
+        real = rng.normal(size=(20, 4))
+        synthetic = real[:5] + 0.01
+        self.check(real, synthetic, 2)
+        real[:5] += 100.0
+        self.check(real, synthetic, 2)
+        assert len(radii_calls) == 2
+
+    def test_kept_radii_are_read_only(self, radii_calls):
+        rng = np.random.default_rng(13)
+        coverage(rng.normal(size=(20, 4)), rng.normal(size=(15, 4)), k=3)
+        (radii,) = metrics._RADII.values()
+        with pytest.raises(ValueError):
+            radii[0] = 0.0
+
+    def test_errors_leave_the_memo_alone(self, radii_calls):
+        rng = np.random.default_rng(14)
+        real = rng.normal(size=(20, 4))
+        self.check(real, rng.normal(size=(15, 4)), 3)
+        with pytest.raises(DataError):
+            coverage(real[:3], real, k=3)
+        with pytest.raises(ConfigError):
+            coverage(real, real, k=0)
+        self.check(real, rng.normal(size=(15, 4)), 3)
+        assert len(radii_calls) == 1
 
 
 class TestClassificationMetrics:

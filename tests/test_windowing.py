@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from conftest import window_set
 from synthfall.errors import ConfigError, DataError
 from synthfall.kinematics import AccelSeries, ActivityLabel, Provenance
 from synthfall.windowing import (
+    SCALER_BLOCK,
     MixSpec,
     WindowSet,
     apply_scaler,
@@ -194,6 +197,33 @@ class TestScaler:
         out = apply_scaler(scaler, windows)
         for got, orig in zip(out.values, windows.values):
             assert np.array_equal(got, (orig - scaler.mean) / scaler.std)
+
+    @pytest.mark.parametrize("n", [1, SCALER_BLOCK - 1, SCALER_BLOCK, 2 * SCALER_BLOCK, 2 * SCALER_BLOCK + 37])
+    def test_blocks_match_one_pooled_reduction(self, n):
+        # Overlapping windows, values of mixed magnitude, and a constant axis.
+        samples = np.random.default_rng(n).normal(size=(n + 7, 3)) * [1.0, 1e6, 0.0]
+        windows = slide_windows(AccelSeries(samples=samples, sampling_rate=32.0), 8, 1)
+        scaler = fit_scaler(windows)
+        pooled = windows.values.reshape(-1, 3)
+        assert scaler.mean.tobytes() == pooled.mean(axis=0).tobytes()
+        assert scaler.std.tobytes() == np.maximum(pooled.std(axis=0), 1e-8).tobytes()
+
+    def test_memory_grows_with_the_block_not_the_set(self):
+        def peak(n):
+            series = AccelSeries(samples=np.random.default_rng(n).normal(size=(n + 127, 3)), sampling_rate=32.0)
+            windows = slide_windows(series, 128, 1)
+            tracemalloc.start()
+            fit_scaler(windows)
+            size = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return size
+
+        block_bytes = SCALER_BLOCK * 128 * 3 * 8
+        small, large = peak(2 * SCALER_BLOCK), peak(16 * SCALER_BLOCK)
+        # A block, its start indices, its deviations, their squares and the
+        # block joined to the total are live at once; the whole set is 16 blocks.
+        assert large < 6 * block_bytes
+        assert large < 1.5 * small  # 8x the windows
 
     def test_empty_input(self):
         with pytest.raises(DataError):
