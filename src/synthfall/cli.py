@@ -130,7 +130,7 @@ def _cmd_align(args) -> int:
         per_axis=args.per_axis,
     )
     # Every comparison runs before anything is written, so a failing one
-    # leaves no reports behind; one real set's coverage radii are computed once.
+    # leaves no reports behind; the real side is prepared once and kept.
     reports = [run_alignment(args.real_manifest, syn, options) for syn in args.synthetic_manifests]
     files = [report_files(report, "json", args.out) for report in reports]
     ingest.ensure_output_dir(args.out)

@@ -17,6 +17,7 @@ import logging
 import math
 import re
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from .ingest import (
     catalog_dataset,
     ensure_output_dir,
     load_entry,
+    read_file,
     read_json,
     write_files,
 )
@@ -37,10 +39,11 @@ from .metrics import (
     ClassificationMetrics,
     DensityCurve,
     KsResult,
-    coverage,
     histogram_density,
     jsd,
+    knn_radii,
     ks_two_sample,
+    nearest_distances,
     percent_delta,
 )
 from .windowing import (
@@ -80,18 +83,19 @@ def _one_rate(entries: list) -> None:
             )
 
 
-def _catalog_series(entries, width: int, stride: int):
+def _warn_if_short(entry, length: int, width: int) -> None:
+    if length < width:
+        logger.warning("skipping %s: %d samples is shorter than the window (%d)", entry.path, length, width)
+
+
+def _catalog_series(entries, width: int, stride: int, datas=None):
     """Each entry's series with its windows, warning of any series shorter
-    than the window."""
-    for entry in entries:
-        series = load_entry(entry)
-        cut = slide_windows(series, width, stride)
-        if not cut:
-            logger.warning(
-                "skipping %s: %d samples is shorter than the window (%d)",
-                entry.path, len(series), width,
-            )
-        yield series, cut
+    than the window.  ``datas``, when given, holds the entries' file bytes,
+    already read."""
+    for entry, data in zip(entries, datas or repeat(None)):
+        series = load_entry(entry, data)
+        _warn_if_short(entry, len(series), width)
+        yield series, slide_windows(series, width, stride)
 
 
 def _catalog_windows(entries, width: int, stride: int, data) -> WindowSet:
@@ -134,9 +138,9 @@ class AlignmentOptions:
             _at_least_one(self, name)
 
 
-def _fall_windows(entries, width: int, stride: int, which: str) -> WindowSet:
-    """The windows of the entries' series, over their samples joined."""
-    windows = WindowSet.concat(cut for _, cut in _catalog_series(entries, width, stride))
+def _fall_windows(cuts, which: str) -> WindowSet:
+    """The windows of the series' ``cuts``, over their samples joined."""
+    windows = WindowSet.concat(cuts)
     if not windows:
         raise DataError(f"{which} manifest yields no fall windows")
     return windows
@@ -168,6 +172,84 @@ def _density_pair(real, synthetic, bins: int):
     )
 
 
+@dataclass(frozen=True)
+class _RealSide:
+    """What an alignment computes from its real falls alone: their windows
+    and each series' length, the standardization statistics (pooled, then
+    per axis), the held values and counts of the standardized windows, those
+    windows flattened to (N, W*3), and their k-NN radii."""
+
+    windows: WindowSet
+    lengths: tuple[int, ...]
+    mu: float
+    sd: float
+    axis_stats: tuple[tuple[float, float], ...]
+    held: tuple[np.ndarray, np.ndarray]
+    flat: np.ndarray
+    radii: np.ndarray
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        w = self.windows
+        return (w.samples, w.starts, w.labels, w.subjects, w.synthetic, *self.held, self.flat, self.radii)
+
+
+# The real side of the last alignment that ran, under its _real_key.  One
+# real set is compared with many generators in turn, and only the generator
+# changes.  One entry: another real set, window, stride or k replaces it.
+_REAL_SIDE: dict[str, _RealSide] = {}
+
+
+def _real_key(entries, datas, opts) -> str:
+    """SHA-256 of what the real side depends on: the window, stride and k,
+    then each real fall entry's manifest fields and file bytes, in manifest
+    order.  Paths and file times are left out, so the same bytes elsewhere
+    are the same real set, and bytes rewritten in place are not."""
+    key = hashlib.sha256(json.dumps([opts.window, opts.stride, opts.k]).encode("utf-8") + b"\n")
+    for entry, data in zip(entries, datas):
+        meta = [
+            entry.subject_id, entry.activity.name.lower(), entry.sampling_rate,
+            entry.placement.value, entry.provenance.value, len(data),
+        ]
+        key.update(json.dumps(meta).encode("utf-8") + b"\n")
+        key.update(data)
+    return key.hexdigest()
+
+
+def _real_side(entries, opts) -> tuple[str, _RealSide]:
+    """The real side of a comparison and its key, from ``_REAL_SIDE`` when
+    the key matches (warning of short series as computing it does), else
+    computed from the bytes read for the key.  The caller keeps it."""
+    datas = [read_file(entry.path, "recording") for entry in entries]
+    key = _real_key(entries, datas, opts)
+    side = _REAL_SIDE.get(key)
+    if side is not None:
+        for entry, length in zip(entries, side.lengths):
+            _warn_if_short(entry, length, opts.window)
+        return key, side
+    pairs = list(_catalog_series(entries, opts.window, opts.stride, datas))
+    windows = _fall_windows((cut for _, cut in pairs), "real")
+    # The statistics come from the window values, so every standardized
+    # sample equals its windowed copies bit for bit; standardizing the
+    # gathered values in place gives the bits (samples - mu) / sd gathers.
+    values = windows.values
+    mu, sd = _scale_stats(values)
+    axis_stats = tuple(_scale_stats(values[:, :, i]) for i in range(3))
+    values -= mu
+    values /= sd
+    flat = values.reshape(len(windows), -1)
+    side = _RealSide(
+        windows=windows,
+        lengths=tuple(len(series) for series, _ in pairs),
+        mu=mu, sd=sd, axis_stats=axis_stats,
+        held=_held(replace(windows, samples=(windows.samples - mu) / sd)),
+        flat=flat,
+        radii=knn_radii(flat, opts.k),
+    )
+    for arr in side.arrays():
+        arr.flags.writeable = False
+    return key, side
+
+
 def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions | None = None) -> AlignmentReport:
     """Window the fall data of both manifests and measure their alignment.
 
@@ -177,22 +259,27 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     recorded sample once, weighted by the number of windows that hold it,
     which gives the same numbers as every window's copy of it would.  Every
     fall recording of both manifests must share one sampling rate.
+
+    What depends on the real falls alone (their windows, statistics and
+    k-NN radii) is kept for the next call, keyed by the window, stride, k
+    and the real fall entries' manifest fields and file bytes: comparing
+    the same real set with another generator reads the real files but
+    parses none of them.  Only the last real set is kept, and only once a
+    comparison with it gets past loading its synthetic windows.
     """
     opts = options or AlignmentOptions()
     real_entries = _falls(catalog_dataset(real_manifest))
     syn_entries = _falls(catalog_dataset(synthetic_manifest))
     _one_rate(real_entries + syn_entries)
-    real_windows = _fall_windows(real_entries, opts.window, opts.stride, "real")
-    syn_windows = _fall_windows(syn_entries, opts.window, opts.stride, "synthetic")
+    key, real = _real_side(real_entries, opts)
+    syn_windows = _fall_windows(
+        (cut for _, cut in _catalog_series(syn_entries, opts.window, opts.stride)), "synthetic"
+    )
+    _REAL_SIDE.clear()
+    _REAL_SIDE[key] = real
 
-    # The statistics come from the window values, so every standardized
-    # sample equals its windowed copies bit for bit.
-    real_arr = real_windows.values
-    mu, sd = _scale_stats(real_arr)
-    axis_stats = [_scale_stats(real_arr[:, :, i]) for i in range(3)] if opts.per_axis else ()
-    del real_arr
-    real_norm, syn_norm = (replace(w, samples=(w.samples - mu) / sd) for w in (real_windows, syn_windows))
-    (real_vals, real_counts), (syn_vals, syn_counts) = _held(real_norm), _held(syn_norm)
+    syn_norm = replace(syn_windows, samples=(syn_windows.samples - real.mu) / real.sd)
+    (real_vals, real_counts), (syn_vals, syn_counts) = real.held, _held(syn_norm)
 
     # Each sample's three values share its count.
     real_curve, syn_curve = _density_pair(
@@ -204,13 +291,14 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
         axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real_counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
-    cov = coverage(real_norm.values.reshape(len(real_norm), -1), syn_norm.values.reshape(len(syn_norm), -1), k=opts.k)
+    nearest = nearest_distances(real.flat, syn_norm.values.reshape(len(syn_norm), -1))
+    cov = float(np.count_nonzero(nearest <= real.radii) / len(real.radii))
 
     jsd_per_axis = None
     if opts.per_axis:
-        (real_raw, _), (syn_raw, _) = _held(real_windows), _held(syn_windows)
+        (real_raw, _), (syn_raw, _) = _held(real.windows), _held(syn_windows)
         jsd_per_axis = {}
-        for i, (axis, (mu_ax, sd_ax)) in enumerate(zip(_AXES, axis_stats)):
+        for i, (axis, (mu_ax, sd_ax)) in enumerate(zip(_AXES, real.axis_stats)):
             curves = _density_pair(
                 ((real_raw[:, i] - mu_ax) / sd_ax, real_counts),
                 ((syn_raw[:, i] - mu_ax) / sd_ax, syn_counts),

@@ -486,10 +486,11 @@ def catalog_dataset(manifest_path: str | Path) -> DatasetCatalog:
     return DatasetCatalog(entries=tuple(entries))
 
 
-def load_entry(entry: CatalogEntry) -> AccelSeries:
-    """Read one cataloged file as an AccelSeries with the manifest's metadata."""
+def load_entry(entry: CatalogEntry, data: bytes | None = None) -> AccelSeries:
+    """Read one cataloged file as an AccelSeries with the manifest's metadata;
+    ``data``, when given, is the file's bytes, already read."""
     return read_accel_csv(
-        read_file(entry.path, "recording"),
+        read_file(entry.path, "recording") if data is None else data,
         sampling_rate=entry.sampling_rate,
         label=entry.activity,
         provenance=entry.provenance,

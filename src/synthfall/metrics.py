@@ -8,7 +8,6 @@ scores the downstream fall detector.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -239,73 +238,63 @@ def _as_matrix(samples) -> np.ndarray:
     return arr
 
 
-# The real k-NN radii of the last real set, keyed by its content, shape and
-# k.  One real set is compared with many synthetic ones in turn, and its
-# radii are half of each comparison.  One entry: a new real set replaces it.
-_RADII: dict = {}
-
-
 def coverage(real, synthetic, k: int = 5) -> float:
     """Fraction of real samples whose k-NN ball contains a synthetic sample.
 
     Each window is flattened to a vector.  A real sample's radius is the
     Euclidean distance to its k-th nearest neighbor among the *other* real
-    samples; it counts as covered when some synthetic sample lies within
-    (<=) that radius.  Memory grows with the sample count, not its square.
-    The radii of the last real set are kept, so comparing it again with
-    another synthetic set computes only the real-synthetic distances.
+    samples (``knn_radii``); it counts as covered when some synthetic sample
+    lies within (<=) that radius (``nearest_distances``).  Memory grows with
+    the sample count, not its square.
     """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    r = _as_matrix(real)
-    s = _as_matrix(synthetic)
-    n = r.shape[0]
-    if n <= k:
-        raise DataError(f"coverage needs more than k={k} real samples, got {n}")
-    key = (hashlib.sha256(r).hexdigest(), r.shape, k)
-    radii = _RADII.get(key)
-    if radii is None:
-        radii = _knn_radii(r, k)
-        radii.flags.writeable = False
-        _RADII.clear()
-        _RADII[key] = radii
-    return float(np.count_nonzero(_nearest(r, s) <= radii) / n)
+    radii = knn_radii(real, k)
+    return float(np.count_nonzero(nearest_distances(real, synthetic) <= radii) / radii.size)
 
 
 # Real rows are taken COVERAGE_BLOCK at a time.  Distances stay squared
 # through the k-th smallest and the minimum; the square root, being
 # monotone, is taken after.
 
-def _knn_radii(r: np.ndarray, k: int) -> np.ndarray:
-    """Per real row, the distance to its k-th nearest other real row."""
+def knn_radii(real, k: int) -> np.ndarray:
+    """Per real sample, the Euclidean distance to its k-th nearest other real
+    sample; the radii depend on the real samples alone."""
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    r = _as_matrix(real)
     n = r.shape[0]
+    if n <= k:
+        raise DataError(f"coverage needs more than k={k} real samples, got {n}")
     r_sq = (r * r).sum(axis=1)
     radii = np.empty(n)
     for start in range(0, n, COVERAGE_BLOCK):
         stop = min(start + COVERAGE_BLOCK, n)
-        d_rr = _sq_dists(r[start:stop], r_sq[start:stop], r, r_sq)
+        d_rr = np.maximum(r_sq[start:stop, None] + r_sq[None, :] - 2.0 * (r[start:stop] @ r.T), 0.0)
         own = np.arange(stop - start)
         d_rr[own, start + own] = np.inf
         radii[start:stop] = np.partition(d_rr, k - 1, axis=1)[:, k - 1]
     return np.sqrt(radii)
 
 
-def _nearest(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Per real row, the distance to its nearest synthetic row."""
+def nearest_distances(real, synthetic) -> np.ndarray:
+    """Per real sample, the Euclidean distance to its nearest synthetic sample."""
+    r, s = _as_matrix(real), _as_matrix(synthetic)
+    if r.shape[1] != s.shape[1]:
+        raise DataError(f"real samples have {r.shape[1]} values and synthetic ones {s.shape[1]}")
     n = r.shape[0]
     r_sq = (r * r).sum(axis=1)
     s_sq = (s * s).sum(axis=1)
     nearest = np.empty(n)
+    # |r|^2 + |s|^2 - 2 r.s, with the -2 folded into the product: scaling by
+    # a power of two is exact, so these are the bits of the plain expression.
+    norms = np.empty((min(COVERAGE_BLOCK, n), s.shape[0]))
     for start in range(0, n, COVERAGE_BLOCK):
         stop = min(start + COVERAGE_BLOCK, n)
-        nearest[start:stop] = _sq_dists(r[start:stop], r_sq[start:stop], s, s_sq).min(axis=1)
-    return np.sqrt(nearest)
-
-
-def _sq_dists(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``a`` and ``b``, given
-    their squared norms."""
-    return np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0)
+        block = norms[: stop - start]
+        np.add(r_sq[start:stop, None], s_sq, out=block)
+        sq = (-2.0 * r[start:stop]) @ s.T
+        sq += block
+        nearest[start:stop] = sq.min(axis=1)
+    return np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
 
 
 # ---------------------------------------------------------------------------

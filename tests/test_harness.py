@@ -2,10 +2,14 @@ import functools
 import hashlib
 import json
 import operator
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from synthfall.harness import (
 )
 from synthfall.ingest import catalog_dataset, load_entry, write_accel_csv
 from synthfall.kinematics import AccelSeries, ActivityLabel
-from synthfall.metrics import DensityCurve, KsResult, coverage, histogram_density, jsd, ks_two_sample
+from synthfall.metrics import DensityCurve, KsResult, coverage, histogram_density, jsd, knn_radii, ks_two_sample
 from synthfall.windowing import MixSpec, slide_windows
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
@@ -278,6 +282,152 @@ class TestAlignmentFromCountedSamples:
         report = run_alignment(real, syn, AlignmentOptions(window=64, stride=4, bins=20, k=2))
         assert len(sizes) == 3 and max(sizes) <= samples
         assert report.ks_x.n + report.ks_x.m > 10 * samples
+
+
+class TestRealSideMemo:
+    """run_alignment keeps the real side of the last real set it compared."""
+
+    OPTS = AlignmentOptions(window=64, stride=16, bins=20, k=3)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The ``knn_radii`` calls (rows, k) and the recordings parsed, by
+        file name, of the run_alignment calls a test makes."""
+        monkeypatch.setattr(harness, "_REAL_SIDE", {})
+        calls = {"radii": [], "parsed": []}
+
+        def counted_radii(real, k):
+            calls["radii"].append((len(real), k))
+            return knn_radii(real, k)
+
+        def counted_load(entry, data=None):
+            calls["parsed"].append(entry.path.name)
+            return load_entry(entry, data)
+
+        monkeypatch.setattr(harness, "knn_radii", counted_radii)
+        monkeypatch.setattr(harness, "load_entry", counted_load)
+        return calls
+
+    @staticmethod
+    def check(real, synthetic, opts=OPTS):
+        """The report, after checking it against the window-replicated
+        oracle and that one real side is kept."""
+        report = run_alignment(real, synthetic, opts)
+        assert json.dumps(report.to_dict()) == json.dumps(replicated_alignment(real, synthetic, opts).to_dict())
+        assert len(harness._REAL_SIDE) == 1
+        return report
+
+    @staticmethod
+    def generators(root, count=3):
+        return [
+            build_synthetic_manifest(root, source=f"gen{g}", series=4, series_len=150, seed=20 + g, value_shift=0.1 * g)
+            for g in range(count)
+        ]
+
+    def test_one_real_set_against_three_generators_computes_it_once(self, tmp_path, calls):
+        real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
+        parsed = []
+        for gen in self.generators(tmp_path):
+            calls["parsed"].clear()
+            self.check(real, gen)
+            parsed.append(sorted({name.split("_")[1] for name in calls["parsed"]}))
+        # 6 falls of 9 windows; a hit parses the generator's recordings only.
+        assert calls["radii"] == [(54, 3)]
+        assert parsed == [["fall.csv", "fall0.csv"], ["fall.csv"], ["fall.csv"]]
+
+    def test_same_bytes_elsewhere_are_the_same_real_set(self, tmp_path, calls):
+        real = build_dataset(tmp_path / "a", subjects=6, series_len=200, seed=0)
+        (gen,) = self.generators(tmp_path, 1)
+        first = self.check(real, gen)
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        assert self.check(tmp_path / "b" / real.name, gen).to_dict() == first.to_dict()
+        assert calls["radii"] == [(54, 3)]
+
+    def test_recording_rewritten_in_place_misses(self, tmp_path, calls):
+        real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
+        (gen,) = self.generators(tmp_path, 1)
+        self.check(real, gen)
+        fall = next(e.path for e in catalog_dataset(real).entries if e.activity == ActivityLabel.FALL)
+        lines = fall.read_text("utf-8").split("\n")
+        x, rest = lines[5].split(";", 1)
+        lines[5] = f"{float(x) + 0.5:.6f};{rest}"
+        fall.write_text("\n".join(lines), "utf-8")  # same path, same number of samples
+        report = self.check(real, gen)
+        assert len(calls["radii"]) == 2
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from synthfall.harness import AlignmentOptions, run_alignment; "
+             "print(run_alignment(sys.argv[1], sys.argv[2], AlignmentOptions(window=64, stride=16, bins=20, k=3))"
+             ".to_dict())", str(real), str(gen)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])},
+        )
+        assert fresh.stdout == f"{report.to_dict()}\n"
+
+    def test_window_stride_or_k_change_misses(self, tmp_path, calls):
+        real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
+        (gen,) = self.generators(tmp_path, 1)
+        for opts in (
+            self.OPTS, replace(self.OPTS, window=48), replace(self.OPTS, stride=8),
+            replace(self.OPTS, k=2), self.OPTS, replace(self.OPTS, bins=30, per_axis=True),
+        ):
+            self.check(real, gen, opts)
+        # bins and per_axis do not change the real side.
+        assert calls["radii"] == [(54, 3), (60, 3), (108, 3), (54, 2), (54, 3)]
+
+    def test_kept_arrays_are_read_only(self, tmp_path, calls):
+        real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
+        (gen,) = self.generators(tmp_path, 1)
+        self.check(real, gen)
+        (side,) = harness._REAL_SIDE.values()
+        for arr in side.arrays():
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            side.radii[0] = 0.0
+
+    def test_failing_comparison_leaves_the_memo_alone(self, tmp_path, calls):
+        real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
+        other_real = build_dataset(tmp_path, subjects=6, series_len=200, seed=1, name="other")
+        (gen,) = self.generators(tmp_path, 1)
+        no_falls = build_dataset(tmp_path, subjects=4, series_len=200, falls_per_subject=0, name="nofall")
+        fast = build_synthetic_manifest(tmp_path, source="fast", series=4, series_len=150, rate_hz=64.0)
+        self.check(real, gen)
+        kept = dict(harness._REAL_SIDE)
+        for bad_real, bad_syn, match in (
+            (real, no_falls, "synthetic manifest yields no fall windows"),
+            (other_real, no_falls, "synthetic manifest yields no fall windows"),
+            (real, fast, "sampling rate"),
+        ):
+            with pytest.raises(DataError, match=match):
+                run_alignment(bad_real, bad_syn, self.OPTS)
+            assert harness._REAL_SIDE == kept
+        self.check(real, gen)
+        assert calls["radii"] == [(54, 3), (54, 3)]  # the second for other_real
+
+    def test_one_entry_kept(self, tmp_path, calls):
+        reals = [build_dataset(tmp_path, subjects=6, series_len=200, seed=s, name=f"real{s}") for s in (0, 1)]
+        (gen,) = self.generators(tmp_path, 1)
+        for real in (*reals, reals[0]):
+            self.check(real, gen)
+        assert len(calls["radii"]) == 3
+
+    def test_hit_logs_what_a_miss_logs(self, tmp_path, calls, caplog):
+        uneven = build_uneven_manifest(tmp_path)
+        (gen,) = self.generators(tmp_path, 1)
+        opts = AlignmentOptions(window=64, stride=25, bins=20, k=2)
+        shutil.copytree(tmp_path / "uneven", tmp_path / "moved" / "uneven")
+        moved = shutil.copy(uneven, tmp_path / "moved")
+        logs = []
+        for manifest in (uneven, uneven, moved):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="synthfall.harness"):
+                self.check(manifest, gen, opts)
+            logs.append([record.getMessage() for record in caplog.records])
+        assert len(calls["radii"]) == 1
+        assert logs[0] == logs[1] == [
+            f"skipping {tmp_path / 'uneven' / 'short.csv'}: 40 samples is shorter than the window (64)"
+        ]
+        assert logs[2] == [logs[0][0].replace(str(tmp_path), str(tmp_path / "moved"))]
 
 
 class TestExperimentConfig:

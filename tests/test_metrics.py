@@ -13,13 +13,13 @@ from synthfall.metrics import (
     COVERAGE_BLOCK,
     DensityCurve,
     _ecdf_gap,
-    _knn_radii,
-    _nearest,
     classification_metrics,
     coverage,
     histogram_density,
     jsd,
+    knn_radii,
     ks_two_sample,
+    nearest_distances,
     percent_delta,
 )
 
@@ -392,14 +392,48 @@ class TestCoverage:
         rng = np.random.default_rng(n)
         real = rng.normal(size=(n, 24))
         synthetic = rng.normal(0.1, 1.1, size=(300, 24))
-        nearest = _nearest(real, synthetic)
+        nearest = nearest_distances(real, synthetic)
         for k in (1, 5):
             dense_radii, dense_nearest = dense_knn_distances(real, synthetic, k)
             # A block's matrix product may round differently from the whole
             # matrix's in the last bit.
-            np.testing.assert_allclose(_knn_radii(real, k), dense_radii, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(knn_radii(real, k), dense_radii, rtol=1e-12, atol=0)
             np.testing.assert_allclose(nearest, dense_nearest, rtol=1e-12, atol=0)
             assert coverage(real, synthetic, k=k) == float(np.mean(dense_nearest <= dense_radii))
+
+    @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
+    def test_nearest_equals_the_plain_expression_bit_for_bit(self, n):
+        """The -2 folded into the product, the norms added into a reused
+        buffer, and the clamp and root taken after the minimum give the bits
+        of the plain blocked expression."""
+        rng = np.random.default_rng(100 + n)
+        real = rng.normal(size=(n, 24))
+        synthetic = rng.normal(0.1, 1.1, size=(300, 24))
+        r_sq, s_sq = (real * real).sum(axis=1), (synthetic * synthetic).sum(axis=1)
+        expect = np.concatenate([
+            np.sqrt(np.maximum(
+                r_sq[i:i + COVERAGE_BLOCK, None] + s_sq[None, :] - 2.0 * (real[i:i + COVERAGE_BLOCK] @ synthetic.T), 0.0
+            ).min(axis=1))
+            for i in range(0, n, COVERAGE_BLOCK)
+        ])
+        assert np.array_equal(nearest_distances(real, synthetic), expect)
+
+    def test_radii_recomputed_on_every_call(self, monkeypatch):
+        """coverage keeps nothing between calls."""
+        calls = []
+
+        def counted(real, k):
+            calls.append(k)
+            return compute(real, k)
+
+        compute = metrics.knn_radii
+        monkeypatch.setattr(metrics, "knn_radii", counted)
+        rng = np.random.default_rng(10)
+        real = rng.normal(size=(20, 4))
+        for _ in range(3):
+            synthetic = rng.normal(size=(15, 4))
+            assert coverage(real, synthetic, k=3) == coverage_oracle(real.tolist(), synthetic.tolist(), 3)
+        assert calls == [3, 3, 3]
 
     def test_memory_grows_linearly_in_samples(self):
         """The peak scales like N (one block of rows at a time), not like an
@@ -448,79 +482,13 @@ class TestCoverage:
         with pytest.raises(DataError):
             coverage(rng.normal(size=(3, 2)), rng.normal(size=(5, 2)), k=3)
 
-
-class TestCoverageRadiiMemo:
-    """coverage keeps the k-NN radii of the last real set it saw."""
-
-    @pytest.fixture
-    def radii_calls(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_RADII", {})
-        calls = []
-
-        def counted(r, k):
-            calls.append((r.shape, k))
-            return compute(r, k)
-
-        compute = metrics._knn_radii
-        monkeypatch.setattr(metrics, "_knn_radii", counted)
-        return calls
-
-    @staticmethod
-    def check(real, synthetic, k):
-        got = coverage(real, synthetic, k=k)
-        assert got == coverage_oracle(real.tolist(), synthetic.reshape(len(synthetic), -1).tolist(), k)
-        assert len(metrics._RADII) == 1
-        return got
-
-    def test_same_real_set_reuses_radii(self, radii_calls):
-        rng = np.random.default_rng(10)
-        real = rng.normal(size=(20, 4))
-        for _ in range(3):
-            self.check(real, rng.normal(size=(15, 4)), 3)
-        # An equal copy, and the same rows as windows, are the same real set.
-        self.check(real.copy(), rng.normal(size=(15, 4)), 3)
-        coverage(real.reshape(20, 2, 2), rng.normal(size=(15, 2, 2)), k=3)
-        assert radii_calls == [((20, 4), 3)]
-
-    def test_new_values_shape_or_k_recompute(self, radii_calls):
-        rng = np.random.default_rng(11)
-        real = rng.normal(size=(20, 4))
-        synthetic = rng.normal(size=(15, 4))
-        changed = real.copy()
-        changed[7, 2] += 1e-12
-        self.check(real, synthetic, 3)
-        self.check(changed, synthetic, 3)
-        self.check(real.reshape(40, 2), synthetic.reshape(30, 2), 3)
-        self.check(real, synthetic, 2)
-        self.check(real, synthetic, 3)
-        assert radii_calls == [((20, 4), 3), ((20, 4), 3), ((40, 2), 3), ((20, 4), 2), ((20, 4), 3)]
-
-    def test_editing_the_real_array_in_place_recomputes(self, radii_calls):
-        rng = np.random.default_rng(12)
-        real = rng.normal(size=(20, 4))
-        synthetic = real[:5] + 0.01
-        self.check(real, synthetic, 2)
-        real[:5] += 100.0
-        self.check(real, synthetic, 2)
-        assert len(radii_calls) == 2
-
-    def test_kept_radii_are_read_only(self, radii_calls):
-        rng = np.random.default_rng(13)
-        coverage(rng.normal(size=(20, 4)), rng.normal(size=(15, 4)), k=3)
-        (radii,) = metrics._RADII.values()
-        with pytest.raises(ValueError):
-            radii[0] = 0.0
-
-    def test_errors_leave_the_memo_alone(self, radii_calls):
-        rng = np.random.default_rng(14)
-        real = rng.normal(size=(20, 4))
-        self.check(real, rng.normal(size=(15, 4)), 3)
-        with pytest.raises(DataError):
-            coverage(real[:3], real, k=3)
+    def test_bad_k_and_mismatched_widths(self):
+        rng = np.random.default_rng(7)
+        real = rng.normal(size=(8, 4))
         with pytest.raises(ConfigError):
             coverage(real, real, k=0)
-        self.check(real, rng.normal(size=(15, 4)), 3)
-        assert len(radii_calls) == 1
+        with pytest.raises(DataError, match="values"):
+            coverage(real, rng.normal(size=(5, 3)), k=2)
 
 
 class TestClassificationMetrics:
