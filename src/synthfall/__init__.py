@@ -58,7 +58,6 @@ from .classifier import (
     evaluate,
     forward,
     init_model,
-    load_checkpoint,
     loss_and_gradients,
     train,
 )
@@ -70,7 +69,6 @@ from .harness import (
     emit_report,
     run_alignment,
     run_experiment,
-    run_training,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +117,6 @@ __all__ = [
     "joint_index_for",
     "jsd",
     "ks_two_sample",
-    "load_checkpoint",
     "load_entry",
     "load_prompt_catalog",
     "loss_and_gradients",
@@ -128,7 +125,6 @@ __all__ = [
     "read_motion_array",
     "run_alignment",
     "run_experiment",
-    "run_training",
     "slide_windows",
     "split_subjects",
     "train",

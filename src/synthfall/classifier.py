@@ -13,14 +13,11 @@ threads, but a single instance must not be shared.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .ingest import read_file
 from .metrics import ClassificationMetrics, classification_metrics
 from .windowing import WindowSet
 
@@ -47,8 +44,8 @@ EVAL_BATCH = 512
 
 def _tensor_shapes(hidden: int, dense: int, input_dim: int) -> dict[str, tuple[int, ...]]:
     """Name and shape of every tensor of a model with these sizes, in the
-    order they lie in ``ModelParams.flat`` and in a checkpoint payload: the
-    trainable tensors, then the ``_N_STATE`` BatchNorm running statistics."""
+    order they lie in ``ModelParams.flat``: the trainable tensors, then the
+    ``_N_STATE`` BatchNorm running statistics."""
     return {
         "w_x": (4 * hidden, input_dim), "w_h": (4 * hidden, hidden), "b": (4 * hidden,),
         "dense1_w": (dense, hidden), "dense1_b": (dense,),
@@ -402,67 +399,71 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
     """
     if not train_windows or not val_windows:
         raise DataError("train and validation sets must be non-empty")
-    x_train = _as_batch(train_windows, model.dtype)
-    y_train = _labels_of(train_windows)
-    x_val = _as_batch(val_windows, model.dtype)
-    y_val = _labels_of(val_windows)
+    # Every pass checks its results for non-finite values where it computes
+    # them and names where, so numpy's floating-point warnings are off: set
+    # once per call, not once per step.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x_train = _as_batch(train_windows, model.dtype)
+        y_train = _labels_of(train_windows)
+        x_val = _as_batch(val_windows, model.dtype)
+        y_val = _labels_of(val_windows)
 
-    n = x_train.shape[0]
-    rng = np.random.default_rng(seed)
-    # Adam's moments over the trainable prefix of the flat parameter buffer.
-    theta = model.flat[: model.n_trainable]
-    adam_m = np.zeros_like(theta)
-    adam_v = np.zeros_like(theta)
-    names = list(model.trainable())
-    step = 0
-    lr = np.asarray(config.learning_rate, dtype=model.dtype)
+        n = x_train.shape[0]
+        rng = np.random.default_rng(seed)
+        # Adam's moments over the trainable prefix of the flat parameter buffer.
+        theta = model.flat[: model.n_trainable]
+        adam_m = np.zeros_like(theta)
+        adam_v = np.zeros_like(theta)
+        names = list(model.trainable())
+        step = 0
+        lr = np.asarray(config.learning_rate, dtype=model.dtype)
 
-    history = TrainHistory()
-    best_val = np.inf
-    best_params = model.copy()
-    since_improve = 0
+        history = TrainHistory()
+        best_val = np.inf
+        best_params = model.copy()
+        since_improve = 0
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for epoch in range(config.max_epochs):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                try:
+                    loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx])
+                except NumericError as exc:
+                    raise exc.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
+                step += 1
+                bc1 = 1.0 - ADAM_BETA1**step
+                bc2 = 1.0 - ADAM_BETA2**step
+                grad = np.concatenate([grads[name].ravel() for name in names])
+                adam_m[:] = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
+                adam_v[:] = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
+                m_hat = adam_m / bc1
+                v_hat = adam_v / bc2
+                theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                total += loss * idx.size
+            history.train_loss.append(total / n)
+
             try:
-                loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx])
+                val_probs = forward(model, x_val)
             except NumericError as exc:
-                raise exc.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
-            step += 1
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            grad = np.concatenate([grads[name].ravel() for name in names])
-            adam_m[:] = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
-            adam_v[:] = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
-            m_hat = adam_m / bc1
-            v_hat = adam_v / bc2
-            theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            total += loss * idx.size
-        history.train_loss.append(total / n)
+                raise exc.within(f"epoch {epoch}", "validation") from exc
+            val_loss = _bce(val_probs, y_val)
+            history.val_loss.append(val_loss)
+            history.val_f1.append(classification_metrics(val_probs, y_val).f1)
 
-        try:
-            val_probs = forward(model, x_val)
-        except NumericError as exc:
-            raise exc.within(f"epoch {epoch}", "validation") from exc
-        val_loss = _bce(val_probs, y_val)
-        history.val_loss.append(val_loss)
-        history.val_f1.append(classification_metrics(val_probs, y_val).f1)
-
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = model.copy()
-            history.best_epoch = epoch
-            since_improve = 0
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = model.copy()
+                history.best_epoch = epoch
+                since_improve = 0
+            else:
+                since_improve += 1
+                if since_improve >= config.patience:
+                    history.stop_reason = "early_stop"
+                    break
         else:
-            since_improve += 1
-            if since_improve >= config.patience:
-                history.stop_reason = "early_stop"
-                break
-    else:
-        history.stop_reason = "max_epochs"
+            history.stop_reason = "max_epochs"
     return best_params, history
 
 
@@ -470,51 +471,7 @@ def evaluate(model: ModelParams, test_windows, threshold: float = 0.5) -> Classi
     """Eval-mode forward over the test windows, scored against their labels."""
     if not test_windows:
         raise DataError("test set must be non-empty")
-    probs = forward(model, test_windows)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        probs = forward(model, test_windows)
     return classification_metrics(probs, _labels_of(test_windows), threshold)
 
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-_CKPT_MAGIC = b"SFCK"
-_CKPT_VERSION = 2
-# magic, version, hidden, dense, input_dim, window_len, itemsize
-_CKPT_HEADER = struct.Struct("<4sHIIIIB")
-
-
-def checkpoint_bytes(model: ModelParams, window_len: int) -> bytes:
-    """Versioned binary checkpoint: header + ``model.flat`` as little-endian
-    floats, i.e. every tensor in ``_tensor_shapes`` order, the fused LSTM
-    tensors in ``GATE_ORDER``.  Only this version is written or read.
-    """
-    itemsize = model.dtype.itemsize
-    header = _CKPT_HEADER.pack(
-        _CKPT_MAGIC, _CKPT_VERSION, model.hidden_size, model.dense_units,
-        model.input_dim, window_len, itemsize,
-    )
-    return header + np.ascontiguousarray(model.flat, dtype=f"<f{itemsize}").tobytes()
-
-
-def load_checkpoint(path: str | Path):
-    """Load a version-2 checkpoint; returns (model, window_len)."""
-    data = read_file(path, "checkpoint")
-    if data[:4] != _CKPT_MAGIC:
-        raise DataError("not a checkpoint: bad magic")
-    if len(data) < _CKPT_HEADER.size:
-        raise DataError("truncated checkpoint header")
-    _, version, hidden, dense, input_dim, window_len, itemsize = _CKPT_HEADER.unpack_from(data)
-    if version != _CKPT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    if itemsize not in (4, 8):
-        raise DataError(f"unsupported checkpoint itemsize {itemsize}")
-    if min(hidden, dense, input_dim) < 1:
-        raise DataError("checkpoint sizes must be >= 1")
-    shapes = _tensor_shapes(hidden, dense, input_dim)
-    size = _CKPT_HEADER.size + sum(math.prod(shape) for shape in shapes.values()) * itemsize
-    if len(data) < size:
-        raise DataError("truncated checkpoint payload")
-    if len(data) > size:
-        raise DataError(f"{len(data) - size} trailing bytes after checkpoint payload")
-    flat = np.frombuffer(data, dtype=f"<f{itemsize}", offset=_CKPT_HEADER.size).copy()
-    return ModelParams(flat, hidden, dense, input_dim), window_len

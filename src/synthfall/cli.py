@@ -1,9 +1,8 @@
 """Command-line interface.
 
-Subcommands: ingest, kinematics, align, train, experiment, prompts,
-report.  train and experiment read a JSON config file mirroring
-ExperimentConfig; every field can be overridden by a flag, and --seed is
-always required for them.
+Subcommands: ingest, kinematics, align, experiment, prompts, report.
+experiment reads a JSON config file mirroring ExperimentConfig; every
+field can be overridden by a flag, and --seed is always required.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
 """
@@ -17,7 +16,7 @@ import sys
 from dataclasses import fields
 
 from . import ingest
-from .classifier import TrainConfig, checkpoint_bytes
+from .classifier import TrainConfig
 from .errors import ConfigError, DataError, ToolkitError
 from .harness import (
     AlignmentOptions,
@@ -27,7 +26,6 @@ from .harness import (
     report_files,
     run_alignment,
     run_experiment,
-    run_training,
 )
 from .kinematics import DEFAULT_FRAME_RATE_HZ, SensorPlacement, differentiate_to_accel, extract_joint
 
@@ -142,30 +140,22 @@ def _cmd_align(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    config = _build_experiment_config(args)
-    out_dir = ingest.ensure_output_dir(args.out)
-    model, history, result, fingerprint = run_training(config)
-    tag = fingerprint[:12]
-    ckpt = out_dir / f"model_{tag}.ckpt"
-    ingest.write_files([
-        (ckpt, checkpoint_bytes(model, config.window)),
-        (out_dir / f"history_{tag}.csv", history.to_csv().encode("utf-8")),
-    ])
-    print(f"test f1: {result.f1:.4f}  precision: {result.precision:.4f}  recall: {result.recall:.4f}")
-    print(f"wrote {ckpt}")
-    return 0
-
-
 def _cmd_experiment(args) -> int:
     config = _build_experiment_config(args)
-    ingest.ensure_output_dir(args.out)
-    report = run_experiment(config)
-    paths = emit_report(report, args.format, args.out)
+    out_dir = ingest.ensure_output_dir(args.out)
+    histories = []
+    report = run_experiment(config, histories)
+    # The report and every iteration's training history, written as one set.
+    tag = report.fingerprint[:12]
+    files = report_files(report, args.format, out_dir) + [
+        (out_dir / f"history_{tag}_{i}.csv", history.to_csv().encode("utf-8"))
+        for i, history in enumerate(histories)
+    ]
+    ingest.write_files(files)
     print(f"mean f1: {report.mean_f1:.4f} over {len(report.iterations)} iterations")
     if report.delta_percent is not None:
         print(f"delta vs baseline: {report.delta_percent:+.2f}%")
-    for path in paths:
+    for path, _ in files:
         print(f"wrote {path}")
     return 0
 
@@ -222,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-axis", action="store_true", help="also report per-axis JSD")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_align)
-
-    p = sub.add_parser("train", help="train one classifier and save a checkpoint")
-    _add_experiment_flags(p)
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("experiment", help="multi-iteration augmentation experiment")
     _add_experiment_flags(p)

@@ -570,7 +570,7 @@ def _scaled_sets(config, i, split, real_windows, synthetic_pool):
 
 
 def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
-    """One split/mix/train/evaluate round; returns (result, model, history)."""
+    """One split/mix/train/evaluate round; returns (result, history)."""
     split = split_subjects(subjects, config.split_sizes, derive_seed(config.seed, i, "split"))
     train_w, val_w, test_w = _scaled_sets(config, i, split, real_windows, synthetic_pool)
     model = init_model(
@@ -592,23 +592,10 @@ def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
         best_epoch=history.best_epoch,
         stop_reason=history.stop_reason,
     )
-    return result, best, history
+    return result, history
 
 
-def run_training(config: ExperimentConfig):
-    """Single training round (iteration 0 of the experiment protocol).
-
-    Returns (model, history, iteration_result, fingerprint) for
-    checkpointing.  The fingerprint names the run by its data and the
-    settings it reads: that of a one-iteration experiment without a
-    baseline, whatever ``iterations`` and ``baseline_report`` say.
-    """
-    subjects, real_windows, synthetic_pool, data_sha256 = _load_pools(config)
-    result, model, history = _run_iteration(config, 0, subjects, real_windows, synthetic_pool)
-    return model, history, result, _run_fingerprint(replace(config, iterations=1, baseline_report=None), data_sha256)
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, histories: list | None = None) -> ExperimentReport:
     """Seeded multi-iteration augmentation experiment.
 
     Each iteration splits the real subjects, composes a training mix per the
@@ -616,8 +603,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     condition), standardizes with training statistics, trains the classifier,
     and scores the held-out test subjects.  Metrics are averaged over
     iterations; when a baseline report is referenced, it is read before any
-    recording and the percentage delta of mean F1 is included.  Multiple synthetic manifests are pooled before
-    sampling, so the drawn synthetic windows can come from any of them.
+    recording and the percentage delta of mean F1 is included.  Multiple
+    synthetic manifests are pooled before sampling, so the drawn synthetic
+    windows can come from any of them.
+
+    ``histories``, when given, receives each iteration's ``TrainHistory`` in
+    iteration order.  It is an output only: the report is the same with or
+    without it.
     """
     baseline_mean_f1 = None
     if config.baseline_report is not None:
@@ -625,8 +617,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     subjects, real_windows, synthetic_pool, data_sha256 = _load_pools(config)
     results = []
     for i in range(config.iterations):
-        result, _, _ = _run_iteration(config, i, subjects, real_windows, synthetic_pool)
+        result, history = _run_iteration(config, i, subjects, real_windows, synthetic_pool)
         results.append(result)
+        if histories is not None:
+            histories.append(history)
 
     mean_f1 = sum(r.f1 for r in results) / len(results)
     mean_precision = sum(r.precision for r in results) / len(results)

@@ -397,6 +397,8 @@ def _fits(value, hint) -> bool:
 
 
 def _expected(hint) -> str:
+    if hint is float:  # ints fit too, and inf and nan do not
+        return "a finite number"
     if get_origin(hint) is Literal:
         return "one of " + ", ".join(map(repr, get_args(hint)))
     return str(hint) if get_args(hint) else hint.__name__

@@ -140,6 +140,8 @@ class Scaler:
         std = np.asarray(self.std, dtype=np.float64).reshape(3)
         if np.any(std < STD_FLOOR):
             raise DataError(f"scaler std entries must be >= {STD_FLOOR}")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise DataError("scaler mean and std must be finite: the windows overflow float64")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
@@ -155,8 +157,10 @@ def fit_scaler(windows: WindowSet) -> Scaler:
     if not windows:
         raise DataError("cannot fit a scaler on zero windows")
     size = len(windows) * windows.width
-    mean = _running_sum(_blocks(windows)) / size
-    var = _running_sum(np.square(rows - mean) for rows in _blocks(windows)) / size
+    # Overflow leaves a non-finite statistic, which Scaler refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _running_sum(_blocks(windows)) / size
+        var = _running_sum(np.square(rows - mean) for rows in _blocks(windows)) / size
     return Scaler(mean=mean, std=np.maximum(np.sqrt(var), STD_FLOOR))
 
 
@@ -178,8 +182,10 @@ def _running_sum(blocks) -> np.ndarray:
 
 def apply_scaler(scaler: Scaler, windows: WindowSet) -> WindowSet:
     """Standardize the sample buffer; starts, labels, subjects and
-    provenance are untouched.  Only rows some window holds must stay finite."""
-    samples = (windows.samples - scaler.mean) / scaler.std
+    provenance are untouched.  Only rows some window holds must stay finite;
+    the check below names the overflow numpy would warn of."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        samples = (windows.samples - scaler.mean) / scaler.std
     if np.any(~np.isfinite(samples).all(axis=1) & (windows.counts() > 0)):
         raise DataError("standardized windows contain non-finite values")
     return replace(windows, samples=samples)

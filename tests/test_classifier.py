@@ -1,6 +1,6 @@
 import math
-import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +17,9 @@ from synthfall.classifier import (
     _forward,
     _lstm,
     _sigmoid,
-    checkpoint_bytes,
     evaluate,
     forward,
     init_model,
-    load_checkpoint,
     loss_and_gradients,
     train,
 )
@@ -75,18 +73,6 @@ def reference_forward(model, batch):
     y_bn = f64["bn_gamma"] * (r - f64["bn_mean"]) / np.sqrt(f64["bn_var"] + 1e-3) + f64["bn_beta"]
     p = stable_sigmoid((y_bn @ f64["dense2_w"].T + f64["dense2_b"]).ravel())
     return np.clip(p, 1e-7, 1 - 1e-7)
-
-
-def v2_checkpoint_bytes(model, window_len):
-    """Checkpoint v2: the fused tensors, then the head and BN tensors, each
-    little-endian, after the same 23-byte header."""
-    itemsize = model.dtype.itemsize
-    out = [b"SFCK", struct.pack(
-        "<HIIIIB", 2, model.hidden_size, model.dense_units, model.input_dim, window_len, itemsize)]
-    names = ("w_x", "w_h", "b", "dense1_w", "dense1_b", "bn_gamma", "bn_beta",
-             "dense2_w", "dense2_b", "bn_mean", "bn_var")
-    out += [np.ascontiguousarray(getattr(model, name), dtype=f"<f{itemsize}").tobytes() for name in names]
-    return b"".join(out)
 
 
 def reference_adam_epochs(model, windows, config, seed):
@@ -468,9 +454,10 @@ class TestTrain:
         model = init_model(15, hidden_size=8, dense_units=8)
         model.w_h[0, 0] = np.inf
         config = TrainConfig(max_epochs=2, patience=1, batch_size=8)
-        with np.errstate(invalid="ignore"), pytest.raises(
+        with warnings.catch_warnings(), pytest.raises(
             NumericError, match=r"^non-finite values in lstm \(epoch 0, batch 0\)$"
         ) as info:
+            warnings.simplefilter("error", RuntimeWarning)
             train(model, toy_windows(6), toy_windows(2), config)
         assert info.value.where == ("epoch 0", "batch 0")
 
@@ -497,87 +484,6 @@ class TestEvaluate:
         assert metrics.recall == 0.0
         assert metrics.tp == 0
         assert metrics.tn + metrics.fp == len(windows)
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        model = init_model(15, hidden_size=8, dense_units=8)
-        move_running_stats(model, toy_windows(4))
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(checkpoint_bytes(model, 16))
-        loaded, window_len = load_checkpoint(path)
-        assert window_len == 16
-        for name in list(model.trainable()) + ["bn_mean", "bn_var"]:
-            assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
-        probs_a = forward(model, toy_windows(3, seed=17))
-        probs_b = forward(loaded, toy_windows(3, seed=17))
-        assert np.array_equal(probs_a, probs_b)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"garbage")
-        with pytest.raises(DataError):
-            load_checkpoint(path)
-
-    def test_missing_or_directory_is_data_error(self, tmp_path):
-        with pytest.raises(DataError, match="^checkpoint not found: "):
-            load_checkpoint(tmp_path / "none.ckpt")
-        with pytest.raises(DataError, match="^cannot read checkpoint .*: Is a directory$"):
-            load_checkpoint(tmp_path)
-
-    def test_writes_v2(self):
-        data = checkpoint_bytes(init_model(25, hidden_size=4, dense_units=4), 16)
-        assert struct.unpack_from("<H", data, 4) == (2,)
-
-    @pytest.mark.parametrize("version", [1, 3])
-    def test_other_versions_refused(self, tmp_path, version):
-        path = tmp_path / "model.ckpt"
-        data = checkpoint_bytes(init_model(25, hidden_size=4, dense_units=4), 16)
-        path.write_bytes(data[:4] + struct.pack("<H", version) + data[6:])
-        with pytest.raises(DataError, match=f"^unsupported checkpoint version {version}$"):
-            load_checkpoint(path)
-
-    def test_v2_bytes_match_reference_writer(self):
-        for dtype in (np.float32, np.float64):
-            model = init_model(39, hidden_size=6, dense_units=5, input_dim=2, dtype=dtype)
-            loss_and_gradients(model, np.random.default_rng(39).normal(size=(4, 9, 2)), [0, 1, 0, 1])
-            assert not np.all(model.bn_var == 1.0)
-            assert checkpoint_bytes(model, 9) == v2_checkpoint_bytes(model, window_len=9)
-
-    def test_short_header_is_data_error(self, tmp_path):
-        path = tmp_path / "short.ckpt"
-        data = checkpoint_bytes(init_model(26, hidden_size=4, dense_units=4), 16)
-        for size in (4, 5, 22):
-            path.write_bytes(data[:size])
-            with pytest.raises(DataError, match="truncated checkpoint header"):
-                load_checkpoint(path)
-
-    def test_trailing_bytes_are_data_error(self, tmp_path):
-        path = tmp_path / "long.ckpt"
-        path.write_bytes(checkpoint_bytes(init_model(27, hidden_size=4, dense_units=4), 16) + b"\x00")
-        with pytest.raises(DataError, match="trailing bytes"):
-            load_checkpoint(path)
-
-    def test_truncated_payload_and_zero_sizes(self, tmp_path):
-        path = tmp_path / "cut.ckpt"
-        data = checkpoint_bytes(init_model(28, hidden_size=4, dense_units=4), 16)
-        path.write_bytes(data[:-1])
-        with pytest.raises(DataError, match="truncated checkpoint payload"):
-            load_checkpoint(path)
-        path.write_bytes(data[:6] + struct.pack("<I", 0) + data[10:])
-        with pytest.raises(DataError, match="sizes"):
-            load_checkpoint(path)
-        # 4H * H elements overflow int64 at this hidden size.
-        path.write_bytes(data[:6] + struct.pack("<I", 2**32 - 1) + data[10:])
-        with pytest.raises(DataError, match="truncated checkpoint payload"):
-            load_checkpoint(path)
-
-    def test_float64_roundtrip(self, tmp_path):
-        model = init_model(16, hidden_size=4, dense_units=4, dtype=np.float64)
-        path = tmp_path / "model64.ckpt"
-        path.write_bytes(checkpoint_bytes(model, 16))
-        loaded, _ = load_checkpoint(path)
-        assert loaded.dtype == np.float64
 
 
 class TestHistoryCsv:

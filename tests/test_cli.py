@@ -180,17 +180,18 @@ class TestFileErrorsExit3:
         expect_data_error(capsys, argv[:2] + [str(other)] + argv[2:] + [str(taken.parent)], taken)
         assert list(taken.parent.iterdir()) == [taken]
 
-    def test_train_output_names_are_directories(self, capsys, tmp_path, fixture_dataset):
+    def test_experiment_output_names_are_directories(self, capsys, tmp_path, fixture_dataset):
         real, syn = fixture_dataset
         argv = [
-            "train", "--real-manifest", str(real), "--synthetic-manifest", str(syn), "--seed", "5",
+            "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(syn), "--seed", "5",
             "--window", "64", "--stride", "16", "--hidden-size", "8", "--dense-units", "8",
-            "--max-epochs", "2", "--patience", "2", "--out",
+            "--max-epochs", "2", "--patience", "2", "--iterations", "2", "--out",
         ]
         assert main(argv + [str(tmp_path / "first")]) == 0
-        (ckpt,) = (tmp_path / "first").glob("model_*.ckpt")
-        (history,) = (tmp_path / "first").glob("history_*.csv")
-        for name in (ckpt.name, history.name):
+        # The report, then each iteration's history: a failed write leaves no file behind.
+        names = sorted(p.name for p in (tmp_path / "first").iterdir())
+        assert [name.split("_")[0] for name in names] == ["history", "history", "report"]
+        for name in names:
             taken = tmp_path / name.split(".")[0] / name
             taken.mkdir(parents=True)
             expect_data_error(capsys, argv + [str(taken.parent)], taken)
@@ -304,16 +305,24 @@ class TestMalformedStructureExit3:
 
     @pytest.mark.parametrize("key, value", [
         ("path", 5), ("path", None), ("activity", []), ("rate_hz", True), ("rate_hz", 1e999), ("extra", 1),
+        pytest.param("rate_hz", "Infinity", id="rate_hz-Infinity"),
     ])
     def test_manifest_entry(self, capsys, tmp_path, key, value):
         (tmp_path / "a.csv").write_bytes(b"x;y;z\n1;2;3\n")
         manifest = tmp_path / "m.json"
-        # json.dumps writes infinity as Infinity; a manifest may spell it 1e999.
-        manifest.write_text(json.dumps([dict(MANIFEST_ENTRY, **{key: value})]).replace("Infinity", "1e999"))
+        text = json.dumps([dict(MANIFEST_ENTRY, **{key: value})])
+        # json.dumps writes infinity as Infinity; a manifest may also spell it 1e999.
+        if value == "Infinity":
+            text = text.replace('"Infinity"', "Infinity")
+        else:
+            text = text.replace("Infinity", "1e999")
+        manifest.write_text(text)
         assert main(["ingest", str(manifest)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: manifest entry 0") or err.startswith("error: unknown manifest entry 0")
         assert key in err
+        if key == "rate_hz" and value is not True:
+            assert err == "error: manifest entry 0 field rate_hz must be a finite number, got inf\n"
 
     @pytest.mark.parametrize("key, value", [
         ("shape", 5), ("shape", (2.5, 22, 3)), ("shape", (2, 22, True)),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from synthfall.harness import (
     load_report,
     run_alignment,
     run_experiment,
-    run_training,
 )
 from synthfall.ingest import catalog_dataset, load_entry, write_accel_csv
 from synthfall.kinematics import AccelSeries, ActivityLabel
@@ -604,13 +604,43 @@ class TestAblation:
         assert len(prefixes) >= 2
 
 
-class TestRunTraining:
-    def test_returns_model_and_history(self, fixture_dataset):
+class TestHistories:
+    def test_one_history_per_iteration_and_the_same_report(self, fixture_dataset):
         real, syn = fixture_dataset
-        model, history, result, _ = run_training(fast_config(real, [syn], iterations=1))
-        assert history.epochs() >= 1
-        assert 0.0 <= result.f1 <= 1.0
-        assert model.hidden_size == 8
+        config = fast_config(real, [syn])
+        histories = []
+        report = run_experiment(config, histories)
+        assert report.to_json() == run_experiment(config).to_json()
+        assert len(histories) == len(report.iterations)
+        for history, it in zip(histories, report.iterations):
+            assert history.epochs() == FAST_TRAIN["max_epochs"] == len(history.val_f1)
+            assert (history.best_epoch, history.stop_reason) == (it.best_epoch, it.stop_reason)
+
+    def test_experiment_writes_a_report_and_a_history_per_iteration(self, tmp_path, capsys, fixture_dataset):
+        real, syn = fixture_dataset
+        args = [
+            "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(syn), "--seed", "5",
+            "--window", "64", "--stride", "16", "--hidden-size", "4", "--dense-units", "4",
+            "--learning-rate", "0.2", "--max-epochs", "8", "--patience", "2", "--mix", "0.6,0.2,0.2",
+        ]
+        assert main(args + ["--iterations", "2", "--out", str(tmp_path / "two")]) == 0
+        (report_path,) = (tmp_path / "two").glob("report_*.json")
+        report = ExperimentReport.from_dict(json.loads(report_path.read_text()))
+        tag = report.fingerprint[:12]
+        names = sorted(p.name for p in (tmp_path / "two").iterdir())
+        assert names == [f"history_{tag}_0.csv", f"history_{tag}_1.csv", report_path.name]
+        for it in report.iterations:
+            rows = (tmp_path / "two" / f"history_{tag}_{it.index}.csv").read_text().splitlines()
+            assert rows[0] == "epoch;train_loss;val_loss;val_f1"
+            epochs = 8 if it.stop_reason == "max_epochs" else it.best_epoch + 2 + 1
+            assert [row.split(";")[0] for row in rows[1:]] == [str(e) for e in range(epochs)]
+        assert "early_stop" in {it.stop_reason for it in report.iterations}
+
+        # Per-iteration seeds do not depend on the iteration count.
+        assert main(args + ["--iterations", "1", "--out", str(tmp_path / "one")]) == 0
+        (one,) = (tmp_path / "one").glob("history_*_0.csv")
+        assert one.name != f"history_{tag}_0.csv"
+        assert one.read_bytes() == (tmp_path / "two" / f"history_{tag}_0.csv").read_bytes()
 
 
 class TestWindowPools:
@@ -697,28 +727,6 @@ class TestDataIdentity:
         moved_config = fast_config(moved / real.name, [moved / syn.name])
         assert harness._load_pools(moved_config)[3] == harness._load_pools(config)[3]
         assert moved_config.fingerprint() != config.fingerprint()
-
-    def test_train_named_like_the_report(self, fixture_dataset):
-        real, syn = fixture_dataset
-        config = fast_config(real, [syn], iterations=1, train={"max_epochs": 1, "patience": 1})
-        *_, fingerprint = run_training(config)
-        report = run_experiment(config)
-        assert fingerprint == report.fingerprint != config.fingerprint()
-
-    def test_train_named_by_the_settings_it_reads(self, tmp_path, capsys, fixture_dataset):
-        real, syn = fixture_dataset
-        args = [
-            "train", "--real-manifest", str(real), "--synthetic-manifest", str(syn), "--seed", "5",
-            "--window", "64", "--stride", "16", "--hidden-size", "4", "--dense-units", "4",
-            "--max-epochs", "1", "--patience", "1", "--mix", "0.6,0.2,0.2",
-        ]
-        # train never reads the baseline, so it need not exist.
-        runs = [["--iterations", "1"], ["--iterations", "2"], ["--iterations", "2", "--baseline-report", "none.json"]]
-        written = []
-        for i, extra in enumerate(runs):
-            assert main(args + extra + ["--out", str(tmp_path / str(i))]) == 0
-            written.append({p.name: p.read_bytes() for p in (tmp_path / str(i)).iterdir()})
-        assert len(written[0]) == 2 and written[0] == written[1] == written[2]
 
 
 class TestLoadReport:
@@ -868,7 +876,8 @@ class TestCli:
             assert main(["report", str(path), "--format", fmt, "--out", str(again)]) == 0
         written = {p.name: p.read_bytes() for p in again.iterdir()}
         assert len(written) == 5
-        assert written == {p.name: p.read_bytes() for p in orig.iterdir()}
+        # report re-emits the report alone, not the training history beside it.
+        assert written == {p.name: p.read_bytes() for p in orig.iterdir() if not p.name.startswith("history_")}
 
     @pytest.mark.parametrize("payload", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
     def test_malformed_report_exit_3(self, tmp_path, capsys, payload):
@@ -923,37 +932,19 @@ class TestCli:
         assert main(["report", str(path), "--format", "csv", "--out", str(tmp_path / "o")]) == 2
         assert "JSON only" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("command", ["experiment"])
     def test_out_is_a_file_exit_3_before_running(self, tmp_path, capsys, monkeypatch, command):
         import synthfall.cli as cli
 
         def must_not_run(config):
             raise AssertionError("ran before checking --out")
 
-        monkeypatch.setattr(cli, "run_training", must_not_run)
         monkeypatch.setattr(cli, "run_experiment", must_not_run)
         out = tmp_path / "taken"
         out.write_text("a file")
         code = main([command, "--real-manifest", str(tmp_path / "real.json"), "--seed", "1", "--out", str(out)])
         assert code == 3
         assert "cannot create output directory" in capsys.readouterr().err
-
-    def test_train_command_writes_checkpoint(self, tmp_path, capsys, fixture_dataset):
-        real, syn = fixture_dataset
-        out = tmp_path / "train_out"
-        code = main([
-            "train", "--real-manifest", str(real), "--synthetic-manifest", str(syn),
-            "--seed", "5", "--window", "64", "--stride", "16",
-            "--hidden-size", "8", "--dense-units", "8", "--max-epochs", "3",
-            "--patience", "3", "--mix", "0.6,0.2,0.2", "--out", str(out),
-        ])
-        assert code == 0
-        (ckpt,) = out.glob("model_*.ckpt")
-        from synthfall.classifier import load_checkpoint
-
-        model, window_len = load_checkpoint(ckpt)
-        assert window_len == 64
-        assert model.hidden_size == 8
 
     def test_prompts_command(self, tmp_path, capsys):
         out = tmp_path / "prompts.txt"
@@ -1018,14 +1009,14 @@ class TestCli:
         assert code == 2
         assert "error: unknown train config fields: ['seed']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("command", ["experiment"])
     def test_every_config_field_is_a_flag(self, command):
         dests = set(vars(build_parser().parse_args([command, "--seed", "1"])))
         expected = {f.name for f in fields(ExperimentConfig) if f.name != "train"}
         expected |= {f.name for f in fields(TrainConfig)}
         assert expected <= dests, sorted(expected - dests)
 
-    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("command", ["experiment"])
     @pytest.mark.parametrize("flag", [["--bins", "30"], ["--k", "3"], ["--no-shuffle"]], ids=["bins", "k", "no_shuffle"])
     def test_removed_flags_exit_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -1033,7 +1024,7 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "experiment"])
+    @pytest.mark.parametrize("command", ["experiment"])
     @pytest.mark.parametrize("config, message", [
         ({"bins": 100}, "unknown config fields: ['bins']"),
         ({"k": 5}, "unknown config fields: ['k']"),
@@ -1059,6 +1050,13 @@ class TestCli:
         assert exc.value.code == 2
         assert "invalid choice: 'ablate-quantity'" in capsys.readouterr().err
 
+    def test_train_command_removed(self, capsys):
+        # One iteration's scores and history are `experiment --iterations 1`.
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--real-manifest", "real.json", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'train'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", ["5", "1", "0", "-0.5"])
     def test_threshold_outside_unit_interval_exit_2_before_reading(self, tmp_path, capsys, threshold):
         out = tmp_path / "o"
@@ -1078,7 +1076,9 @@ class TestCli:
         (["--split-sizes", "10,0,2"], "split sizes must be non-negative"),
         (["--split-sizes", "10,2,0"], "split sizes must be non-negative"),
         (["--split-sizes=-1,2,2"], "split sizes must be non-negative"),
-    ], ids=["window", "stride", "hidden_size", "dense_units", "no_validation", "no_test", "negative_split"])
+        (["--learning-rate", "inf"], "train config field learning_rate must be a finite number, got inf"),
+    ], ids=["window", "stride", "hidden_size", "dense_units", "no_validation", "no_test", "negative_split",
+            "learning_rate_inf"])
     def test_bad_size_exit_2_before_reading(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
         code = main([
@@ -1131,7 +1131,8 @@ class TestCli:
 
         monkeypatch.setattr(harness, "init_model", inf_model)
         real, syn = fixture_dataset
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main([
                 "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(syn),
                 "--seed", "3", "--iterations", "2", "--window", "64", "--stride", "16",

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -238,8 +239,16 @@ class TestScaler:
         from synthfall.windowing import Scaler
 
         scaler = Scaler(mean=np.zeros(3), std=np.full(3, 1e-8))
-        with pytest.raises(DataError, match="non-finite"), np.errstate(over="ignore"):
+        with warnings.catch_warnings(), pytest.raises(DataError, match="non-finite"):
+            warnings.simplefilter("error", RuntimeWarning)
             apply_scaler(scaler, one_window(np.full((2, 3), 1e305)))
+
+    @pytest.mark.parametrize("rows", [[[1.7e308] * 3] * 2, [[1e200] * 3, [-1e200] * 3]], ids=["sum", "square"])
+    def test_overflowing_statistics_refused(self, rows):
+        # A variance that overflows would give std inf and standardize every window to 0.
+        with warnings.catch_warnings(), pytest.raises(DataError, match="^scaler mean and std must be finite"):
+            warnings.simplefilter("error", RuntimeWarning)
+            fit_scaler(one_window(np.array(rows)))
 
     def test_rows_no_window_holds_may_overflow(self):
         from synthfall.windowing import STD_FLOOR, Scaler
