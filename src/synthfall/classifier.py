@@ -156,11 +156,17 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
             raise NumericError(f"non-finite values in {name}")
 
 
-def _as_batch(windows, dtype) -> np.ndarray:
+def _as_batch(windows, dtype, name: str = "batch") -> np.ndarray:
+    """The windows as a (B, W, input_dim) array of ``dtype``.  A cast that
+    copies is checked: DataError, naming the set, if it overflows."""
     arr = windows.values if isinstance(windows, WindowSet) else np.asarray(windows)
     if arr.ndim != 3 or arr.shape[0] == 0:
         raise DataError(f"batch must have shape (B, W, input_dim), got {arr.shape}")
-    return arr.astype(dtype, copy=False)
+    cast = arr.astype(dtype, copy=False)
+    if cast is not arr and not np.isfinite(cast).all() and np.isfinite(arr).all():
+        top = np.finfo(dtype)
+        raise DataError(f"{name} windows hold values beyond the {top.dtype} range (largest magnitude {top.max:.8g})")
+    return cast
 
 
 def _lstm(model: ModelParams, batch: np.ndarray, keep_history: bool):
@@ -403,9 +409,9 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
     # them and names where, so numpy's floating-point warnings are off: set
     # once per call, not once per step.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x_train = _as_batch(train_windows, model.dtype)
+        x_train = _as_batch(train_windows, model.dtype, "training")
         y_train = _labels_of(train_windows)
-        x_val = _as_batch(val_windows, model.dtype)
+        x_val = _as_batch(val_windows, model.dtype, "validation")
         y_val = _labels_of(val_windows)
 
         n = x_train.shape[0]
@@ -472,6 +478,6 @@ def evaluate(model: ModelParams, test_windows, threshold: float = 0.5) -> Classi
     if not test_windows:
         raise DataError("test set must be non-empty")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        probs = forward(model, test_windows)
+        probs = forward(model, _as_batch(test_windows, model.dtype, "test"))
     return classification_metrics(probs, _labels_of(test_windows), threshold)
 

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -39,16 +39,17 @@ from .metrics import (
     ClassificationMetrics,
     DensityCurve,
     KsResult,
+    covered_fraction,
     histogram_density,
     jsd,
     knn_radii,
     ks_two_sample,
-    nearest_distances,
     percent_delta,
 )
 from .windowing import (
     DEFAULT_STRIDE,
     DEFAULT_WINDOW,
+    STD_FLOOR,
     MixSpec,
     WindowSet,
     apply_scaler,
@@ -61,6 +62,7 @@ from .windowing import (
 logger = logging.getLogger(__name__)
 
 _AXES = ("x", "y", "z")
+MAX_BINS = 10**6  # most density bins an alignment takes: 8 MB per bins-sized array
 
 
 def derive_seed(master_seed: int, index: int, role: str) -> int:
@@ -136,6 +138,8 @@ class AlignmentOptions:
     def __post_init__(self):
         for name in ("window", "stride", "bins", "k"):
             _at_least_one(self, name)
+        if self.bins > MAX_BINS:
+            raise ConfigError(f"bins must be <= {MAX_BINS}, got {self.bins!r}")
 
 
 def _fall_windows(cuts, which: str) -> WindowSet:
@@ -154,8 +158,8 @@ def _held(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scale_stats(real: np.ndarray) -> tuple[float, float]:
-    """Mean and standard deviation (floored at 1e-8) of the real values."""
-    return real.mean(), max(float(real.std()), 1e-8)
+    """Mean and standard deviation (floored at ``STD_FLOOR``) of the real values."""
+    return real.mean(), max(float(real.std()), STD_FLOOR)
 
 
 def _density_pair(real, synthetic, bins: int):
@@ -174,23 +178,19 @@ def _density_pair(real, synthetic, bins: int):
 
 @dataclass(frozen=True)
 class _RealSide:
-    """What an alignment computes from its real falls alone: their windows
-    and each series' length, the standardization statistics (pooled, then
-    per axis), the held values and counts of the standardized windows, those
-    windows flattened to (N, W*3), and their k-NN radii."""
+    """What an alignment computes from its real falls alone: each series'
+    length, the standardization statistics (pooled, then per axis), the raw
+    sample rows the windows hold with the number of windows holding each,
+    the standardized windows flattened to (N, W*3), and their k-NN radii."""
 
-    windows: WindowSet
     lengths: tuple[int, ...]
     mu: float
     sd: float
     axis_stats: tuple[tuple[float, float], ...]
-    held: tuple[np.ndarray, np.ndarray]
+    rows: np.ndarray
+    counts: np.ndarray
     flat: np.ndarray
     radii: np.ndarray
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        w = self.windows
-        return (w.samples, w.starts, w.labels, w.subjects, w.synthetic, *self.held, self.flat, self.radii)
 
 
 # The real side of the last alignment that ran, under its _real_key.  One
@@ -228,26 +228,24 @@ def _real_side(entries, opts) -> tuple[str, _RealSide]:
         return key, side
     pairs = list(_catalog_series(entries, opts.window, opts.stride, datas))
     windows = _fall_windows((cut for _, cut in pairs), "real")
-    # The statistics come from the window values, so every standardized
-    # sample equals its windowed copies bit for bit; standardizing the
-    # gathered values in place gives the bits (samples - mu) / sd gathers.
     values = windows.values
     mu, sd = _scale_stats(values)
     axis_stats = tuple(_scale_stats(values[:, :, i]) for i in range(3))
+    flat = _standardized(values, mu, sd)
+    rows, counts = _held(windows)
+    radii = knn_radii(flat, opts.k)
+    for arr in (rows, counts, flat, radii):
+        arr.flags.writeable = False
+    return key, _RealSide(tuple(len(series) for series, _ in pairs), mu, sd, axis_stats, rows, counts, flat, radii)
+
+
+def _standardized(values: np.ndarray, mu: float, sd: float) -> np.ndarray:
+    """The gathered (N, W, 3) window values standardized in place and
+    flattened to (N, W*3).  Standardizing is elementwise, so these are the
+    bits (samples - mu) / sd gathers."""
     values -= mu
     values /= sd
-    flat = values.reshape(len(windows), -1)
-    side = _RealSide(
-        windows=windows,
-        lengths=tuple(len(series) for series, _ in pairs),
-        mu=mu, sd=sd, axis_stats=axis_stats,
-        held=_held(replace(windows, samples=(windows.samples - mu) / sd)),
-        flat=flat,
-        radii=knn_radii(flat, opts.k),
-    )
-    for arr in side.arrays():
-        arr.flags.writeable = False
-    return key, side
+    return values.reshape(len(values), -1)
 
 
 def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions | None = None) -> AlignmentReport:
@@ -260,11 +258,11 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     which gives the same numbers as every window's copy of it would.  Every
     fall recording of both manifests must share one sampling rate.
 
-    What depends on the real falls alone (their windows, statistics and
-    k-NN radii) is kept for the next call, keyed by the window, stride, k
-    and the real fall entries' manifest fields and file bytes: comparing
-    the same real set with another generator reads the real files but
-    parses none of them.  Only the last real set is kept, and only once a
+    What depends on the real falls alone (their held rows and counts,
+    statistics and k-NN radii) is kept for the next call, keyed by the
+    window, stride, k and the real fall entries' manifest fields and file
+    bytes: comparing the same real set with another generator reads the
+    real files but parses none of them.  Only the last real set is kept, and only once a
     comparison with it gets past loading its synthetic windows.
     """
     opts = options or AlignmentOptions()
@@ -278,30 +276,28 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     _REAL_SIDE.clear()
     _REAL_SIDE[key] = real
 
-    syn_norm = replace(syn_windows, samples=(syn_windows.samples - real.mu) / real.sd)
-    (real_vals, real_counts), (syn_vals, syn_counts) = real.held, _held(syn_norm)
+    syn_rows, syn_counts = _held(syn_windows)
+    real_vals, syn_vals = ((rows - real.mu) / real.sd for rows in (real.rows, syn_rows))
 
     # Each sample's three values share its count.
     real_curve, syn_curve = _density_pair(
-        (real_vals, np.repeat(real_counts, 3)), (syn_vals, np.repeat(syn_counts, 3)), opts.bins
+        (real_vals, np.repeat(real.counts, 3)), (syn_vals, np.repeat(syn_counts, 3)), opts.bins
     )
     jsd_value = jsd(real_curve, syn_curve)
 
     ks = {
-        axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real_counts, syn_counts))
+        axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real.counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
-    nearest = nearest_distances(real.flat, syn_norm.values.reshape(len(syn_norm), -1))
-    cov = float(np.count_nonzero(nearest <= real.radii) / len(real.radii))
+    cov = covered_fraction(real.flat, _standardized(syn_windows.values, real.mu, real.sd), real.radii)
 
     jsd_per_axis = None
     if opts.per_axis:
-        (real_raw, _), (syn_raw, _) = _held(real.windows), _held(syn_windows)
         jsd_per_axis = {}
         for i, (axis, (mu_ax, sd_ax)) in enumerate(zip(_AXES, real.axis_stats)):
             curves = _density_pair(
-                ((real_raw[:, i] - mu_ax) / sd_ax, real_counts),
-                ((syn_raw[:, i] - mu_ax) / sd_ax, syn_counts),
+                ((real.rows[:, i] - mu_ax) / sd_ax, real.counts),
+                ((syn_rows[:, i] - mu_ax) / sd_ax, syn_counts),
                 opts.bins,
             )
             jsd_per_axis[axis] = jsd(*curves)

@@ -166,16 +166,14 @@ class DensityCurve:
         return "\n".join(lines)
 
 
-def histogram_density(
-    values, bins: int = 100, value_range: tuple[float, float] | None = None, counts=None,
-) -> DensityCurve:
-    """Histogram density over equal-width bins; out-of-range values land in
-    the edge bins rather than being dropped.
+def histogram_density(values, bins: int, value_range: tuple[float, float], counts=None) -> DensityCurve:
+    """Histogram density over ``bins`` equal-width bins of ``value_range``;
+    out-of-range values land in the edge bins rather than being dropped.
 
     ``counts``, integers one per value, says how many times each value
     occurs: the curve is the one ``np.repeat(values, counts)`` gives, bit for
-    bit, and a value counted 0 times neither fills a bin nor widens the
-    default range.  None counts every value once.
+    bit, and a value counted 0 times fills no bin.  None counts every value
+    once.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     counts = _value_counts(values, counts, "histogram_density")
@@ -186,20 +184,13 @@ def histogram_density(
         raise ConfigError("bins must be >= 1")
     if not np.all(np.isfinite(values)):
         raise DataError("histogram_density requires finite values")
-    if value_range is None:
-        present = values[counts > 0]
-        lo, hi = float(present.min()), float(present.max())
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = value_range
+    lo, hi = value_range
     if not lo < hi:
         raise ConfigError(f"range must satisfy lo < hi, got ({lo}, {hi})")
     # np.histogram cuts the range at these edges and refuses bins of no width.
     edges = np.linspace(lo, hi, bins + 1)
     if not np.all(edges[:-1] < edges[1:]):
-        error = DataError if value_range is None else ConfigError
-        raise error(f"range ({lo}, {hi}) is too narrow for {bins} bins")
+        raise ConfigError(f"range ({lo}, {hi}) is too narrow for {bins} bins")
     clipped = np.clip(values, lo, hi)
     hist, edges = np.histogram(clipped, bins=bins, range=(lo, hi), weights=counts)
     width = (hi - lo) / bins
@@ -244,16 +235,33 @@ def coverage(real, synthetic, k: int = 5) -> float:
     Each window is flattened to a vector.  A real sample's radius is the
     Euclidean distance to its k-th nearest neighbor among the *other* real
     samples (``knn_radii``); it counts as covered when some synthetic sample
-    lies within (<=) that radius (``nearest_distances``).  Memory grows with
+    lies within (<=) that radius (``covered_fraction``).  Memory grows with
     the sample count, not its square.
     """
-    radii = knn_radii(real, k)
-    return float(np.count_nonzero(nearest_distances(real, synthetic) <= radii) / radii.size)
+    return covered_fraction(real, synthetic, knn_radii(real, k))
 
 
-# Real rows are taken COVERAGE_BLOCK at a time.  Distances stay squared
-# through the k-th smallest and the minimum; the square root, being
-# monotone, is taken after.
+def _sq_distances(r: np.ndarray, s: np.ndarray):
+    """(start, block) pairs, ``COVERAGE_BLOCK`` rows of ``r`` at a time:
+    ``block`` holds the squared Euclidean distances from those rows to every
+    row of ``s``, as |r|^2 + |s|^2 - 2 r.s.  Scaling the product by -2 in
+    place is exact; scaling a copy of ``r`` instead can change bits where
+    BLAS takes a block times its own transpose as a symmetric update.
+    Rounding can leave entries below 0: callers reduce first, then clamp at
+    0 and take the root, both monotone, so the reduction picks the same
+    entry."""
+    r_sq = (r * r).sum(axis=1)
+    s_sq = (s * s).sum(axis=1)
+    norms = np.empty((min(COVERAGE_BLOCK, r.shape[0]), s.shape[0]))
+    for start in range(0, r.shape[0], COVERAGE_BLOCK):
+        stop = min(start + COVERAGE_BLOCK, r.shape[0])
+        block = norms[: stop - start]
+        np.add(r_sq[start:stop, None], s_sq, out=block)
+        sq = r[start:stop] @ s.T
+        sq *= -2.0
+        sq += block
+        yield start, sq
+
 
 def knn_radii(real, k: int) -> np.ndarray:
     """Per real sample, the Euclidean distance to its k-th nearest other real
@@ -264,37 +272,26 @@ def knn_radii(real, k: int) -> np.ndarray:
     n = r.shape[0]
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
-    r_sq = (r * r).sum(axis=1)
     radii = np.empty(n)
-    for start in range(0, n, COVERAGE_BLOCK):
-        stop = min(start + COVERAGE_BLOCK, n)
-        d_rr = np.maximum(r_sq[start:stop, None] + r_sq[None, :] - 2.0 * (r[start:stop] @ r.T), 0.0)
-        own = np.arange(stop - start)
-        d_rr[own, start + own] = np.inf
-        radii[start:stop] = np.partition(d_rr, k - 1, axis=1)[:, k - 1]
-    return np.sqrt(radii)
+    for start, sq in _sq_distances(r, r):
+        own = np.arange(sq.shape[0])
+        sq[own, start + own] = np.inf
+        radii[start : start + sq.shape[0]] = np.partition(sq, k - 1, axis=1)[:, k - 1]
+    return np.sqrt(np.maximum(radii, 0.0, out=radii), out=radii)
 
 
-def nearest_distances(real, synthetic) -> np.ndarray:
-    """Per real sample, the Euclidean distance to its nearest synthetic sample."""
+def covered_fraction(real, synthetic, radii) -> float:
+    """Fraction of real samples whose nearest synthetic sample lies within
+    (<=) that real sample's radius, one radius per real sample."""
     r, s = _as_matrix(real), _as_matrix(synthetic)
     if r.shape[1] != s.shape[1]:
         raise DataError(f"real samples have {r.shape[1]} values and synthetic ones {s.shape[1]}")
-    n = r.shape[0]
-    r_sq = (r * r).sum(axis=1)
-    s_sq = (s * s).sum(axis=1)
-    nearest = np.empty(n)
-    # |r|^2 + |s|^2 - 2 r.s, with the -2 folded into the product: scaling by
-    # a power of two is exact, so these are the bits of the plain expression.
-    norms = np.empty((min(COVERAGE_BLOCK, n), s.shape[0]))
-    for start in range(0, n, COVERAGE_BLOCK):
-        stop = min(start + COVERAGE_BLOCK, n)
-        block = norms[: stop - start]
-        np.add(r_sq[start:stop, None], s_sq, out=block)
-        sq = (-2.0 * r[start:stop]) @ s.T
-        sq += block
-        nearest[start:stop] = sq.min(axis=1)
-    return np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+    nearest = np.empty(r.shape[0])
+    for start, sq in _sq_distances(r, s):
+        nearest[start : start + sq.shape[0]] = sq.min(axis=1)
+    # Compared after the root, as squared distances could flip a tie.
+    nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+    return float(np.count_nonzero(nearest <= radii) / r.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kinematics import AccelSeries, Provenance
+from .kinematics import AccelSeries
 
 DEFAULT_WINDOW = 128
 DEFAULT_STRIDE = 10
@@ -30,8 +30,8 @@ class WindowSet:
 
     ``samples`` is a C-contiguous float64 (S, 3) buffer and ``starts`` the
     row where each window begins, so overlapping windows share their rows.
-    ``labels`` (activity label values), ``subjects`` (subject ids, "" when
-    unknown) and ``synthetic`` (provenance flag) hold one entry per window.
+    ``labels`` (activity label values) and ``subjects`` (subject ids, ""
+    when unknown) hold one entry per window.
     """
 
     samples: np.ndarray
@@ -39,7 +39,6 @@ class WindowSet:
     width: int
     labels: np.ndarray
     subjects: np.ndarray
-    synthetic: np.ndarray
 
     def __post_init__(self):
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -52,7 +51,7 @@ class WindowSet:
             raise DataError(f"windows of width {self.width} must lie in the {len(samples)} sample rows")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "starts", starts)
-        for name, dtype in (("labels", np.int64), ("subjects", str), ("synthetic", bool)):
+        for name, dtype in (("labels", np.int64), ("subjects", str)):
             column = np.asarray(getattr(self, name), dtype=dtype)
             if column.shape != starts.shape:
                 raise DataError(f"window {name} must have one entry per window")
@@ -77,9 +76,7 @@ class WindowSet:
     def take(self, idx) -> "WindowSet":
         """The windows selected by an index array or boolean mask, in that
         order, over the same sample buffer."""
-        return WindowSet(
-            self.samples, self.starts[idx], self.width, self.labels[idx], self.subjects[idx], self.synthetic[idx]
-        )
+        return WindowSet(self.samples, self.starts[idx], self.width, self.labels[idx], self.subjects[idx])
 
     @classmethod
     def concat(cls, sets) -> "WindowSet":
@@ -90,7 +87,7 @@ class WindowSet:
         sets = list(sets)
         parts = [s for s in sets if len(s)] or sets[:1]
         if not parts:
-            return cls(np.empty((0, 3)), [], 0, [], [], [])
+            return cls(np.empty((0, 3)), [], 0, [], [])
         if len({s.width for s in parts}) > 1:
             raise DataError("cannot join windows of different widths")
         offsets, buffers, starts, rows = {}, [], [], 0
@@ -99,7 +96,7 @@ class WindowSet:
                 offsets[id(s.samples)], rows = rows, rows + len(s.samples)
                 buffers.append(s.samples)
             starts.append(s.starts + offsets[id(s.samples)])
-        columns = (np.concatenate([getattr(s, name) for s in parts]) for name in ("labels", "subjects", "synthetic"))
+        columns = (np.concatenate([getattr(s, name) for s in parts]) for name in ("labels", "subjects"))
         samples = buffers[0] if len(buffers) == 1 else np.concatenate(buffers)
         return cls(samples, np.concatenate(starts), parts[0].width, *columns)
 
@@ -108,8 +105,8 @@ def slide_windows(series: AccelSeries, width: int = DEFAULT_WINDOW, stride: int 
     """Cut overlapping windows starting at offsets 0, stride, 2*stride, ...
 
     Yields floor((N - W)/stride) + 1 windows when N >= W, else none.  The
-    windows share the series' samples as their buffer and inherit its label,
-    subject, and provenance.
+    windows share the series' samples as their buffer and inherit its label
+    and subject.
     """
     if width < 1 or stride < 1:
         raise ConfigError("window width and stride must be >= 1")
@@ -121,7 +118,6 @@ def slide_windows(series: AccelSeries, width: int = DEFAULT_WINDOW, stride: int 
         width,
         np.full(count, int(series.label)),
         np.repeat(np.array(series.subject_id or ""), count),
-        np.full(count, series.provenance == Provenance.SYNTHETIC),
     )
 
 
@@ -181,9 +177,9 @@ def _running_sum(blocks) -> np.ndarray:
 
 
 def apply_scaler(scaler: Scaler, windows: WindowSet) -> WindowSet:
-    """Standardize the sample buffer; starts, labels, subjects and
-    provenance are untouched.  Only rows some window holds must stay finite;
-    the check below names the overflow numpy would warn of."""
+    """Standardize the sample buffer; starts, labels and subjects are
+    untouched.  Only rows some window holds must stay finite; the check
+    below names the overflow numpy would warn of."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         samples = (windows.samples - scaler.mean) / scaler.std
     if np.any(~np.isfinite(samples).all(axis=1) & (windows.counts() > 0)):

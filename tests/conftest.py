@@ -100,12 +100,12 @@ def build_synthetic_manifest(
     return manifest
 
 
-def window_set(values, labels, subjects, synthetic) -> WindowSet:
+def window_set(values, labels, subjects) -> WindowSet:
     """A WindowSet of the given (N, W, 3) window values, laid end to end in
     its sample buffer."""
     values = np.asarray(values, dtype=np.float64)
     count, width = values.shape[:2]
-    return WindowSet(values.reshape(-1, 3), np.arange(count) * width, width, labels, subjects, synthetic)
+    return WindowSet(values.reshape(-1, 3), np.arange(count) * width, width, labels, subjects)
 
 
 # A well-formed manifest entry (its file is `a.csv`) and NPY header, for

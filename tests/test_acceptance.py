@@ -269,9 +269,9 @@ def test_criterion_09_mix_law(capsys):
     mega = {
         name: window_set(
             values=np.zeros((130, 2, 3)), labels=np.full(130, label),
-            subjects=[f"{name}{i}" for i in range(130)], synthetic=np.full(130, synthetic),
+            subjects=[f"{name}{i}" for i in range(130)],
         )
-        for name, label, synthetic in (("a", 0, False), ("r", 1, False), ("g", 1, True))
+        for name, label in (("a", 0), ("r", 1), ("g", 1))
     }
     for spec in (MixSpec(0.6, 0.2, 0.2), MixSpec(0.5, 0.1, 0.4)):
         for _ in range(250):

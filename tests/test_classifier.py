@@ -38,8 +38,11 @@ def toy_windows(n_per_class, width=16, offset=2.0, seed=0, scale=0.3):
         values=np.reshape(values, (2 * n_per_class, width, 3)),
         labels=np.repeat([0, 1], n_per_class),
         subjects=[f"s{label}{i}" for label in (0, 1) for i in range(n_per_class)],
-        synthetic=np.zeros(2 * n_per_class, dtype=bool),
     )
+
+
+# The refusal of a set whose float64 values overflow the float32 cast.
+BEYOND_FLOAT32 = r"{} windows hold values beyond the float32 range \(largest magnitude 3\.4028235e\+38\)"
 
 
 def move_running_stats(model, windows):
@@ -461,6 +464,14 @@ class TestTrain:
             train(model, toy_windows(6), toy_windows(2), config)
         assert info.value.where == ("epoch 0", "batch 0")
 
+    def test_validation_set_beyond_float32_is_a_data_error(self):
+        val = toy_windows(2, seed=17)
+        huge = window_set(val.values * 1e45, val.labels, val.subjects)
+        config = TrainConfig(max_epochs=2, patience=1, batch_size=8)
+        with warnings.catch_warnings(), pytest.raises(DataError, match=f"^{BEYOND_FLOAT32.format('validation')}$"):
+            warnings.simplefilter("error", RuntimeWarning)
+            train(init_model(16, hidden_size=4, dense_units=4), toy_windows(6), huge, config)
+
     def test_patience_must_not_exceed_epochs(self):
         with pytest.raises(ConfigError):
             TrainConfig(max_epochs=10, patience=20)
@@ -484,6 +495,14 @@ class TestEvaluate:
         assert metrics.recall == 0.0
         assert metrics.tp == 0
         assert metrics.tn + metrics.fp == len(windows)
+
+
+    def test_test_set_beyond_float32_is_a_data_error(self):
+        windows = toy_windows(3, seed=18)
+        huge = window_set(windows.values * 1e45, windows.labels, windows.subjects)
+        with warnings.catch_warnings(), pytest.raises(DataError, match=f"^{BEYOND_FLOAT32.format('test')}$"):
+            warnings.simplefilter("error", RuntimeWarning)
+            evaluate(init_model(19, hidden_size=4, dense_units=4), huge)
 
 
 class TestHistoryCsv:

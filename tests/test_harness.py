@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from conftest import build_dataset, build_synthetic_manifest
 from synthfall.classifier import TrainConfig, init_model
 from synthfall.cli import build_parser, main
-from synthfall import harness
+from synthfall import harness, ingest
 from synthfall.errors import ConfigError, DataError
 from synthfall.harness import (
     AlignmentOptions,
@@ -37,7 +37,7 @@ from synthfall.harness import (
 from synthfall.ingest import catalog_dataset, load_entry, write_accel_csv
 from synthfall.kinematics import AccelSeries, ActivityLabel
 from synthfall.metrics import DensityCurve, KsResult, coverage, histogram_density, jsd, knn_radii, ks_two_sample
-from synthfall.windowing import MixSpec, slide_windows
+from synthfall.windowing import MixSpec, slide_windows, split_subjects
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
 
@@ -380,7 +380,9 @@ class TestRealSideMemo:
         (gen,) = self.generators(tmp_path, 1)
         self.check(real, gen)
         (side,) = harness._REAL_SIDE.values()
-        for arr in side.arrays():
+        arrays = [getattr(side, f.name) for f in fields(side) if isinstance(getattr(side, f.name), np.ndarray)]
+        assert len(arrays) == 4  # rows, counts, flat, radii
+        for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             side.radii[0] = 0.0
@@ -597,7 +599,8 @@ class TestAblation:
                 MixSpec(0.5, 0.1, 0.4),
                 seed=seed,
             )
-            drawn = {s[:4] for s in mix.subjects[mix.synthetic]}
+            # Synthetic subject ids are the source name and a series number.
+            drawn = {s[:4] for s in mix.subjects if s.startswith("gen")}
             prefixes |= drawn
             if seed >= 3 and len(prefixes) >= 2:
                 break
@@ -1098,6 +1101,37 @@ class TestCli:
         assert code == 2
         assert f"error: {flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_align_bins_above_the_cap_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, fixture_dataset):
+        def no_reading(path, *args, **kwargs):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(ingest, "read_file", no_reading)
+        monkeypatch.setattr(harness, "read_file", no_reading)
+        out = tmp_path / "o"
+        # One above the cap: a bin count no test should ever run.
+        assert main(["align", *map(str, fixture_dataset), "--bins", "1000001", "--out", str(out)]) == 2
+        assert "error: bins must be <= 1000000, got 1000001" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_test_set_beyond_float32_exit_3(self, tmp_path, capsys):
+        real = build_dataset(tmp_path, subjects=12, series_len=200, seed=0)
+        catalog = catalog_dataset(real)
+        split = split_subjects(catalog.subjects(), (8, 2, 2), derive_seed(3, 0, "split"))
+        subject = min(split.test)
+        for entry in catalog.entries:
+            if entry.subject_id == subject:
+                huge = AccelSeries(samples=load_entry(entry).samples * 1e45, sampling_rate=32.0)
+                entry.path.write_bytes(write_accel_csv(huge))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([
+                "experiment", "--real-manifest", str(real), "--seed", "3", "--iterations", "1",
+                "--window", "64", "--stride", "16", "--hidden-size", "4", "--dense-units", "4",
+                "--max-epochs", "1", "--patience", "1", "--mix", "0.7,0.3,0", "--out", str(tmp_path / "o"),
+            ])
+        assert code == 3
+        assert "error: test windows hold values beyond the float32 range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("variants", ["", ",", " , "])
     def test_prompts_without_variants_exit_2(self, tmp_path, capsys, variants):

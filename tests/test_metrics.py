@@ -15,11 +15,11 @@ from synthfall.metrics import (
     _ecdf_gap,
     classification_metrics,
     coverage,
+    covered_fraction,
     histogram_density,
     jsd,
     knn_radii,
     ks_two_sample,
-    nearest_distances,
     percent_delta,
 )
 
@@ -228,7 +228,7 @@ class TestHistogramDensity:
         rng = np.random.default_rng(0)
         for _ in range(20):
             values = rng.normal(size=200)
-            curve = histogram_density(values, bins=int(rng.integers(1, 50)))
+            curve = histogram_density(values, int(rng.integers(1, 50)), (values.min(), values.max()))
             assert curve.densities.sum() * curve.bin_width == pytest.approx(1.0, abs=1e-9)
 
     def test_out_of_range_clipped_into_edges(self):
@@ -240,19 +240,23 @@ class TestHistogramDensity:
 
     def test_empty_values(self):
         with pytest.raises(DataError):
-            histogram_density([], bins=4)
+            histogram_density([], 4, (0.0, 1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("value_range", [None, (0.0, 1.0)])
+    # A range holding none of the finite values, then one holding them all.
+    @pytest.mark.parametrize("value_range", [(5.0, 6.0), (0.0, 1.0)])
     def test_non_finite_values(self, bad, value_range):
         with pytest.raises(DataError, match="^histogram_density requires finite values$"):
             histogram_density([bad, 1.0, 0.0], bins=2, value_range=value_range)
 
-    @pytest.mark.parametrize("value_range, error", [(None, DataError), ((0.0, 5e-324), ConfigError)])
+    @pytest.mark.parametrize("value_range, error", [
+        ((1.0, 1.0000000000000002), ConfigError), ((0.0, 5e-324), ConfigError),
+    ])
     def test_range_too_narrow_for_bins(self, value_range, error):
-        # The values' own range here is one subnormal step, which two bins cannot split.
-        with pytest.raises(error, match=r"^range \(-?0\.0, 5e-324\) is too narrow for 2 bins$"):
-            histogram_density([-0.0, 5e-324], bins=2, value_range=value_range)
+        # Each range is one float step wide, which two bins cannot split.
+        lo, hi = value_range
+        with pytest.raises(error, match=rf"^range \({lo!r}, {hi!r}\) is too narrow for 2 bins$"):
+            histogram_density([lo, hi], bins=2, value_range=value_range)
 
     def test_csv_format(self):
         curve = histogram_density([0.25, 0.75], bins=2, value_range=(0.0, 1.0))
@@ -261,7 +265,7 @@ class TestHistogramDensity:
         assert len(lines) == 3
 
 
-    @given(COUNTED, st.integers(1, 12), st.none() | st.tuples(st.floats(-5, 0), st.floats(0.5, 5)))
+    @given(COUNTED, st.integers(1, 12), st.tuples(st.floats(-5, 0), st.floats(0.5, 5)))
     @settings(max_examples=300, deadline=None)
     def test_counts_equal_repeated_values(self, counted, bins, value_range):
         values, counts = counted
@@ -269,15 +273,16 @@ class TestHistogramDensity:
         expect = outcome(histogram_density, np.repeat(values, counts), bins, value_range)
         assert curve_bits(got) == curve_bits(expect)
 
-    def test_uncounted_value_does_not_widen_range(self):
-        curve = histogram_density([0.0, 1.0, 100.0], bins=2, counts=[3, 1, 0])
-        assert curve_bits(curve) == curve_bits(histogram_density([0.0, 0.0, 0.0, 1.0], bins=2))
+    def test_uncounted_value_fills_no_bin(self):
+        # Counted, 100.0 would be clipped into the last bin.
+        curve = histogram_density([0.0, 1.0, 100.0], 2, (0.0, 1.0), counts=[3, 1, 0])
+        assert curve_bits(curve) == curve_bits(histogram_density([0.0, 0.0, 0.0, 1.0], 2, (0.0, 1.0)))
 
     def test_bad_counts(self):
         with pytest.raises(DataError, match="counts"):
-            histogram_density([0.0, 1.0], bins=2, counts=[1])
+            histogram_density([0.0, 1.0], 2, (0.0, 1.0), counts=[1])
         with pytest.raises(DataError, match="at least one"):
-            histogram_density([0.0, 1.0], bins=2, counts=[0, 0])
+            histogram_density([0.0, 1.0], 2, (0.0, 1.0), counts=[0, 0])
 
 
 class TestJsd:
@@ -392,31 +397,43 @@ class TestCoverage:
         rng = np.random.default_rng(n)
         real = rng.normal(size=(n, 24))
         synthetic = rng.normal(0.1, 1.1, size=(300, 24))
-        nearest = nearest_distances(real, synthetic)
         for k in (1, 5):
             dense_radii, dense_nearest = dense_knn_distances(real, synthetic, k)
             # A block's matrix product may round differently from the whole
             # matrix's in the last bit.
             np.testing.assert_allclose(knn_radii(real, k), dense_radii, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(nearest, dense_nearest, rtol=1e-12, atol=0)
             assert coverage(real, synthetic, k=k) == float(np.mean(dense_nearest <= dense_radii))
 
     @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
     def test_nearest_equals_the_plain_expression_bit_for_bit(self, n):
-        """The -2 folded into the product, the norms added into a reused
-        buffer, and the clamp and root taken after the minimum give the bits
-        of the plain blocked expression."""
+        """The one distance kernel (norms added into a reused buffer, the
+        product scaled by -2 in place, clamp and root after the reduction)
+        gives the radii and nearest distances of the plain blocked
+        expressions bit for bit."""
         rng = np.random.default_rng(100 + n)
         real = rng.normal(size=(n, 24))
         synthetic = rng.normal(0.1, 1.1, size=(300, 24))
-        r_sq, s_sq = (real * real).sum(axis=1), (synthetic * synthetic).sum(axis=1)
-        expect = np.concatenate([
-            np.sqrt(np.maximum(
-                r_sq[i:i + COVERAGE_BLOCK, None] + s_sq[None, :] - 2.0 * (real[i:i + COVERAGE_BLOCK] @ synthetic.T), 0.0
-            ).min(axis=1))
-            for i in range(0, n, COVERAGE_BLOCK)
-        ])
-        assert np.array_equal(nearest_distances(real, synthetic), expect)
+
+        def plain(a, b):
+            """|a|^2 + |b|^2 - 2 a.b clamped at 0, COVERAGE_BLOCK rows of a at a time."""
+            a_sq, b_sq = (a * a).sum(axis=1), (b * b).sum(axis=1)
+            for i in range(0, len(a), COVERAGE_BLOCK):
+                rows = slice(i, i + COVERAGE_BLOCK)
+                yield i, np.maximum(a_sq[rows, None] + b_sq[None, :] - 2.0 * (a[rows] @ b.T), 0.0)
+
+        if n > 5:
+            for k in (1, 5):
+                radii = []
+                for i, d in plain(real, real):
+                    own = np.arange(len(d))
+                    d[own, i + own] = np.inf
+                    radii.append(np.partition(d, k - 1, axis=1)[:, k - 1])
+                assert np.array_equal(knn_radii(real, k), np.sqrt(np.concatenate(radii)))
+        nearest = np.sqrt(np.concatenate([d.min(axis=1) for _, d in plain(real, synthetic)]))
+        # A radius of exactly the nearest distance covers its row, the next
+        # float below it does not: both fractions pin every distance's bits.
+        assert covered_fraction(real, synthetic, nearest) == 1.0
+        assert covered_fraction(real, synthetic, np.nextafter(nearest, -np.inf)) == 0.0
 
     def test_radii_recomputed_on_every_call(self, monkeypatch):
         """coverage keeps nothing between calls."""

@@ -1,13 +1,15 @@
 """The hand-written lists of the public surface match the code: the package's
 ``__all__``, the subcommands in the README's CLI block and the module
 attributes the README names.  Every settable field of a run's config is read
-by the run."""
+by the run, and the package imports nothing but numpy and the standard
+library."""
 
 import argparse
 import ast
 import importlib
 import pkgutil
 import re
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -68,3 +70,17 @@ def test_every_config_field_is_read():
     settable = {f.name for cls in (ExperimentConfig, TrainConfig) for f in fields(cls)}
     assert sorted(settable - read) == []
     assert sorted({f.name for f in fields(AlignmentOptions)} - attributes_read("harness", "opts")) == []
+
+
+def test_runtime_needs_numpy_alone():
+    """scipy and the other tools the tests use stay out of the package."""
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert ("metrics.py", "numpy") in imported
+    allowed = {"numpy", *sys.stdlib_module_names}
+    assert sorted((name, module) for name, module in imported if module not in allowed) == []

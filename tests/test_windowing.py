@@ -29,18 +29,17 @@ def make_accel(n, subject="s1", label=ActivityLabel.ADL, seed=0):
     )
 
 
-def make_windows(n, label=ActivityLabel.ADL, subject="s", width=8, seed=0, synthetic=False):
+def make_windows(n, label=ActivityLabel.ADL, subject="s", width=8, seed=0):
     rng = np.random.default_rng(seed)
     return window_set(
         values=rng.normal(size=(n, width, 3)),
         labels=np.full(n, int(label)),
         subjects=[f"{subject}{i}" for i in range(n)],
-        synthetic=np.full(n, synthetic),
     )
 
 
 def one_window(values):
-    return window_set(values=values[None], labels=[0], subjects=[""], synthetic=[False])
+    return window_set(values=values[None], labels=[0], subjects=[""])
 
 
 def naive_window_starts(n, width, stride):
@@ -69,7 +68,7 @@ class TestSlideWindows:
         windows = slide_windows(make_accel(127), 128, 10)
         assert len(windows) == 0
         assert windows.values.shape == (0, 128, 3)
-        assert windows.labels.shape == windows.subjects.shape == windows.synthetic.shape == (0,)
+        assert windows.labels.shape == windows.subjects.shape == (0,)
 
     def test_count_law_against_enumeration(self):
         rng = np.random.default_rng(1)
@@ -99,9 +98,6 @@ class TestSlideWindows:
         w = slide_windows(series, 32, 32).take([0])
         assert w.subjects[0] == "s7"
         assert w.labels[0] == ActivityLabel.FALL
-        assert not w.synthetic[0]
-        syn = AccelSeries(samples=series.samples, sampling_rate=32.0, provenance=Provenance.SYNTHETIC)
-        assert slide_windows(syn, 32, 32).synthetic.all()
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
@@ -384,7 +380,7 @@ class TestComposeMix:
         pools = [
             make_windows(37, ActivityLabel.ADL, "a", seed=1),
             make_windows(11, ActivityLabel.FALL, "r", seed=2),
-            make_windows(23, ActivityLabel.FALL, "g", seed=3, synthetic=True),
+            make_windows(23, ActivityLabel.FALL, "g", seed=3),
         ]
         spec = MixSpec(0.5, 0.1, 0.4)
         out = compose_training_mix(*pools, spec, seed=7)
@@ -393,12 +389,12 @@ class TestComposeMix:
         chosen = []
         for pool, frac in zip(pools, spec.as_tuple()):
             idx = rng.choice(len(pool), size=int(total * frac + 1e-9), replace=False)
-            chosen.extend((pool.values[i], pool.labels[i], pool.subjects[i], pool.synthetic[i]) for i in idx)
+            chosen.extend((pool.values[i], pool.labels[i], pool.subjects[i]) for i in idx)
         expected = [chosen[i] for i in rng.permutation(len(chosen))]
         assert len(out) == len(expected)
-        for i, (values, label, subject, synthetic) in enumerate(expected):
+        for i, (values, label, subject) in enumerate(expected):
             assert np.array_equal(out.values[i], values)
-            assert (out.labels[i], out.subjects[i], out.synthetic[i]) == (label, subject, synthetic)
+            assert (out.labels[i], out.subjects[i]) == (label, subject)
 
     def test_empty_pool_with_positive_fraction(self):
         adl = make_windows(10, ActivityLabel.ADL, "a")
@@ -415,7 +411,7 @@ class TestComposeMix:
 
 class TestWindowSet:
     def test_take_keeps_order_and_metadata(self):
-        windows = make_windows(6, ActivityLabel.FALL, "s", seed=8, synthetic=True)
+        windows = make_windows(6, ActivityLabel.FALL, "s", seed=8)
         idx = [4, 0, 4, 2]
         picked = windows.take(idx)
         assert len(picked) == 4
@@ -423,7 +419,6 @@ class TestWindowSet:
             assert np.array_equal(picked.values[row], windows.values[i])
         assert list(picked.subjects) == ["s4", "s0", "s4", "s2"]
         assert list(picked.labels) == [ActivityLabel.FALL] * 4
-        assert picked.synthetic.all()
 
     def test_take_mask(self):
         windows = make_windows(5, seed=9)
@@ -433,13 +428,12 @@ class TestWindowSet:
 
     def test_concat_keeps_order_and_metadata(self):
         a = make_windows(3, ActivityLabel.ADL, "a", seed=1)
-        b = make_windows(2, ActivityLabel.FALL, "g", seed=2, synthetic=True)
+        b = make_windows(2, ActivityLabel.FALL, "g", seed=2)
         both = WindowSet.concat([a, make_windows(0, width=5), b])
         assert len(both) == 5
         assert np.array_equal(both.values, np.concatenate([a.values, b.values]))
         assert list(both.subjects) == ["a0", "a1", "a2", "g0", "g1"]
         assert list(both.labels) == [0, 0, 0, 1, 1]
-        assert list(both.synthetic) == [False, False, False, True, True]
 
     def test_concat_of_nothing_is_empty(self):
         assert len(WindowSet.concat([])) == 0
@@ -460,13 +454,13 @@ class TestWindowSet:
     def test_values_are_contiguous_float64(self):
         windows = WindowSet(
             samples=np.ones((8, 3), dtype=np.float32)[::-1], starts=[0, 4], width=4, labels=[0, 1],
-            subjects=["a", "b"], synthetic=[False, True],
+            subjects=["a", "b"],
         )
         assert windows.samples.dtype == np.float64 and windows.samples.flags.c_contiguous
         assert windows.values.dtype == np.float64 and windows.values.flags.c_contiguous
 
     def test_shape_checks(self):
-        columns = dict(labels=[0, 0], subjects=["a", "b"], synthetic=[False, False])
+        columns = dict(labels=[0, 0], subjects=["a", "b"])
         with pytest.raises(DataError):
             WindowSet(samples=np.zeros((8, 2)), starts=[0, 4], width=4, **columns)
         with pytest.raises(DataError):
@@ -475,5 +469,4 @@ class TestWindowSet:
     @pytest.mark.parametrize("starts, width", [([0, 5], 4), ([-1, 0], 4), ([0, 4], 0)])
     def test_window_outside_the_buffer_refused(self, starts, width):
         with pytest.raises(DataError, match="must lie in"):
-            WindowSet(samples=np.zeros((8, 3)), starts=starts, width=width, labels=[0, 0], subjects=["a", "b"],
-                      synthetic=[False, False])
+            WindowSet(samples=np.zeros((8, 3)), starts=starts, width=width, labels=[0, 0], subjects=["a", "b"])
