@@ -158,11 +158,13 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
 
 def _as_batch(windows, dtype, name: str = "batch") -> np.ndarray:
     """The windows as a (B, W, input_dim) array of ``dtype``.  A cast that
-    copies is checked: DataError, naming the set, if it overflows."""
+    copies is checked, without numpy's overflow warning: DataError, naming
+    the set, if it overflows."""
     arr = windows.values if isinstance(windows, WindowSet) else np.asarray(windows)
     if arr.ndim != 3 or arr.shape[0] == 0:
         raise DataError(f"batch must have shape (B, W, input_dim), got {arr.shape}")
-    cast = arr.astype(dtype, copy=False)
+    with np.errstate(over="ignore"):
+        cast = arr.astype(dtype, copy=False)
     if cast is not arr and not np.isfinite(cast).all() and np.isfinite(arr).all():
         top = np.finfo(dtype)
         raise DataError(f"{name} windows hold values beyond the {top.dtype} range (largest magnitude {top.max:.8g})")

@@ -579,6 +579,8 @@ def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
         scores = evaluate(best, test_w, config.threshold)
     except NumericError as exc:
         raise exc.within(f"iteration {i}") from exc
+    except DataError as exc:
+        raise DataError(f"{exc} (iteration {i})") from exc
     result = IterationResult(
         index=i,
         **asdict(scores),

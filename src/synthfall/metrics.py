@@ -18,6 +18,7 @@ from .errors import ConfigError, DataError
 
 EXACT_KS_LIMIT = 14
 COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
+COVERAGE_TILE = 2 * COVERAGE_BLOCK  # synthetic rows per column tile of covered_fraction
 
 
 def _value_counts(values: np.ndarray, counts=None, what: str = "value") -> np.ndarray:
@@ -280,18 +281,47 @@ def knn_radii(real, k: int) -> np.ndarray:
     return np.sqrt(np.maximum(radii, 0.0, out=radii), out=radii)
 
 
+def _tiles(m: int):
+    """(start, stop) column tiles of ``COVERAGE_TILE`` rows over ``m`` rows;
+    a remainder of less than half a tile joins the last tile."""
+    edges = list(range(0, m, COVERAGE_TILE)) + [m]
+    if len(edges) > 2 and m - edges[-2] < COVERAGE_TILE // 2:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
+
+
 def covered_fraction(real, synthetic, radii) -> float:
     """Fraction of real samples whose nearest synthetic sample lies within
-    (<=) that real sample's radius, one radius per real sample."""
+    (<=) that real sample's radius, one finite radius per real sample.
+
+    The synthetic samples are compared one column tile at a time, and a real
+    sample leaves once a tile covers it: ``min``, the clamp and the root are
+    monotone, so a tile's nearest distance is within the radius exactly when
+    it bounds the nearest distance overall.  Memory grows with the real
+    samples and the tile, not with the synthetic count.
+    """
     r, s = _as_matrix(real), _as_matrix(synthetic)
     if r.shape[1] != s.shape[1]:
         raise DataError(f"real samples have {r.shape[1]} values and synthetic ones {s.shape[1]}")
-    nearest = np.empty(r.shape[0])
-    for start, sq in _sq_distances(r, s):
-        nearest[start : start + sq.shape[0]] = sq.min(axis=1)
-    # Compared after the root, as squared distances could flip a tie.
-    nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
-    return float(np.count_nonzero(nearest <= radii) / r.shape[0])
+    radii = np.asarray(radii)
+    if radii.shape != (r.shape[0],) or radii.dtype.kind not in "iuf" or not np.isfinite(radii).all():
+        raise DataError(
+            f"coverage needs one finite radius per real sample ({r.shape[0]}), "
+            f"got {radii.dtype} radii of shape {radii.shape}"
+        )
+    open_rows, open_radii = r, radii
+    for lo, hi in _tiles(s.shape[0]):
+        nearest = np.empty(open_rows.shape[0])
+        for start, sq in _sq_distances(open_rows, s[lo:hi]):
+            nearest[start : start + sq.shape[0]] = sq.min(axis=1)
+        # Compared after the root, as squared distances could flip a tie.
+        nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+        still = ~(nearest <= open_radii)
+        if not still.all():
+            open_rows, open_radii = open_rows[still], open_radii[still]
+            if open_rows.shape[0] == 0:
+                break
+    return float((r.shape[0] - open_rows.shape[0]) / r.shape[0])
 
 
 # ---------------------------------------------------------------------------

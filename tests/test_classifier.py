@@ -236,6 +236,13 @@ class TestForward:
         with pytest.raises(NumericError, match="lstm"):
             forward(model, bad)
 
+    def test_windows_beyond_float32_are_a_quiet_data_error(self):
+        model = init_model(5, hidden_size=4, dense_units=4)
+        huge = toy_windows(2, seed=6).values * 1e45
+        with warnings.catch_warnings(), pytest.raises(DataError, match=f"^{BEYOND_FLOAT32.format('batch')}$"):
+            warnings.simplefilter("error", RuntimeWarning)
+            forward(model, huge)
+
     def test_matches_per_gate_reference(self):
         model = init_model(17, hidden_size=7, dense_units=5, dtype=np.float64)
         move_running_stats(model, toy_windows(6, seed=18))

@@ -1131,7 +1131,9 @@ class TestCli:
                 "--max-epochs", "1", "--patience", "1", "--mix", "0.7,0.3,0", "--out", str(tmp_path / "o"),
             ])
         assert code == 3
-        assert "error: test windows hold values beyond the float32 range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: test windows hold values beyond the float32 range" in err
+        assert "(largest magnitude 3.4028235e+38) (iteration 0)\n" in err
 
     @pytest.mark.parametrize("variants", ["", ",", " , "])
     def test_prompts_without_variants_exit_2(self, tmp_path, capsys, variants):

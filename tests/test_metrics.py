@@ -11,6 +11,7 @@ from synthfall import metrics
 from synthfall.errors import ConfigError, DataError
 from synthfall.metrics import (
     COVERAGE_BLOCK,
+    COVERAGE_TILE,
     DensityCurve,
     _ecdf_gap,
     classification_metrics,
@@ -469,6 +470,89 @@ class TestCoverage:
         small, large = peak(1024), peak(4096)
         assert large < 4096 * 4096 * 8  # below one dense N x N float64 matrix
         assert large < 6 * small  # 4x the samples; N^2 growth would give 16x
+
+    def test_memory_bounded_by_the_tile(self):
+        """covered_fraction's peak grows with the real rows and one synthetic
+        tile, not with the synthetic count.  Half the real rows are copied
+        into the first tile, so the open rows are gathered once; the rest
+        stay open through every tile."""
+        rng = np.random.default_rng(12)
+        n, dims = 300, 8
+        real = rng.normal(size=(n, dims))
+        radii = np.full(n, 0.5)
+
+        def peak(m):
+            synthetic = rng.normal(100.0, 1.0, size=(m, dims))
+            synthetic[: n // 2] = real[: n // 2]
+            tracemalloc.start()
+            try:
+                assert covered_fraction(real, synthetic, radii) == 0.5
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2 * COVERAGE_TILE), peak(16384)
+        widest = COVERAGE_TILE + COVERAGE_TILE // 2 - 1
+        # Two (block, tile) buffers and the tile's norms, plus per real row
+        # its gathered values, norm, nearest distance, radius and flag.
+        assert large <= 8 * (2 * COVERAGE_BLOCK * widest + widest + n * (dims + 4))
+        # m grew 8x; a pass over whole rows held two (block, m) buffers,
+        # 64 MiB at m = 16384.
+        assert large <= small + 8 * widest
+
+    def test_tiles_decide_ties_exactly(self):
+        """Integer-valued samples make every squared distance exact in
+        float64, whatever kernel BLAS picks for a block (one row runs as a
+        GEMV), so the tile-by-tile rule must match the brute-force nearest
+        distance exactly.  Rows are covered in the first, middle and last of
+        three synthetic tiles; the rows left open fill their last block with
+        2 and then with 1 row."""
+        rng = np.random.default_rng(41)
+        dims = 6
+        first, middle, last = 300, 1, COVERAGE_BLOCK + 1  # rows each tile covers
+        n = first + middle + last
+        assert (n - first) % COVERAGE_BLOCK == 2 and (n - first - middle) % COVERAGE_BLOCK == 1
+        # Distinct real rows 16 apart; each one's hit lies within 2 per value,
+        # far nearer than any other real row's hit.
+        real = 16 * np.unique(rng.integers(-50, 51, size=(2 * n, dims)), axis=0)
+        real = real[rng.permutation(len(real))[:n]]
+        m = 3 * COVERAGE_TILE + 100  # the remainder joins the last tile
+        synthetic = rng.integers(1000, 1100, size=(m, dims))
+        slots = np.concatenate([
+            rng.permutation(COVERAGE_TILE)[:first],
+            COVERAGE_TILE + rng.permutation(COVERAGE_TILE)[:middle],
+            2 * COVERAGE_TILE + rng.permutation(m - 2 * COVERAGE_TILE)[:last],
+        ])
+        synthetic[slots] = real + rng.integers(-2, 3, size=real.shape)
+
+        sq = (real * real).sum(1)[:, None] + (synthetic * synthetic).sum(1) - 2 * (real @ synthetic.T)
+        assert sq.dtype == np.int64
+        assert np.array_equal(sq.argmin(axis=1), slots)
+        nearest = np.sqrt(sq.min(axis=1).astype(np.float64))
+        below = np.nextafter(nearest, -np.inf)
+        real, synthetic = real.astype(np.float64), synthetic.astype(np.float64)
+        assert covered_fraction(real, synthetic, nearest) == 1.0
+        assert covered_fraction(real, synthetic, below) == 0.0
+        chosen = rng.random(n) < 0.5
+        radii = np.where(chosen, nearest, below)
+        assert covered_fraction(real, synthetic, radii) == np.count_nonzero(chosen) / n
+
+    @pytest.mark.parametrize(
+        "radii, n",
+        [
+            pytest.param(np.ones((5, 1)), 5, id="column"),
+            pytest.param(1.0, 5, id="scalar"),
+            pytest.param(np.ones(4), 5, id="short"),
+            pytest.param(np.array([1.0, np.nan, 1.0]), 3, id="nan"),
+            pytest.param(np.array([1.0, np.inf, 1.0]), 3, id="inf"),
+            pytest.param(np.array(["1", "1", "1"]), 3, id="text"),
+        ],
+    )
+    def test_radii_one_finite_value_per_real_row(self, radii, n):
+        rng = np.random.default_rng(13)
+        real = rng.normal(size=(n, 4))
+        with pytest.raises(DataError, match="one finite radius per real sample"):
+            covered_fraction(real, real.copy(), radii)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
