@@ -51,6 +51,7 @@ from .windowing import (
     DEFAULT_WINDOW,
     STD_FLOOR,
     MixSpec,
+    WindowRows,
     WindowSet,
     apply_scaler,
     compose_training_mix,
@@ -150,11 +151,14 @@ def _fall_windows(cuts, which: str) -> WindowSet:
     return windows
 
 
-def _held(windows: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+def _held(windows: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every sample row some window holds, once, with the number of windows
-    that hold it.  Rows no window holds neither count nor widen a range."""
+    that hold it, and each window's start renumbered into those rows: every
+    row of a window is held, so its rows stay consecutive there.  Rows no
+    window holds neither count nor widen a range."""
     counts = windows.counts()
-    return windows.samples[counts > 0], counts[counts > 0]
+    held = counts > 0
+    return windows.samples[held], counts[held], (np.cumsum(held) - 1)[windows.starts]
 
 
 def _scale_stats(real: np.ndarray) -> tuple[float, float]:
@@ -181,7 +185,7 @@ class _RealSide:
     """What an alignment computes from its real falls alone: each series'
     length, the standardization statistics (pooled, then per axis), the raw
     sample rows the windows hold with the number of windows holding each,
-    the standardized windows flattened to (N, W*3), and their k-NN radii."""
+    each window's first row among them, and the windows' k-NN radii."""
 
     lengths: tuple[int, ...]
     mu: float
@@ -189,7 +193,7 @@ class _RealSide:
     axis_stats: tuple[tuple[float, float], ...]
     rows: np.ndarray
     counts: np.ndarray
-    flat: np.ndarray
+    starts: np.ndarray
     radii: np.ndarray
 
 
@@ -231,39 +235,32 @@ def _real_side(entries, opts) -> tuple[str, _RealSide]:
     values = windows.values
     mu, sd = _scale_stats(values)
     axis_stats = tuple(_scale_stats(values[:, :, i]) for i in range(3))
-    flat = _standardized(values, mu, sd)
-    rows, counts = _held(windows)
-    radii = knn_radii(flat, opts.k)
-    for arr in (rows, counts, flat, radii):
+    del values  # before knn_radii gathers the rows it needs
+    rows, counts, starts = _held(windows)
+    radii = knn_radii(WindowRows((rows - mu) / sd, starts, opts.window), opts.k)
+    for arr in (rows, counts, starts, radii):
         arr.flags.writeable = False
-    return key, _RealSide(tuple(len(series) for series, _ in pairs), mu, sd, axis_stats, rows, counts, flat, radii)
-
-
-def _standardized(values: np.ndarray, mu: float, sd: float) -> np.ndarray:
-    """The gathered (N, W, 3) window values standardized in place and
-    flattened to (N, W*3).  Standardizing is elementwise, so these are the
-    bits (samples - mu) / sd gathers."""
-    values -= mu
-    values /= sd
-    return values.reshape(len(values), -1)
+    return key, _RealSide(tuple(len(series) for series, _ in pairs), mu, sd, axis_stats, rows, counts, starts, radii)
 
 
 def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions | None = None) -> AlignmentReport:
     """Window the fall data of both manifests and measure their alignment.
 
     All values are standardized against the real windows' values (pooled
-    over axes).  Coverage is computed over the flattened standardized
-    windows.  Density curves, JSD and per-axis KS are computed from each
+    over axes).  Coverage compares the standardized windows as flat rows,
+    gathered from the standardized sample rows the windows hold as it
+    compares them.  Density curves, JSD and per-axis KS are computed from each
     recorded sample once, weighted by the number of windows that hold it,
     which gives the same numbers as every window's copy of it would.  Every
     fall recording of both manifests must share one sampling rate.
 
-    What depends on the real falls alone (their held rows and counts,
-    statistics and k-NN radii) is kept for the next call, keyed by the
-    window, stride, k and the real fall entries' manifest fields and file
-    bytes: comparing the same real set with another generator reads the
-    real files but parses none of them.  Only the last real set is kept, and only once a
-    comparison with it gets past loading its synthetic windows.
+    What depends on the real falls alone (their held rows, counts and
+    window starts, statistics and k-NN radii) is kept for the next call,
+    keyed by the window, stride, k and the real fall entries' manifest
+    fields and file bytes: comparing the same real set with another
+    generator reads the real files but parses none of them.  Only the last
+    real set is kept, and only once a comparison with it gets past loading
+    its synthetic windows.
     """
     opts = options or AlignmentOptions()
     real_entries = _falls(catalog_dataset(real_manifest))
@@ -276,7 +273,7 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     _REAL_SIDE.clear()
     _REAL_SIDE[key] = real
 
-    syn_rows, syn_counts = _held(syn_windows)
+    syn_rows, syn_counts, syn_starts = _held(syn_windows)
     real_vals, syn_vals = ((rows - real.mu) / real.sd for rows in (real.rows, syn_rows))
 
     # Each sample's three values share its count.
@@ -289,7 +286,9 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
         axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real.counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
-    cov = covered_fraction(real.flat, _standardized(syn_windows.values, real.mu, real.sd), real.radii)
+    cov = covered_fraction(
+        WindowRows(real_vals, real.starts, opts.window), WindowRows(syn_vals, syn_starts, opts.window), real.radii
+    )
 
     jsd_per_axis = None
     if opts.per_axis:

@@ -15,6 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .windowing import WindowRows
 
 EXACT_KS_LIMIT = 14
 COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
@@ -221,13 +222,24 @@ def jsd(p: DensityCurve, q: DensityCurve) -> float:
 # ---------------------------------------------------------------------------
 # Coverage
 
-def _as_matrix(samples) -> np.ndarray:
-    arr = np.ascontiguousarray(samples, dtype=np.float64)
-    if arr.ndim == 3:
-        arr = arr.reshape(arr.shape[0], -1)
-    if arr.ndim != 2 or arr.shape[0] == 0:
+def _row_source(samples):
+    """(count, values per row, take) of a non-empty set of samples, where
+    ``take(idx)`` gives the rows an index array or slice selects as an
+    (n, values) array.  ``WindowRows`` are gathered from their buffer; a
+    matrix (each window of an (N, W, C) array flattened) is indexed, so a
+    slice of it is a view."""
+    if isinstance(samples, WindowRows):
+        source = (len(samples), samples.dims, samples.take)
+    else:
+        arr = np.ascontiguousarray(samples, dtype=np.float64)
+        if arr.ndim == 3:
+            arr = arr.reshape(arr.shape[0], -1)
+        if arr.ndim != 2:
+            raise DataError("expected a non-empty set of windows or sample vectors")
+        source = (*arr.shape, arr.__getitem__)
+    if not source[0]:
         raise DataError("expected a non-empty set of windows or sample vectors")
-    return arr
+    return source
 
 
 def coverage(real, synthetic, k: int = 5) -> float:
@@ -242,42 +254,58 @@ def coverage(real, synthetic, k: int = 5) -> float:
     return covered_fraction(real, synthetic, knn_radii(real, k))
 
 
-def _sq_distances(r: np.ndarray, s: np.ndarray):
-    """(start, block) pairs, ``COVERAGE_BLOCK`` rows of ``r`` at a time:
-    ``block`` holds the squared Euclidean distances from those rows to every
-    row of ``s``, as |r|^2 + |s|^2 - 2 r.s.  Scaling the product by -2 in
-    place is exact; scaling a copy of ``r`` instead can change bits where
+def _blocks(n: int):
+    """Slices of ``COVERAGE_BLOCK`` rows over ``n`` rows."""
+    return (slice(start, min(start + COVERAGE_BLOCK, n)) for start in range(0, n, COVERAGE_BLOCK))
+
+
+def _sq_norms(blocks) -> np.ndarray:
+    """Each row's squared norm, one block of rows at a time: a row's sum
+    does not depend on the rows beside it, so these are the bits of one
+    reduction over all the rows."""
+    return np.concatenate([(r * r).sum(axis=1) for r in blocks])
+
+
+def _sq_distances(blocks, s: np.ndarray, s_sq: np.ndarray):
+    """For each (rows, their squared norms) pair of ``blocks``, at most
+    ``COVERAGE_BLOCK`` rows and the largest first, the squared Euclidean
+    distances from those rows to every row of ``s`` as |r|^2 + |s|^2 - 2 r.s,
+    in one of two buffers reused for every block.  Scaling the product by -2
+    in place is exact; scaling a copy of ``r`` instead can change bits where
     BLAS takes a block times its own transpose as a symmetric update.
     Rounding can leave entries below 0: callers reduce first, then clamp at
     0 and take the root, both monotone, so the reduction picks the same
     entry."""
-    r_sq = (r * r).sum(axis=1)
-    s_sq = (s * s).sum(axis=1)
-    norms = np.empty((min(COVERAGE_BLOCK, r.shape[0]), s.shape[0]))
-    for start in range(0, r.shape[0], COVERAGE_BLOCK):
-        stop = min(start + COVERAGE_BLOCK, r.shape[0])
-        block = norms[: stop - start]
-        np.add(r_sq[start:stop, None], s_sq, out=block)
-        sq = r[start:stop] @ s.T
+    norms = product = None
+    for r, r_sq in blocks:
+        if norms is None:
+            norms, product = np.empty((len(r), len(s))), np.empty((len(r), len(s)))
+        rows = len(r)
+        np.add(r_sq[:, None], s_sq, out=norms[:rows])
+        sq = np.matmul(r, s.T, out=product[:rows])
         sq *= -2.0
-        sq += block
-        yield start, sq
+        sq += norms[:rows]
+        yield sq
 
 
 def knn_radii(real, k: int) -> np.ndarray:
     """Per real sample, the Euclidean distance to its k-th nearest other real
-    sample; the radii depend on the real samples alone."""
+    sample; the radii depend on the real samples alone.  ``WindowRows``
+    are gathered once, for this call only."""
     if k < 1:
         raise ConfigError("k must be >= 1")
-    r = _as_matrix(real)
-    n = r.shape[0]
+    n, _, take = _row_source(real)
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
+    r = take(slice(None))
+    blocks = list(_blocks(n))
+    r_sq = _sq_norms(r[b] for b in blocks)
     radii = np.empty(n)
-    for start, sq in _sq_distances(r, r):
+    for b, sq in zip(blocks, _sq_distances(((r[b], r_sq[b]) for b in blocks), r, r_sq)):
         own = np.arange(sq.shape[0])
-        sq[own, start + own] = np.inf
-        radii[start : start + sq.shape[0]] = np.partition(sq, k - 1, axis=1)[:, k - 1]
+        sq[own, b.start + own] = np.inf
+        sq.partition(k - 1, axis=1)
+        radii[b] = sq[:, k - 1]
     return np.sqrt(np.maximum(radii, 0.0, out=radii), out=radii)
 
 
@@ -297,31 +325,32 @@ def covered_fraction(real, synthetic, radii) -> float:
     The synthetic samples are compared one column tile at a time, and a real
     sample leaves once a tile covers it: ``min``, the clamp and the root are
     monotone, so a tile's nearest distance is within the radius exactly when
-    it bounds the nearest distance overall.  Memory grows with the real
-    samples and the tile, not with the synthetic count.
+    it bounds the nearest distance overall.  Each tile, and each block of
+    the real samples still open, is gathered when it is compared, so memory
+    grows with the tile, the block and one number per real sample, not with
+    either sample count times the values per sample.
     """
-    r, s = _as_matrix(real), _as_matrix(synthetic)
-    if r.shape[1] != s.shape[1]:
-        raise DataError(f"real samples have {r.shape[1]} values and synthetic ones {s.shape[1]}")
+    (n, dims, real_rows), (m, syn_dims, syn_rows) = _row_source(real), _row_source(synthetic)
+    if dims != syn_dims:
+        raise DataError(f"real samples have {dims} values and synthetic ones {syn_dims}")
     radii = np.asarray(radii)
-    if radii.shape != (r.shape[0],) or radii.dtype.kind not in "iuf" or not np.isfinite(radii).all():
+    if radii.shape != (n,) or radii.dtype.kind not in "iuf" or not np.isfinite(radii).all():
         raise DataError(
-            f"coverage needs one finite radius per real sample ({r.shape[0]}), "
+            f"coverage needs one finite radius per real sample ({n}), "
             f"got {radii.dtype} radii of shape {radii.shape}"
         )
-    open_rows, open_radii = r, radii
-    for lo, hi in _tiles(s.shape[0]):
-        nearest = np.empty(open_rows.shape[0])
-        for start, sq in _sq_distances(open_rows, s[lo:hi]):
-            nearest[start : start + sq.shape[0]] = sq.min(axis=1)
+    r_sq = _sq_norms(real_rows(b) for b in _blocks(n))
+    open_rows = np.arange(n)
+    for lo, hi in _tiles(m):
+        tile = syn_rows(slice(lo, hi))
+        blocks = ((real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows)))
+        nearest = np.concatenate([sq.min(axis=1) for sq in _sq_distances(blocks, tile, (tile * tile).sum(axis=1))])
         # Compared after the root, as squared distances could flip a tie.
         nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
-        still = ~(nearest <= open_radii)
-        if not still.all():
-            open_rows, open_radii = open_rows[still], open_radii[still]
-            if open_rows.shape[0] == 0:
-                break
-    return float((r.shape[0] - open_rows.shape[0]) / r.shape[0])
+        open_rows = open_rows[~(nearest <= radii[open_rows])]
+        if not len(open_rows):
+            break
+    return float((n - len(open_rows)) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,40 @@ SCALER_BLOCK = 256  # windows gathered at a time by fit_scaler
 _FLOOR_EPS = 1e-9
 
 
+class WindowRows:
+    """Windows read as flat rows, gathered on demand: window ``i`` is the
+    ``width`` consecutive rows of the C-contiguous (S, C) ``samples`` from
+    row ``starts[i]``, that is the ``width * C`` values of the flattened
+    buffer from ``starts[i] * C``.  Overlapping windows share their values
+    until gathered."""
+
+    # A plain class: building a dataclass takes about a millisecond, which
+    # every fresh import of the package would pay.
+    __slots__ = ("samples", "starts", "width")
+
+    def __init__(self, samples: np.ndarray, starts: np.ndarray, width: int):
+        self.samples, self.starts, self.width = samples, starts, width
+
+    def __len__(self) -> int:
+        return self.starts.shape[0]
+
+    @property
+    def dims(self) -> int:
+        """Values per row: ``width * C``."""
+        return self.width * self.samples.shape[1]
+
+    def take(self, idx=slice(None)) -> np.ndarray:
+        """A new C-contiguous (n, dims) array of the windows ``idx`` selects
+        (an index array or a slice), in that order.  Each row is a copy of
+        one overlapping view of the buffer, so every value keeps its bits."""
+        starts = self.starts[idx]
+        if not len(starts):
+            # sliding_window_view refuses a buffer shorter than the window.
+            return np.empty((0, self.dims))
+        rows = np.lib.stride_tricks.sliding_window_view(self.samples.reshape(-1), self.dims)
+        return rows[:: self.samples.shape[1]][starts]
+
+
 @dataclass(frozen=True, eq=False)
 class WindowSet:
     """N windows of ``width`` consecutive rows of one sample buffer.
@@ -63,7 +97,7 @@ class WindowSet:
     @property
     def values(self) -> np.ndarray:
         """A new C-contiguous (N, W, 3) array of the window values."""
-        return self.samples[self.starts[:, None] + np.arange(self.width)]
+        return WindowRows(self.samples, self.starts, self.width).take().reshape(len(self), self.width, 3)
 
     def counts(self) -> np.ndarray:
         """For each sample row, the number of windows that hold it; rows no

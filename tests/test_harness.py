@@ -34,9 +34,18 @@ from synthfall.harness import (
     run_alignment,
     run_experiment,
 )
-from synthfall.ingest import catalog_dataset, load_entry, write_accel_csv
+from synthfall.ingest import catalog_dataset, load_entry, read_accel_csv, write_accel_csv
 from synthfall.kinematics import AccelSeries, ActivityLabel
-from synthfall.metrics import DensityCurve, KsResult, coverage, histogram_density, jsd, knn_radii, ks_two_sample
+from synthfall.metrics import (
+    COVERAGE_BLOCK,
+    DensityCurve,
+    KsResult,
+    coverage,
+    histogram_density,
+    jsd,
+    knn_radii,
+    ks_two_sample,
+)
 from synthfall.windowing import MixSpec, slide_windows, split_subjects
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
@@ -265,6 +274,30 @@ class TestAlignmentFromCountedSamples:
         tail = load_entry(catalog_dataset(uneven).entries[0])
         assert tail.samples.max() == 9.0 and slide_windows(tail, 64, 25).values.max() < 9.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_no_window_holds_are_not_standardized(self, tmp_path):
+        """A fall whose tail past its last window holds +-1e308 gives the
+        report the fall cut at its last window gives, on either side, and
+        no warning: standardizing that tail would overflow."""
+        other = build_synthetic_manifest(tmp_path, series=4, series_len=180, seed=3)
+        manifests = {}
+        for name, tail in (("cut", None), ("huge", 1e308)):
+            (tmp_path / name).mkdir()
+            manifests[name] = build_uneven_manifest(tmp_path / name)
+            path = tmp_path / name / "uneven" / "tail.csv"
+            values = read_accel_csv(path.read_bytes()).samples[:189]  # six windows of 64 at stride 25
+            if tail is not None:
+                values = np.concatenate([values, tail * np.where(np.arange(48).reshape(16, 3) % 2, 1.0, -1.0)])
+            path.write_bytes(write_accel_csv(AccelSeries(samples=values, sampling_rate=32.0)))
+        assert np.abs(load_entry(catalog_dataset(manifests["huge"]).entries[0]).samples).max() == 1e308
+        opts = AlignmentOptions(window=64, stride=25, bins=20, k=2, per_axis=True)
+        for pair in ((0, other), (other, 0)):
+            cut, huge = (
+                run_alignment(*(manifests[name] if m == 0 else m for m in pair), opts).to_dict()
+                for name in ("cut", "huge")
+            )
+            assert json.dumps(huge) == json.dumps(cut)
+
     def test_ks_gets_each_sample_once(self, tmp_path, monkeypatch):
         real = build_dataset(tmp_path, subjects=4, series_len=200, seed=0)
         syn = build_synthetic_manifest(tmp_path, series=3, series_len=150, seed=1)
@@ -381,11 +414,39 @@ class TestRealSideMemo:
         self.check(real, gen)
         (side,) = harness._REAL_SIDE.values()
         arrays = [getattr(side, f.name) for f in fields(side) if isinstance(getattr(side, f.name), np.ndarray)]
-        assert len(arrays) == 4  # rows, counts, flat, radii
+        assert len(arrays) == 4  # rows, counts, starts, radii
         for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
             side.radii[0] = 0.0
+
+    def test_warm_peak_grows_with_held_rows_not_window_values(self, tmp_path, calls):
+        """Coverage gathers its windows from the standardized held rows as
+        it compares them: a warm call holds no (N, W*3) matrix of either
+        side.  Stride 1 makes the real windows' values (N*W*3) about 27
+        times the held ones."""
+        real = build_dataset(tmp_path, subjects=12, series_len=400, seed=0)
+        syn = build_synthetic_manifest(tmp_path, series=1, series_len=400, seed=1)
+        opts = AlignmentOptions(window=128, stride=1, bins=100, k=5)
+        run_alignment(real, syn, opts)
+        tracemalloc.start()
+        try:
+            report = run_alignment(real, syn, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls["radii"] == [(3276, 5)]
+        (side,) = harness._REAL_SIDE.values()
+        windows, tile, dims = len(side.radii), report.ks_x.m // opts.window, 3 * opts.window
+        held = 3 * (len(side.rows) + 400)  # held values of both sides; each synthetic row is held
+        bound = 8 * (
+            2 * COVERAGE_BLOCK * tile  # the two reused distance buffers
+            + 2 * (COVERAGE_BLOCK + tile) * dims  # one gathered block and the tile, each with its square
+            + 16 * held  # standardized copies, KS sorts and densities
+            + 8 * windows  # starts, open rows, norms, radii and nearest distances
+        )
+        assert bound < 8 * windows * dims
+        assert peak < bound
 
     def test_failing_comparison_leaves_the_memo_alone(self, tmp_path, calls):
         real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)

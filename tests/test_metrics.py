@@ -23,6 +23,7 @@ from synthfall.metrics import (
     ks_two_sample,
     percent_delta,
 )
+from synthfall.windowing import WindowRows
 
 
 def ecdf_gap_oracle(a, b):
@@ -353,6 +354,24 @@ def dense_knn_distances(real, synthetic, k):
     return np.partition(d_rr, k - 1, axis=1)[:, k - 1], dists(real, synthetic).min(axis=1)
 
 
+def plain_nearest(a, b):
+    """Nearest distance from each row of ``a`` to the rows of ``b``, from the
+    plain expression |a|^2 + |b|^2 - 2 a.b clamped at 0, ``COVERAGE_BLOCK``
+    rows of ``a`` at a time."""
+    a_sq, b_sq = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    blocks = [slice(i, i + COVERAGE_BLOCK) for i in range(0, len(a), COVERAGE_BLOCK)]
+    return np.sqrt(np.concatenate([
+        np.maximum(a_sq[rows, None] + b_sq[None, :] - 2.0 * (a[rows] @ b.T), 0.0).min(axis=1) for rows in blocks
+    ]))
+
+
+def window_rows(rng, n, width=8, shift=0.0):
+    """``n`` overlapping windows of ``width`` rows of one (n + width, 3)
+    buffer, in a random order."""
+    samples = rng.normal(shift, 1.0, size=(n + width, 3))
+    return WindowRows(samples, rng.permutation(n + 1)[:n], width)
+
+
 class TestCoverage:
     def test_copies_give_full_coverage(self):
         rng = np.random.default_rng(0)
@@ -435,6 +454,59 @@ class TestCoverage:
         # float below it does not: both fractions pin every distance's bits.
         assert covered_fraction(real, synthetic, nearest) == 1.0
         assert covered_fraction(real, synthetic, np.nextafter(nearest, -np.inf)) == 0.0
+
+    @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
+    def test_gathered_rows_match_the_same_rows_as_an_array(self, n):
+        """Windows gathered from their buffer give the radii and nearest
+        distances of the same rows passed as a matrix, bit for bit."""
+        rng = np.random.default_rng(300 + n)
+        real, synthetic = window_rows(rng, n), window_rows(rng, 300, shift=0.1)
+        real_arr, syn_arr = real.take(), synthetic.take()
+        if n > 5:
+            for k in (1, 5):
+                assert np.array_equal(knn_radii(real, k), knn_radii(real_arr, k))
+            assert coverage(real, synthetic, k=5) == coverage(real_arr, syn_arr, k=5)
+        nearest = plain_nearest(real_arr, syn_arr)
+        below = np.nextafter(nearest, -np.inf)
+        for r, s in ((real, synthetic), (real_arr, syn_arr)):
+            assert covered_fraction(r, s, nearest) == 1.0
+            assert covered_fraction(r, s, below) == 0.0
+
+    @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
+    @pytest.mark.parametrize("dims", [1, 3, 24, 384])
+    def test_blockwise_norms_match_one_reduction(self, n, dims):
+        rng = np.random.default_rng(n * dims)
+        r = rng.normal(size=(n, dims)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+        blocks = [r[b] for b in metrics._blocks(n)]
+        assert max(len(b) for b in blocks) <= COVERAGE_BLOCK
+        assert np.array_equal(metrics._sq_norms(blocks), (r * r).sum(axis=1))
+
+    @pytest.mark.parametrize("tail", [1, 2, 3, 4])
+    def test_tail_blocks_of_open_rows_keep_their_bits(self, tail):
+        """The first tile covers some real windows; the rest fill one whole
+        block and a tail block of 1-4 rows, each gathered from the window
+        buffer and compared with the second tile in the front rows of the
+        reused distance buffers.  Each open row's nearest distance must have
+        the bits of the plain expression on its block as a matrix."""
+        rng = np.random.default_rng(400 + tail)
+        width, first = 8, 40
+        n = first + COVERAGE_BLOCK + tail
+        real = window_rows(rng, n, width)
+        # A far first tile of COVERAGE_TILE windows, then a near one.
+        near = 300
+        samples = np.concatenate([rng.normal(100.0, 1.0, size=(COVERAGE_TILE + width, 3)),
+                                  rng.normal(size=(near + width, 3))])
+        starts = np.concatenate([np.arange(COVERAGE_TILE), COVERAGE_TILE + width + rng.permutation(near)])
+        synthetic = WindowRows(samples, starts, width)
+        assert [hi - lo for lo, hi in metrics._tiles(len(synthetic))] == [COVERAGE_TILE, near]
+        real_arr, syn_arr = real.take(), synthetic.take()
+        nearest = plain_nearest(real_arr[first:], syn_arr[COVERAGE_TILE:])
+        assert nearest.max() < plain_nearest(real_arr, syn_arr[:COVERAGE_TILE]).min()
+        wide = np.full(first, 1e6)  # the first tile covers these rows
+        for r, s in ((real, synthetic), (real_arr, syn_arr)):
+            assert covered_fraction(r, s, np.concatenate([wide, nearest])) == 1.0
+            below = np.concatenate([wide, np.nextafter(nearest, -np.inf)])
+            assert covered_fraction(r, s, below) == first / n
 
     def test_radii_recomputed_on_every_call(self, monkeypatch):
         """coverage keeps nothing between calls."""

@@ -12,6 +12,7 @@ from synthfall.kinematics import AccelSeries, ActivityLabel, Provenance
 from synthfall.windowing import (
     SCALER_BLOCK,
     MixSpec,
+    WindowRows,
     WindowSet,
     apply_scaler,
     compose_training_mix,
@@ -465,6 +466,32 @@ class TestWindowSet:
             WindowSet(samples=np.zeros((8, 2)), starts=[0, 4], width=4, **columns)
         with pytest.raises(DataError):
             WindowSet(samples=np.zeros((8, 3)), starts=[0, 4], width=4, **dict(columns, labels=[0]))
+
+    @pytest.mark.parametrize("width, stride", [(1, 1), (1, 3), (5, 2), (16, 7), (40, 40)])
+    def test_values_match_the_index_oracle(self, width, stride):
+        """values gathers each window as one row of an overlapping view of
+        the buffer; it must copy the bits an (N, W) index array gathers,
+        over several series joined and over selections of them."""
+        series = [make_accel(n, seed=n) for n in (37, 3, 80, 41)]
+        windows = WindowSet.concat(slide_windows(s, width, stride) for s in series)
+        for picked in (windows, windows.take(np.arange(len(windows))[::-2]), windows.take([])):
+            oracle = picked.samples[picked.starts[:, None] + np.arange(width)]
+            assert picked.values.shape == (len(picked), width, 3)
+            assert np.array_equal(picked.values, oracle)
+
+    def test_no_windows_over_a_buffer_shorter_than_the_window(self):
+        short = slide_windows(make_accel(5), width=16)
+        assert len(short) == 0 and len(short.samples) < short.width
+        assert short.values.shape == (0, 16, 3)
+        assert WindowRows(short.samples, short.starts, short.width).take().shape == (0, 48)
+
+    def test_rows_of_any_channel_count(self):
+        samples = np.arange(40.0).reshape(8, 5)
+        rows = WindowRows(samples, np.array([3, 0, 6]), 2)
+        assert rows.dims == 10 and len(rows) == 3
+        assert np.array_equal(rows.take(), samples[[[3, 4], [0, 1], [6, 7]]].reshape(3, 10))
+        assert np.array_equal(rows.take(slice(1, None)), rows.take()[1:])
+        assert np.array_equal(rows.take(np.array([2, 2])), rows.take()[[2, 2]])
 
     @pytest.mark.parametrize("starts, width", [([0, 5], 4), ([-1, 0], 4), ([0, 4], 0)])
     def test_window_outside_the_buffer_refused(self, starts, width):
