@@ -51,7 +51,7 @@ from .windowing import (
     DEFAULT_WINDOW,
     STD_FLOOR,
     MixSpec,
-    WindowRows,
+    Scaler,
     WindowSet,
     apply_scaler,
     compose_training_mix,
@@ -151,19 +151,15 @@ def _fall_windows(cuts, which: str) -> WindowSet:
     return windows
 
 
-def _held(windows: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every sample row some window holds, once, with the number of windows
-    that hold it, and each window's start renumbered into those rows: every
-    row of a window is held, so its rows stay consecutive there.  Rows no
-    window holds neither count nor widen a range."""
-    counts = windows.counts()
-    held = counts > 0
-    return windows.samples[held], counts[held], (np.cumsum(held) - 1)[windows.starts]
-
-
-def _scale_stats(real: np.ndarray) -> tuple[float, float]:
-    """Mean and standard deviation (floored at ``STD_FLOOR``) of the real values."""
-    return real.mean(), max(float(real.std()), STD_FLOOR)
+def _scalers(values: np.ndarray) -> tuple[Scaler, Scaler]:
+    """Scalers of the real (N, W, 3) window values: the mean and standard
+    deviation of all values pooled, repeated on every axis, then those of
+    each axis; each deviation is floored at ``STD_FLOOR``.  ``Scaler``
+    refuses statistics that overflow, so numpy need not warn of them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = [(v.mean(), max(float(v.std()), STD_FLOOR)) for v in (values, *(values[:, :, i] for i in range(3)))]
+    (mu, sd), axes = stats[0], stats[1:]
+    return Scaler([mu] * 3, [sd] * 3), Scaler(*zip(*axes))
 
 
 def _density_pair(real, synthetic, bins: int):
@@ -183,17 +179,15 @@ def _density_pair(real, synthetic, bins: int):
 @dataclass(frozen=True)
 class _RealSide:
     """What an alignment computes from its real falls alone: each series'
-    length, the standardization statistics (pooled, then per axis), the raw
-    sample rows the windows hold with the number of windows holding each,
-    each window's first row among them, and the windows' k-NN radii."""
+    length, the scalers of both sides (pooled over axes, then per axis), the
+    windows over the raw sample rows they hold (``WindowSet.held``) with the
+    number of windows holding each row, and the windows' k-NN radii."""
 
     lengths: tuple[int, ...]
-    mu: float
-    sd: float
-    axis_stats: tuple[tuple[float, float], ...]
-    rows: np.ndarray
+    scaler: Scaler
+    axis_scaler: Scaler
+    windows: WindowSet
     counts: np.ndarray
-    starts: np.ndarray
     radii: np.ndarray
 
 
@@ -232,30 +226,31 @@ def _real_side(entries, opts) -> tuple[str, _RealSide]:
         return key, side
     pairs = list(_catalog_series(entries, opts.window, opts.stride, datas))
     windows = _fall_windows((cut for _, cut in pairs), "real")
-    values = windows.values
-    mu, sd = _scale_stats(values)
-    axis_stats = tuple(_scale_stats(values[:, :, i]) for i in range(3))
-    del values  # before knn_radii gathers the rows it needs
-    rows, counts, starts = _held(windows)
-    radii = knn_radii(WindowRows((rows - mu) / sd, starts, opts.window), opts.k)
-    for arr in (rows, counts, starts, radii):
+    # The gathered values are freed before knn_radii gathers the rows it needs.
+    scaler, axis_scaler = _scalers(windows.values)
+    windows, counts = windows.held()
+    radii = knn_radii(apply_scaler(scaler, windows), opts.k)
+    for arr in (windows.samples, windows.starts, windows.labels, windows.subjects, counts, radii):
         arr.flags.writeable = False
-    return key, _RealSide(tuple(len(series) for series, _ in pairs), mu, sd, axis_stats, rows, counts, starts, radii)
+    lengths = tuple(len(series) for series, _ in pairs)
+    return key, _RealSide(lengths, scaler, axis_scaler, windows, counts, radii)
 
 
 def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions | None = None) -> AlignmentReport:
     """Window the fall data of both manifests and measure their alignment.
 
-    All values are standardized against the real windows' values (pooled
-    over axes).  Coverage compares the standardized windows as flat rows,
-    gathered from the standardized sample rows the windows hold as it
-    compares them.  Density curves, JSD and per-axis KS are computed from each
-    recorded sample once, weighted by the number of windows that hold it,
-    which gives the same numbers as every window's copy of it would.  Every
-    fall recording of both manifests must share one sampling rate.
+    Both sides' windows are standardized by ``apply_scaler`` with the mean
+    and standard deviation of the real windows' values pooled over axes
+    (per axis for ``jsd_per_axis``), so only the sample rows some window
+    holds are standardized and kept.  Coverage compares the standardized
+    windows as flat rows, gathered from those rows as it compares them.
+    Density curves, JSD and per-axis KS are computed from each recorded
+    sample once, weighted by the number of windows that hold it, which gives
+    the same numbers as every window's copy of it would.  Every fall
+    recording of both manifests must share one sampling rate.
 
-    What depends on the real falls alone (their held rows, counts and
-    window starts, statistics and k-NN radii) is kept for the next call,
+    What depends on the real falls alone (their held windows and counts,
+    scalers and k-NN radii) is kept for the next call,
     keyed by the window, stride, k and the real fall entries' manifest
     fields and file bytes: comparing the same real set with another
     generator reads the real files but parses none of them.  Only the last
@@ -273,8 +268,9 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     _REAL_SIDE.clear()
     _REAL_SIDE[key] = real
 
-    syn_rows, syn_counts, syn_starts = _held(syn_windows)
-    real_vals, syn_vals = ((rows - real.mu) / real.sd for rows in (real.rows, syn_rows))
+    syn_windows, syn_counts = syn_windows.held()
+    real_std, syn_std = (apply_scaler(real.scaler, w) for w in (real.windows, syn_windows))
+    real_vals, syn_vals = real_std.samples, syn_std.samples
 
     # Each sample's three values share its count.
     real_curve, syn_curve = _density_pair(
@@ -286,20 +282,15 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
         axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real.counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
-    cov = covered_fraction(
-        WindowRows(real_vals, real.starts, opts.window), WindowRows(syn_vals, syn_starts, opts.window), real.radii
-    )
+    cov = covered_fraction(real_std, syn_std, real.radii)
 
     jsd_per_axis = None
     if opts.per_axis:
-        jsd_per_axis = {}
-        for i, (axis, (mu_ax, sd_ax)) in enumerate(zip(_AXES, real.axis_stats)):
-            curves = _density_pair(
-                ((real.rows[:, i] - mu_ax) / sd_ax, real.counts),
-                ((syn_rows[:, i] - mu_ax) / sd_ax, syn_counts),
-                opts.bins,
-            )
-            jsd_per_axis[axis] = jsd(*curves)
+        real_ax, syn_ax = (apply_scaler(real.axis_scaler, w).samples for w in (real.windows, syn_windows))
+        jsd_per_axis = {
+            axis: jsd(*_density_pair((real_ax[:, i], real.counts), (syn_ax[:, i], syn_counts), opts.bins))
+            for i, axis in enumerate(_AXES)
+        }
 
     return AlignmentReport(
         ks_x=ks["x"], ks_y=ks["y"], ks_z=ks["z"],

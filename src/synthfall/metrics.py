@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .windowing import WindowRows
+from .windowing import WindowSet
 
 EXACT_KS_LIMIT = 14
 COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
@@ -197,7 +197,9 @@ def histogram_density(values, bins: int, value_range: tuple[float, float], count
     hist, edges = np.histogram(clipped, bins=bins, range=(lo, hi), weights=counts)
     width = (hi - lo) / bins
     densities = hist / (total * width)
-    centers = (edges[:-1] + edges[1:]) / 2.0
+    # Halving each edge first is exact: a center keeps the bits of (left + right) / 2
+    # but cannot overflow near the float maximum.
+    centers = edges[:-1] / 2.0 + edges[1:] / 2.0
     return DensityCurve(bin_centers=centers, densities=densities)
 
 
@@ -225,11 +227,11 @@ def jsd(p: DensityCurve, q: DensityCurve) -> float:
 def _row_source(samples):
     """(count, values per row, take) of a non-empty set of samples, where
     ``take(idx)`` gives the rows an index array or slice selects as an
-    (n, values) array.  ``WindowRows`` are gathered from their buffer; a
-    matrix (each window of an (N, W, C) array flattened) is indexed, so a
-    slice of it is a view."""
-    if isinstance(samples, WindowRows):
-        source = (len(samples), samples.dims, samples.take)
+    (n, values) array.  A ``WindowSet`` is gathered from its buffer
+    (``WindowSet.rows``); a matrix (each window of an (N, W, C) array
+    flattened) is indexed, so a slice of it is a view."""
+    if isinstance(samples, WindowSet):
+        source = (len(samples), samples.width * 3, samples.rows)
     else:
         arr = np.ascontiguousarray(samples, dtype=np.float64)
         if arr.ndim == 3:
@@ -290,8 +292,8 @@ def _sq_distances(blocks, s: np.ndarray, s_sq: np.ndarray):
 
 def knn_radii(real, k: int) -> np.ndarray:
     """Per real sample, the Euclidean distance to its k-th nearest other real
-    sample; the radii depend on the real samples alone.  ``WindowRows``
-    are gathered once, for this call only."""
+    sample; the radii depend on the real samples alone.  A ``WindowSet``
+    is gathered once, for this call only."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     n, _, take = _row_source(real)
@@ -341,15 +343,20 @@ def covered_fraction(real, synthetic, radii) -> float:
         )
     r_sq = _sq_norms(real_rows(b) for b in _blocks(n))
     open_rows = np.arange(n)
-    for lo, hi in _tiles(m):
-        tile = syn_rows(slice(lo, hi))
-        blocks = ((real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows)))
-        nearest = np.concatenate([sq.min(axis=1) for sq in _sq_distances(blocks, tile, (tile * tile).sum(axis=1))])
-        # Compared after the root, as squared distances could flip a tie.
-        nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
-        open_rows = open_rows[~(nearest <= radii[open_rows])]
-        if not len(open_rows):
-            break
+    # A distance past the float range overflows to inf, or to nan where it
+    # takes inf - inf; fmin skips the nan, so such a sample covers nothing
+    # and hides no other sample of its tile.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _tiles(m):
+            tile = syn_rows(slice(lo, hi))
+            blocks = ((real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows)))
+            sq_tile = _sq_distances(blocks, tile, (tile * tile).sum(axis=1))
+            nearest = np.concatenate([np.fmin.reduce(sq, axis=1) for sq in sq_tile])
+            # Compared after the root, as squared distances could flip a tie.
+            nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+            open_rows = open_rows[~(nearest <= radii[open_rows])]
+            if not len(open_rows):
+                break
     return float((n - len(open_rows)) / n)
 
 

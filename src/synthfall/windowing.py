@@ -24,40 +24,6 @@ SCALER_BLOCK = 256  # windows gathered at a time by fit_scaler
 _FLOOR_EPS = 1e-9
 
 
-class WindowRows:
-    """Windows read as flat rows, gathered on demand: window ``i`` is the
-    ``width`` consecutive rows of the C-contiguous (S, C) ``samples`` from
-    row ``starts[i]``, that is the ``width * C`` values of the flattened
-    buffer from ``starts[i] * C``.  Overlapping windows share their values
-    until gathered."""
-
-    # A plain class: building a dataclass takes about a millisecond, which
-    # every fresh import of the package would pay.
-    __slots__ = ("samples", "starts", "width")
-
-    def __init__(self, samples: np.ndarray, starts: np.ndarray, width: int):
-        self.samples, self.starts, self.width = samples, starts, width
-
-    def __len__(self) -> int:
-        return self.starts.shape[0]
-
-    @property
-    def dims(self) -> int:
-        """Values per row: ``width * C``."""
-        return self.width * self.samples.shape[1]
-
-    def take(self, idx=slice(None)) -> np.ndarray:
-        """A new C-contiguous (n, dims) array of the windows ``idx`` selects
-        (an index array or a slice), in that order.  Each row is a copy of
-        one overlapping view of the buffer, so every value keeps its bits."""
-        starts = self.starts[idx]
-        if not len(starts):
-            # sliding_window_view refuses a buffer shorter than the window.
-            return np.empty((0, self.dims))
-        rows = np.lib.stride_tricks.sliding_window_view(self.samples.reshape(-1), self.dims)
-        return rows[:: self.samples.shape[1]][starts]
-
-
 @dataclass(frozen=True, eq=False)
 class WindowSet:
     """N windows of ``width`` consecutive rows of one sample buffer.
@@ -94,10 +60,22 @@ class WindowSet:
     def __len__(self) -> int:
         return self.starts.shape[0]
 
+    def rows(self, idx=slice(None)) -> np.ndarray:
+        """A new C-contiguous (n, W*3) array of the windows ``idx`` selects
+        (an index array or a slice), in that order, each window's rows
+        flattened.  Each row is a copy of one row of an overlapping view of
+        the buffer, so every value keeps its bits."""
+        starts = self.starts[idx]
+        if not len(starts):
+            # sliding_window_view refuses a buffer shorter than the window.
+            return np.empty((0, self.width * 3))
+        view = np.lib.stride_tricks.sliding_window_view(self.samples.reshape(-1), self.width * 3)
+        return view[::3][starts]
+
     @property
     def values(self) -> np.ndarray:
         """A new C-contiguous (N, W, 3) array of the window values."""
-        return WindowRows(self.samples, self.starts, self.width).take().reshape(len(self), self.width, 3)
+        return self.rows().reshape(len(self), self.width, 3)
 
     def counts(self) -> np.ndarray:
         """For each sample row, the number of windows that hold it; rows no
@@ -106,6 +84,16 @@ class WindowSet:
         edges = len(self.samples) + 1
         steps = np.bincount(self.starts, minlength=edges) - np.bincount(self.starts + self.width, minlength=edges)
         return np.cumsum(steps[:-1])
+
+    def held(self) -> tuple["WindowSet", np.ndarray]:
+        """The same windows over a new buffer of only the rows some window
+        holds, in order, with each start renumbered into it (every row of a
+        window is held, so its rows stay consecutive), and the number of
+        windows that hold each of those rows."""
+        counts = self.counts()
+        mask = counts > 0
+        starts = (np.cumsum(mask) - 1)[self.starts]
+        return replace(self, samples=np.compress(mask, self.samples, axis=0), starts=starts), counts[mask]
 
     def take(self, idx) -> "WindowSet":
         """The windows selected by an index array or boolean mask, in that
@@ -197,7 +185,7 @@ def fit_scaler(windows: WindowSet) -> Scaler:
 def _blocks(windows: WindowSet):
     """The windows' rows, ``SCALER_BLOCK`` windows at a time, as (R, 3) arrays."""
     for start in range(0, len(windows), SCALER_BLOCK):
-        yield windows.take(slice(start, start + SCALER_BLOCK)).values.reshape(-1, 3)
+        yield windows.rows(slice(start, start + SCALER_BLOCK)).reshape(-1, 3)
 
 
 def _running_sum(blocks) -> np.ndarray:
@@ -211,14 +199,18 @@ def _running_sum(blocks) -> np.ndarray:
 
 
 def apply_scaler(scaler: Scaler, windows: WindowSet) -> WindowSet:
-    """Standardize the sample buffer; starts, labels and subjects are
-    untouched.  Only rows some window holds must stay finite; the check
-    below names the overflow numpy would warn of."""
+    """The windows over their held rows (``WindowSet.held``), standardized
+    in place; labels and subjects are untouched.  Rows no window holds are
+    neither standardized nor kept.  The check below names the overflow
+    numpy would warn of."""
+    held, _ = windows.held()
+    samples = held.samples
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        samples = (windows.samples - scaler.mean) / scaler.std
-    if np.any(~np.isfinite(samples).all(axis=1) & (windows.counts() > 0)):
+        samples -= scaler.mean
+        samples /= scaler.std
+    if not np.isfinite(samples).all():
         raise DataError("standardized windows contain non-finite values")
-    return replace(windows, samples=samples)
+    return held
 
 
 # ---------------------------------------------------------------------------

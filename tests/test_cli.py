@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import MANIFEST_ENTRY, NPY_HEADER, build_dataset, build_synthetic_manifest, npy_with_header
 from synthfall.cli import main
 from synthfall.harness import ExperimentReport, IterationResult
-from synthfall.kinematics import JointTrajectory, SensorPlacement, differentiate_to_accel, extract_joint
+from synthfall.ingest import write_accel_csv
+from synthfall.kinematics import AccelSeries, JointTrajectory, SensorPlacement, differentiate_to_accel, extract_joint
 
 NON_UTF8 = b"\xff\xfe not utf-8 \xc3\x28"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
@@ -265,6 +266,43 @@ class TestSamplingRates:
         synthetic = build_synthetic_manifest(tmp_path, series=2, series_len=60, rate_hz=rate, seed=2)
         argv = ["align", str(real), str(synthetic), "--window", "16", "--stride", "8"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
+class TestAlignNearTheFloatMaximum:
+    """Values near the float maximum give a report or a data error, and no
+    numpy warning on the way."""
+
+    ARGS = ["--window", "16", "--stride", "8", "--k", "2", "--per-axis"]
+
+    def test_synthetic_values_near_the_maximum_round_trip(self, tmp_path, capsys):
+        # The real falls' deviation is about 0.3, so these standardize to about
+        # 1.5e308, where two neighbouring bin edges sum past the float maximum.
+        real = build_dataset(tmp_path, subjects=2, series_len=60, seed=1)
+        synthetic = build_synthetic_manifest(tmp_path, series=2, series_len=60, seed=2, value_shift=4.5e307)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["align", str(real), str(synthetic), *self.ARGS, "--out", str(out)]) == 0
+            (written,) = out.glob("alignment_*.json")
+            payload = json.loads(written.read_text("utf-8"))
+            assert max(payload["curves"]["synthetic"]["centers"]) > 1e308
+            assert payload["coverage"] == 0.0
+            assert main(["report", str(written), "--out", str(tmp_path / "again")]) == 0
+        assert (tmp_path / "again" / written.name).read_bytes() == written.read_bytes()
+
+    @pytest.mark.parametrize("value", [1.5e308, -1.5e308, "alternating"])
+    def test_real_statistics_that_overflow_exit_3(self, tmp_path, capsys, value):
+        real = build_dataset(tmp_path, subjects=2, series_len=60, seed=1)
+        signs = np.where(np.arange(180).reshape(60, 3) % 2, 1.0, -1.0) if value == "alternating" else np.sign(value)
+        for path in (tmp_path / "real").glob("*_fall0.csv"):
+            values = np.full((60, 3), 1.5e308) * signs
+            path.write_bytes(write_accel_csv(AccelSeries(samples=values, sampling_rate=32.0)))
+        synthetic = build_synthetic_manifest(tmp_path, series=2, series_len=60, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["align", str(real), str(synthetic), *self.ARGS, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: scaler mean and std must be finite: the windows overflow float64\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestKinematicsDt:

@@ -414,7 +414,8 @@ class TestRealSideMemo:
         self.check(real, gen)
         (side,) = harness._REAL_SIDE.values()
         arrays = [getattr(side, f.name) for f in fields(side) if isinstance(getattr(side, f.name), np.ndarray)]
-        assert len(arrays) == 4  # rows, counts, starts, radii
+        assert len(arrays) == 2  # counts, radii
+        arrays += [getattr(side.windows, f.name) for f in fields(side.windows) if f.name != "width"]
         for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -438,7 +439,7 @@ class TestRealSideMemo:
         assert calls["radii"] == [(3276, 5)]
         (side,) = harness._REAL_SIDE.values()
         windows, tile, dims = len(side.radii), report.ks_x.m // opts.window, 3 * opts.window
-        held = 3 * (len(side.rows) + 400)  # held values of both sides; each synthetic row is held
+        held = 3 * (len(side.windows.samples) + 400)  # held values of both sides; each synthetic row is held
         bound = 8 * (
             2 * COVERAGE_BLOCK * tile  # the two reused distance buffers
             + 2 * (COVERAGE_BLOCK + tile) * dims  # one gathered block and the tile, each with its square
@@ -725,6 +726,24 @@ class TestWindowPools:
         # samples; a copy of their values would take windows * 64 * 3 * 8 bytes.
         assert dense - sparse < windows * 64 * 3 * 8 / 10
 
+    def test_scaled_sets_hold_only_their_windows_rows(self, tmp_path):
+        """Each standardized set keeps only the sample rows its windows hold:
+        the validation and test sets none of another subject's rows, and
+        no set a series' tail past its last window."""
+        real = build_dataset(tmp_path, subjects=4, series_len=100, seed=0)
+        syn = build_synthetic_manifest(tmp_path, series=3, series_len=100, seed=1)
+        config = fast_config(real, [syn], window=16, stride=8, split_sizes=(2, 1, 1))
+        subjects, real_windows, synthetic_pool, _ = harness._load_pools(config)
+        split = split_subjects(subjects, config.split_sizes, seed=0)
+        sets = harness._scaled_sets(config, 0, split, real_windows, synthetic_pool)
+        for windows in sets:
+            assert windows.counts().min() > 0
+        _, val, test = sets
+        for windows, group in ((val, split.validation), (test, split.test)):
+            assert set(windows.subjects) == set(group)
+            # One ADL and one fall series per subject; 11 windows of 16 at stride 8 hold 96 of its 100 rows.
+            assert len(windows.samples) == len(group) * 2 * 96
+
 
 class TestEmitReport:
     def test_json_roundtrip(self, tmp_path, fixture_dataset):
@@ -791,6 +810,52 @@ class TestDataIdentity:
         moved_config = fast_config(moved / real.name, [moved / syn.name])
         assert harness._load_pools(moved_config)[3] == harness._load_pools(config)[3]
         assert moved_config.fingerprint() != config.fingerprint()
+
+
+class TestReportBytes:
+    """Every byte an alignment and a short experiment write, pinned as
+    SHA-256 digests, so a change that moves any number of any report in its
+    last bit fails here.  The data come from the conftest builders under
+    relative paths, as a config names its manifests.  The digests hold for
+    the float results of numpy and its BLAS; another BLAS may round a
+    product differently and need them recomputed."""
+
+    ALIGNMENT = "c86c600f5b4ce805ef3cd00d9a4ab40a5607ee5ffbc626d55e128dbdcb8f5f25"
+    EXPERIMENT = "04cdac0cf8a91bedd485c15471e295d6b9a1b1b473ff3de9baca43ec6fc0e5f5"
+
+    @staticmethod
+    def digest(files):
+        h = hashlib.sha256()
+        for path, data in files:
+            h.update(str(path).encode("utf-8") + b"\0" + data)
+        return h.hexdigest()
+
+    @pytest.fixture
+    def manifests(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        real = build_dataset(Path("."), subjects=4, series_len=200, seed=0)
+        syn = build_synthetic_manifest(Path("."), series=4, series_len=150, seed=1, value_shift=0.1)
+        return real, syn
+
+    def test_alignment_reports_and_curves(self, manifests):
+        files = []
+        for opts in (
+            AlignmentOptions(window=64, stride=16, bins=20, k=3),
+            AlignmentOptions(window=32, stride=8, bins=7, k=5, per_axis=True),
+        ):
+            files += harness.report_files(run_alignment(*manifests, opts), "json", "out")
+        assert self.digest(files) == self.ALIGNMENT
+
+    def test_experiment_report_and_histories(self, manifests):
+        real, syn = manifests
+        train = {"max_epochs": 3, "patience": 3}
+        config = fast_config(real, [syn], window=32, stride=8, split_sizes=(2, 1, 1), train=train)
+        histories = []
+        report = run_experiment(config, histories)
+        files = harness.report_files(report, "json", "out") + [
+            (f"history_{i}.csv", history.to_csv().encode("utf-8")) for i, history in enumerate(histories)
+        ]
+        assert self.digest(files) == self.EXPERIMENT
 
 
 class TestLoadReport:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,8 @@ from synthfall.metrics import (
     ks_two_sample,
     percent_delta,
 )
-from synthfall.windowing import WindowRows
+from synthfall.kinematics import AccelSeries
+from synthfall.windowing import WindowSet, slide_windows
 
 
 def ecdf_gap_oracle(a, b):
@@ -260,6 +262,26 @@ class TestHistogramDensity:
         with pytest.raises(error, match=rf"^range \({lo!r}, {hi!r}\) is too narrow for 2 bins$"):
             histogram_density([lo, hi], bins=2, value_range=value_range)
 
+    @pytest.mark.parametrize("bins", [1, 2, 7, 100])
+    def test_centers_near_the_float_maximum_stay_finite(self, bins):
+        # Two neighbouring edges near 1.5e308 sum past the float maximum.
+        hi = 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = histogram_density([-1.0, hi], bins, (-1.0, hi))
+        edges = np.linspace(-1.0, hi, bins + 1)
+        assert np.isfinite(curve.bin_centers).all()
+        assert np.all((edges[:-1] < curve.bin_centers) & (curve.bin_centers < edges[1:]))
+
+    def test_centers_keep_the_bits_of_the_edge_sums(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            lo, hi = np.sort(rng.normal(size=2) * 10.0 ** rng.integers(-300, 300, size=2))
+            bins = int(rng.integers(1, 40))
+            _, edges = np.histogram([], bins=bins, range=(lo, hi))
+            got = histogram_density([lo], bins, (lo, hi)).bin_centers
+            assert got.tobytes() == ((edges[:-1] + edges[1:]) / 2.0).tobytes()
+
     def test_csv_format(self):
         curve = histogram_density([0.25, 0.75], bins=2, value_range=(0.0, 1.0))
         lines = curve.to_csv().splitlines()
@@ -369,7 +391,12 @@ def window_rows(rng, n, width=8, shift=0.0):
     """``n`` overlapping windows of ``width`` rows of one (n + width, 3)
     buffer, in a random order."""
     samples = rng.normal(shift, 1.0, size=(n + width, 3))
-    return WindowRows(samples, rng.permutation(n + 1)[:n], width)
+    return windows_over(samples, rng.permutation(n + 1)[:n], width)
+
+
+def windows_over(samples, starts, width):
+    """The windows of ``width`` rows of ``samples`` from each of ``starts``."""
+    return WindowSet(samples, starts, width, np.zeros(len(starts), dtype=int), [""] * len(starts))
 
 
 class TestCoverage:
@@ -461,7 +488,7 @@ class TestCoverage:
         distances of the same rows passed as a matrix, bit for bit."""
         rng = np.random.default_rng(300 + n)
         real, synthetic = window_rows(rng, n), window_rows(rng, 300, shift=0.1)
-        real_arr, syn_arr = real.take(), synthetic.take()
+        real_arr, syn_arr = real.rows(), synthetic.rows()
         if n > 5:
             for k in (1, 5):
                 assert np.array_equal(knn_radii(real, k), knn_radii(real_arr, k))
@@ -497,9 +524,9 @@ class TestCoverage:
         samples = np.concatenate([rng.normal(100.0, 1.0, size=(COVERAGE_TILE + width, 3)),
                                   rng.normal(size=(near + width, 3))])
         starts = np.concatenate([np.arange(COVERAGE_TILE), COVERAGE_TILE + width + rng.permutation(near)])
-        synthetic = WindowRows(samples, starts, width)
+        synthetic = windows_over(samples, starts, width)
         assert [hi - lo for lo, hi in metrics._tiles(len(synthetic))] == [COVERAGE_TILE, near]
-        real_arr, syn_arr = real.take(), synthetic.take()
+        real_arr, syn_arr = real.rows(), synthetic.rows()
         nearest = plain_nearest(real_arr[first:], syn_arr[COVERAGE_TILE:])
         assert nearest.max() < plain_nearest(real_arr, syn_arr[:COVERAGE_TILE]).min()
         wide = np.full(first, 1e6)  # the first tile covers these rows
@@ -507,6 +534,26 @@ class TestCoverage:
             assert covered_fraction(r, s, np.concatenate([wide, nearest])) == 1.0
             below = np.concatenate([wide, np.nextafter(nearest, -np.inf)])
             assert covered_fraction(r, s, below) == first / n
+
+    def test_a_synthetic_window_past_the_float_range_hides_no_covering_one(self):
+        """Adding a synthetic window never lowers coverage.  Distances to a
+        window of 1.5e308 overflow, and inf - inf in the distance kernel
+        gives nan, which must not stand in for the nearest distance of the
+        tile that also holds a covering window."""
+        rng = np.random.default_rng(0)
+        real = [
+            slide_windows(AccelSeries(samples=rng.normal(2.0, 0.3, size=(300, 3)), sampling_rate=32.0), 32, 8)
+            for _ in range(3)
+        ]
+        far = slide_windows(AccelSeries(samples=np.full((300, 3), 1.5e308), sampling_rate=32.0), 32, 8)
+        real_set, near, both = WindowSet.concat(real), real[0], WindowSet.concat([real[0], far])
+        assert len(both) < COVERAGE_TILE  # one tile holds both kinds
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for r, s, s_far in ((real_set.values, near.values, both.values), (real_set, near, both)):
+                assert coverage(r, s, k=5) == 1.0
+                assert coverage(r, s_far, k=5) == 1.0
+                assert coverage(r, far, k=5) == 0.0
 
     def test_radii_recomputed_on_every_call(self, monkeypatch):
         """coverage keeps nothing between calls."""

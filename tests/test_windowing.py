@@ -12,7 +12,6 @@ from synthfall.kinematics import AccelSeries, ActivityLabel, Provenance
 from synthfall.windowing import (
     SCALER_BLOCK,
     MixSpec,
-    WindowRows,
     WindowSet,
     apply_scaler,
     compose_training_mix,
@@ -483,15 +482,37 @@ class TestWindowSet:
         short = slide_windows(make_accel(5), width=16)
         assert len(short) == 0 and len(short.samples) < short.width
         assert short.values.shape == (0, 16, 3)
-        assert WindowRows(short.samples, short.starts, short.width).take().shape == (0, 48)
+        assert short.rows().shape == (0, 48)
 
-    def test_rows_of_any_channel_count(self):
-        samples = np.arange(40.0).reshape(8, 5)
-        rows = WindowRows(samples, np.array([3, 0, 6]), 2)
-        assert rows.dims == 10 and len(rows) == 3
-        assert np.array_equal(rows.take(), samples[[[3, 4], [0, 1], [6, 7]]].reshape(3, 10))
-        assert np.array_equal(rows.take(slice(1, None)), rows.take()[1:])
-        assert np.array_equal(rows.take(np.array([2, 2])), rows.take()[[2, 2]])
+    def test_rows_are_the_windows_flattened(self):
+        samples = np.arange(24.0).reshape(8, 3)
+        windows = WindowSet(samples, [3, 0, 6], 2, [0, 1, 0], ["a", "b", "c"])
+        rows = windows.rows()
+        assert rows.shape == (3, 6) and rows.flags.c_contiguous
+        assert np.array_equal(rows, samples[[[3, 4], [0, 1], [6, 7]]].reshape(3, 6))
+        assert np.array_equal(windows.rows(slice(1, None)), rows[1:])
+        assert np.array_equal(windows.rows(np.array([2, 2])), rows[[2, 2]])
+        assert windows.rows([]).shape == (0, 6)
+
+    def test_held_keeps_the_windows_over_their_rows_only(self):
+        """held() drops each series' tail past its last window and every
+        row only an unselected window holds; each window keeps its values
+        bit for bit and the counts are those of the rows kept."""
+        series = [make_accel(n, subject=f"s{n}", seed=n) for n in (37, 3, 80, 41)]
+        joined = WindowSet.concat(slide_windows(s, 8, 5) for s in series)
+        picked = joined.take(np.flatnonzero(joined.subjects != "s80")[::-1])
+        counts = picked.counts()
+        held, held_counts = picked.held()
+        assert np.array_equal(held.samples, picked.samples[counts > 0])
+        assert np.array_equal(held_counts, counts[counts > 0]) and held_counts.min() > 0
+        assert np.array_equal(held.counts(), held_counts)
+        assert held.values.tobytes() == picked.values.tobytes()
+        assert held.labels.tolist() == picked.labels.tolist() and held.subjects.tolist() == picked.subjects.tolist()
+        # The tails past row 33 of 37 and row 38 of 41, and the 80 rows of the
+        # unselected series; the series of 3 rows has no window to join.
+        assert len(picked.samples) - len(held.samples) == 4 + 3 + 80
+        empty, empty_counts = joined.take([]).held()
+        assert len(empty) == 0 and empty.samples.shape == (0, 3) and empty_counts.shape == (0,)
 
     @pytest.mark.parametrize("starts, width", [([0, 5], 4), ([-1, 0], 4), ([0, 4], 0)])
     def test_window_outside_the_buffer_refused(self, starts, width):
