@@ -156,11 +156,11 @@ def _check_finite(name: str, *arrays: np.ndarray) -> None:
             raise NumericError(f"non-finite values in {name}")
 
 
-def _as_batch(windows, dtype, name: str = "batch") -> np.ndarray:
-    """The windows as a (B, W, input_dim) array of ``dtype``.  A cast that
-    copies is checked, without numpy's overflow warning: DataError, naming
-    the set, if it overflows."""
-    arr = windows.values if isinstance(windows, WindowSet) else np.asarray(windows)
+def _as_batch(windows, dtype, name: str = "batch", idx=...) -> np.ndarray:
+    """The windows ``idx`` selects (all by default) as a (B, W, input_dim)
+    array of ``dtype``.  A cast that copies is checked, without numpy's
+    overflow warning: DataError, naming the set, if it overflows."""
+    arr = windows.take(idx).values if isinstance(windows, WindowSet) else np.asarray(windows)[idx]
     if arr.ndim != 3 or arr.shape[0] == 0:
         raise DataError(f"batch must have shape (B, W, input_dim), got {arr.shape}")
     with np.errstate(over="ignore"):
@@ -254,9 +254,15 @@ def forward(model: ModelParams, batch) -> np.ndarray:
     function of (model, input); keeps no BPTT history and runs in near-equal
     batches of at most ``EVAL_BATCH`` windows.
     """
-    arr = _as_batch(batch, model.dtype)
-    chunks = np.array_split(arr, -(-len(arr) // EVAL_BATCH))
-    return np.concatenate([_forward(model, chunk, train=False)[0] for chunk in chunks])
+    return _eval_probs(model, batch if isinstance(batch, WindowSet) else _as_batch(batch, model.dtype), "batch")
+
+
+def _eval_probs(model: ModelParams, windows, name: str) -> np.ndarray:
+    """``forward``, each batch gathered and cast on its own, naming ``name`` if one overflows."""
+    chunks = np.array_split(np.arange(len(windows)), -(-len(windows) // EVAL_BATCH) or 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        probs = [_forward(model, _as_batch(windows, model.dtype, name, i), train=False)[0] for i in chunks]
+    return np.concatenate(probs)
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -364,8 +370,8 @@ class TrainConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate <= float(np.finfo(np.float32).max):
+            raise ConfigError(f"learning_rate must be positive and at most float32's max, got {self.learning_rate!r}")
         if self.max_epochs < 1 or self.patience < 1 or self.batch_size < 1:
             raise ConfigError("max_epochs, patience, and batch_size must be >= 1")
         if self.patience > self.max_epochs:
@@ -391,10 +397,10 @@ class TrainHistory:
         return "\n".join(lines)
 
 
-def _labels_of(windows) -> np.ndarray:
+def _labels_of(windows, name: str) -> np.ndarray:
     if isinstance(windows, WindowSet) and len(windows):
         return windows.labels
-    raise DataError("expected a non-empty WindowSet")
+    raise DataError(f"{name} set must be a non-empty WindowSet")
 
 
 def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, seed: int = 0):
@@ -405,18 +411,13 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
     lowest validation loss, and per-epoch losses/F1.  Stops after ``patience``
     epochs without strict improvement, or at ``max_epochs``.
     """
-    if not train_windows or not val_windows:
-        raise DataError("train and validation sets must be non-empty")
+    y_train = _labels_of(train_windows, "training")
+    y_val = _labels_of(val_windows, "validation")
     # Every pass checks its results for non-finite values where it computes
     # them and names where, so numpy's floating-point warnings are off: set
     # once per call, not once per step.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x_train = _as_batch(train_windows, model.dtype, "training")
-        y_train = _labels_of(train_windows)
-        x_val = _as_batch(val_windows, model.dtype, "validation")
-        y_val = _labels_of(val_windows)
-
-        n = x_train.shape[0]
+        n = len(train_windows)
         rng = np.random.default_rng(seed)
         # Adam's moments over the trainable prefix of the flat parameter buffer.
         theta = model.flat[: model.n_trainable]
@@ -437,7 +438,8 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
             for start in range(0, n, config.batch_size):
                 idx = order[start : start + config.batch_size]
                 try:
-                    loss, grads = loss_and_gradients(model, x_train[idx], y_train[idx])
+                    batch = _as_batch(train_windows, model.dtype, "training", idx)
+                    loss, grads = loss_and_gradients(model, batch, y_train[idx])
                 except NumericError as exc:
                     raise exc.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
                 step += 1
@@ -453,7 +455,7 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
             history.train_loss.append(total / n)
 
             try:
-                val_probs = forward(model, x_val)
+                val_probs = _eval_probs(model, val_windows, "validation")
             except NumericError as exc:
                 raise exc.within(f"epoch {epoch}", "validation") from exc
             val_loss = _bce(val_probs, y_val)
@@ -470,16 +472,11 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
                 if since_improve >= config.patience:
                     history.stop_reason = "early_stop"
                     break
-        else:
-            history.stop_reason = "max_epochs"
     return best_params, history
 
 
 def evaluate(model: ModelParams, test_windows, threshold: float = 0.5) -> ClassificationMetrics:
     """Eval-mode forward over the test windows, scored against their labels."""
-    if not test_windows:
-        raise DataError("test set must be non-empty")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        probs = forward(model, _as_batch(test_windows, model.dtype, "test"))
-    return classification_metrics(probs, _labels_of(test_windows), threshold)
+    labels = _labels_of(test_windows, "test")
+    return classification_metrics(_eval_probs(model, test_windows, "test"), labels, threshold)
 

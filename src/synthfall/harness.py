@@ -101,10 +101,9 @@ def _catalog_series(entries, width: int, stride: int, datas=None):
         yield series, slide_windows(series, width, stride)
 
 
-def _catalog_windows(entries, width: int, stride: int, data) -> WindowSet:
-    """The entries' windows; each series read is also fed to the ``data``
+def _catalog_windows(entries, width: int, stride: int, data):
+    """Each entry's windows, yielded once its series is fed to the ``data``
     hash: its manifest fields as a JSON line, then its float64 samples."""
-    cuts = []
     for series, cut in _catalog_series(entries, width, stride):
         meta = [
             series.subject_id, series.label.name.lower(), series.sampling_rate, series.provenance.value, len(series),
@@ -112,8 +111,7 @@ def _catalog_windows(entries, width: int, stride: int, data) -> WindowSet:
         data.update(json.dumps(meta).encode("utf-8") + b"\n")
         # A view of the parsed buffer: no copy for C-contiguous little-endian float64.
         data.update(np.ascontiguousarray(series.samples, dtype="<f8"))
-        cuts.append(cut)
-    return WindowSet.concat(cuts)
+        yield cut
 
 
 def _falls(catalog: DatasetCatalog) -> list:
@@ -518,8 +516,8 @@ def _subject_mask(windows: WindowSet, subjects) -> np.ndarray:
 
 
 def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, WindowSet, str]:
-    """The real subjects, the real and synthetic window pools, and the
-    SHA-256 of every recording read, real then synthetic, in read order."""
+    """The real subjects, the real and synthetic window pools over one buffer
+    of the samples read, and their SHA-256, real then synthetic in read order."""
     real_catalog = catalog_dataset(config.real_manifest)
     subjects = real_catalog.subjects()
     if len(subjects) != sum(config.split_sizes):
@@ -529,16 +527,17 @@ def _load_pools(config: ExperimentConfig) -> tuple[tuple[str, ...], WindowSet, W
     synthetic_entries = [e for manifest in config.synthetic_manifests for e in _falls(catalog_dataset(manifest))]
     _one_rate([*real_catalog.entries, *synthetic_entries])
     data = hashlib.sha256()
-    real_windows = _catalog_windows(real_catalog.entries, config.window, config.stride, data)
-    synthetic_pool = _catalog_windows(synthetic_entries, config.window, config.stride, data)
-    return subjects, real_windows, synthetic_pool, data.hexdigest()
+    real_cuts = list(_catalog_windows(real_catalog.entries, config.window, config.stride, data))
+    windows = WindowSet.concat([*real_cuts, *_catalog_windows(synthetic_entries, config.window, config.stride, data)])
+    n_real = sum(map(len, real_cuts))
+    return subjects, windows.take(slice(n_real)), windows.take(slice(n_real, None)), data.hexdigest()
 
 
 def _scaled_sets(config, i, split, real_windows, synthetic_pool):
     """The standardized (train, validation, test) sets of one iteration.
 
-    Every set selects windows of the pools' sample buffers without copying
-    them; scaling copies each set's buffer once.
+    Every set selects windows of the pools' one sample buffer without copying
+    it; scaling copies each set's held rows once.
     """
     in_train = _subject_mask(real_windows, split.train)
     adl_pool = real_windows.take(in_train & (real_windows.labels == ActivityLabel.ADL))

@@ -301,7 +301,10 @@ def knn_radii(real, k: int) -> np.ndarray:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
     r = take(slice(None))
     blocks = list(_blocks(n))
-    r_sq = _sq_norms(r[b] for b in blocks)
+    with np.errstate(over="ignore"):
+        r_sq = _sq_norms(r[b] for b in blocks)
+    if not np.isfinite(r_sq).all():
+        raise DataError(f"real sample {np.argmin(np.isfinite(r_sq))} has a non-finite squared norm")
     radii = np.empty(n)
     for b, sq in zip(blocks, _sq_distances(((r[b], r_sq[b]) for b in blocks), r, r_sq)):
         own = np.arange(sq.shape[0])

@@ -479,6 +479,27 @@ class TestTrain:
             warnings.simplefilter("error", RuntimeWarning)
             train(init_model(16, hidden_size=4, dense_units=4), toy_windows(6), huge, config)
 
+    def test_memory_grows_with_the_batch_not_the_set(self):
+        """Each minibatch and validation batch is gathered from its set's
+        buffer when it runs, so four times the training windows add less than
+        one float32 copy of them."""
+        width = 32
+        model = init_model(40, hidden_size=4, dense_units=4)
+        config = TrainConfig(max_epochs=1, patience=1, batch_size=16)
+        val = toy_windows(8, width=width, seed=41)
+
+        def peak(windows):
+            tracemalloc.start()
+            try:
+                train(model.copy(), windows, val, config, seed=42)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = toy_windows(64, width=width, seed=43), toy_windows(256, width=width, seed=43)
+        float32_copy = len(large) * width * 3 * np.dtype(np.float32).itemsize
+        assert peak(large) - peak(small) < float32_copy
+
     def test_patience_must_not_exceed_epochs(self):
         with pytest.raises(ConfigError):
             TrainConfig(max_epochs=10, patience=20)

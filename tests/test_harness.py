@@ -3,6 +3,7 @@ import hashlib
 import json
 import operator
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from conftest import build_dataset, build_synthetic_manifest
 from synthfall.classifier import TrainConfig, init_model
 from synthfall.cli import build_parser, main
 from synthfall import harness, ingest
-from synthfall.errors import ConfigError, DataError
+from synthfall.errors import ConfigError, DataError, NumericError
 from synthfall.harness import (
     AlignmentOptions,
     AlignmentReport,
@@ -46,7 +47,7 @@ from synthfall.metrics import (
     knn_radii,
     ks_two_sample,
 )
-from synthfall.windowing import MixSpec, slide_windows, split_subjects
+from synthfall.windowing import MixSpec, compose_training_mix, slide_windows, split_subjects
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
 
@@ -726,6 +727,18 @@ class TestWindowPools:
         # samples; a copy of their values would take windows * 64 * 3 * 8 bytes.
         assert dense - sparse < windows * 64 * 3 * 8 / 10
 
+    def test_pools_and_mix_share_one_buffer(self, fixture_dataset):
+        """The real rows lie before the synthetic ones in the pools' one
+        buffer, and a mix drawn from both joins no buffers."""
+        real, syn = fixture_dataset
+        _, real_windows, synthetic_pool, _ = harness._load_pools(fast_config(real, [syn]))
+        assert synthetic_pool.samples is real_windows.samples
+        assert real_windows.starts.max() < synthetic_pool.starts.min()
+        adl = real_windows.labels == ActivityLabel.ADL
+        pools = (real_windows.take(adl), real_windows.take(~adl), synthetic_pool)
+        mix = compose_training_mix(*pools, MixSpec(0.6, 0.2, 0.2), seed=0)
+        assert mix.samples is real_windows.samples
+
     def test_scaled_sets_hold_only_their_windows_rows(self, tmp_path):
         """Each standardized set keeps only the sample rows its windows hold:
         the validation and test sets none of another subject's rows, and
@@ -926,6 +939,16 @@ class TestCli:
         assert ConfigError.exit_code == 2
         assert DataError.exit_code == 3
         assert NumericError.exit_code == 4
+
+    def test_errors_survive_pickling(self):
+        """A result sent back from a worker process keeps its error's message,
+        place and exit code."""
+        numeric = NumericError("non-finite values in lstm", ("epoch 0", "batch 1")).within("iteration 2")
+        for exc in (numeric, DataError("test windows hold values beyond the float32 range")):
+            back = pickle.loads(pickle.dumps(exc))
+            assert (type(back), str(back), back.exit_code) == (type(exc), str(exc), exc.exit_code)
+        assert pickle.loads(pickle.dumps(numeric)).where == ("iteration 2", "epoch 0", "batch 1")
+        assert str(numeric) == "non-finite values in lstm (iteration 2, epoch 0, batch 1)"
 
     def test_ingest_ok(self, capsys, fixture_dataset):
         real, _ = fixture_dataset
@@ -1206,8 +1229,9 @@ class TestCli:
         (["--split-sizes", "10,2,0"], "split sizes must be non-negative"),
         (["--split-sizes=-1,2,2"], "split sizes must be non-negative"),
         (["--learning-rate", "inf"], "train config field learning_rate must be a finite number, got inf"),
+        (["--learning-rate", "1e39"], "learning_rate must be positive and at most float32's max, got 1e+39"),
     ], ids=["window", "stride", "hidden_size", "dense_units", "no_validation", "no_test", "negative_split",
-            "learning_rate_inf"])
+            "learning_rate_inf", "learning_rate_past_float32"])
     def test_bad_size_exit_2_before_reading(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o"
         code = main([

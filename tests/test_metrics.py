@@ -555,6 +555,21 @@ class TestCoverage:
                 assert coverage(r, s_far, k=5) == 1.0
                 assert coverage(r, far, k=5) == 0.0
 
+    def test_real_sample_past_the_float_range_is_a_quiet_data_error(self, monkeypatch):
+        """A real sample whose squared norm overflows is refused by its row,
+        without numpy warnings and before any distance is computed."""
+
+        def no_distances(*args):
+            raise AssertionError("distances computed")
+
+        monkeypatch.setattr(metrics, "_sq_distances", no_distances)
+        rng = np.random.default_rng(0)
+        real = rng.normal(size=(20, 6))
+        real[3, 1], real[7, 4] = 1.5e308, -1.5e308
+        with warnings.catch_warnings(), pytest.raises(DataError, match="^real sample 3 has a non-finite squared norm$"):
+            warnings.simplefilter("error", RuntimeWarning)
+            coverage(real, rng.normal(size=(10, 6)), k=3)
+
     def test_radii_recomputed_on_every_call(self, monkeypatch):
         """coverage keeps nothing between calls."""
         calls = []
