@@ -153,10 +153,17 @@ def _scalers(values: np.ndarray) -> tuple[Scaler, Scaler]:
     """Scalers of the real (N, W, 3) window values: the mean and standard
     deviation of all values pooled, repeated on every axis, then those of
     each axis; each deviation is floored at ``STD_FLOOR``.  ``Scaler``
-    refuses statistics that overflow, so numpy need not warn of them."""
+    refuses statistics that overflow, so numpy need not warn of them.
+
+    ``values`` is overwritten: the pooled deviation takes the steps of
+    ``np.std`` (mean, deviations, squares, their mean, root) in place, so
+    its bits are ``values.std()``'s without a temporary of its size."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = [(v.mean(), max(float(v.std()), STD_FLOOR)) for v in (values, *(values[:, :, i] for i in range(3)))]
-    (mu, sd), axes = stats[0], stats[1:]
+        axes = [(v.mean(), max(float(v.std()), STD_FLOOR)) for v in (values[:, :, i] for i in range(3))]
+        mu = values.mean()
+        values -= mu
+        np.multiply(values, values, out=values)
+        sd = max(float(np.sqrt(values.sum() / values.size)), STD_FLOOR)
     return Scaler([mu] * 3, [sd] * 3), Scaler(*zip(*axes))
 
 
@@ -224,7 +231,8 @@ def _real_side(entries, opts) -> tuple[str, _RealSide]:
         return key, side
     pairs = list(_catalog_series(entries, opts.window, opts.stride, datas))
     windows = _fall_windows((cut for _, cut in pairs), "real")
-    # The gathered values are freed before knn_radii gathers the rows it needs.
+    # The gathered values, which _scalers overwrites, are freed before
+    # knn_radii gathers the rows it needs.
     scaler, axis_scaler = _scalers(windows.values)
     windows, counts = windows.held()
     radii = knn_radii(apply_scaler(scaler, windows), opts.k)

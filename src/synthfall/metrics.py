@@ -18,8 +18,16 @@ from .errors import ConfigError, DataError
 from .windowing import WindowSet
 
 EXACT_KS_LIMIT = 14
-COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
+COVERAGE_BLOCK = 256  # real rows per block of covered_fraction's distance matrices
 COVERAGE_TILE = 2 * COVERAGE_BLOCK  # synthetic rows per column tile of covered_fraction
+# Real rows per block of knn_radii, whose products span all n real rows, not
+# one tile.  BLAS may round a product's last columns differently for another
+# row split, so changing it can move radii by a few ulp.
+KNN_BLOCK = COVERAGE_BLOCK // 2
+SUM_ROWS = 16  # rows of |r|^2 + |s|^2 the distance kernel forms at a time
+# Two rows whose squared norms are at most this have |r|^2 + |s|^2 and 2 r.s
+# within the float range.
+MAX_SQ_NORM = np.finfo(np.float64).max / 8
 
 
 def _value_counts(values: np.ndarray, counts=None, what: str = "value") -> np.ndarray:
@@ -256,55 +264,69 @@ def coverage(real, synthetic, k: int = 5) -> float:
     return covered_fraction(real, synthetic, knn_radii(real, k))
 
 
-def _blocks(n: int):
-    """Slices of ``COVERAGE_BLOCK`` rows over ``n`` rows."""
-    return (slice(start, min(start + COVERAGE_BLOCK, n)) for start in range(0, n, COVERAGE_BLOCK))
+def _blocks(n: int, size: int):
+    """Slices of ``size`` rows over ``n`` rows."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
 def _sq_norms(blocks) -> np.ndarray:
-    """Each row's squared norm, one block of rows at a time: a row's sum
+    """Each real row's squared norm, one block of rows at a time: a row's sum
     does not depend on the rows beside it, so these are the bits of one
-    reduction over all the rows."""
-    return np.concatenate([(r * r).sum(axis=1) for r in blocks])
+    reduction over all the rows.  DataError names the first row whose
+    squared norm is not finite or passes ``MAX_SQ_NORM``, so no sum of the
+    distance kernel can overflow on real rows alone."""
+    with np.errstate(over="ignore"):
+        r_sq = np.concatenate([(r * r).sum(axis=1) for r in blocks])
+    within = r_sq <= MAX_SQ_NORM
+    if not within.all():
+        row = int(np.argmin(within))
+        if not np.isfinite(r_sq[row]):
+            raise DataError(f"real sample {row} has a non-finite squared norm")
+        raise DataError(
+            f"real sample {row} has a squared norm of {r_sq[row]:.6g}, "
+            f"above {MAX_SQ_NORM:.6g}, where its distances could overflow"
+        )
+    return r_sq
 
 
 def _sq_distances(blocks, s: np.ndarray, s_sq: np.ndarray):
-    """For each (rows, their squared norms) pair of ``blocks``, at most
-    ``COVERAGE_BLOCK`` rows and the largest first, the squared Euclidean
-    distances from those rows to every row of ``s`` as |r|^2 + |s|^2 - 2 r.s,
-    in one of two buffers reused for every block.  Scaling the product by -2
-    in place is exact; scaling a copy of ``r`` instead can change bits where
-    BLAS takes a block times its own transpose as a symmetric update.
-    Rounding can leave entries below 0: callers reduce first, then clamp at
-    0 and take the root, both monotone, so the reduction picks the same
-    entry."""
-    norms = product = None
+    """For each (rows, their squared norms) pair of ``blocks``, the largest
+    first, the squared Euclidean distances from those rows to every row of
+    ``s`` as |r|^2 + |s|^2 - 2 r.s, in one buffer reused for every block.
+    Scaling the product by -2 in place is exact; scaling a copy of ``r``
+    instead can change bits where BLAS takes a block times its own transpose
+    as a symmetric update.  The norm sums are formed ``SUM_ROWS`` rows at a
+    time in a small buffer and added into their rows of the product: the
+    same two elementwise operations on the same operands as whole-block
+    sums, so every distance keeps its bits.  Rounding can leave entries
+    below 0: callers reduce first, then clamp at 0 and take the root, both
+    monotone, so the reduction picks the same entry."""
+    product = sums = None
     for r, r_sq in blocks:
-        if norms is None:
-            norms, product = np.empty((len(r), len(s))), np.empty((len(r), len(s)))
-        rows = len(r)
-        np.add(r_sq[:, None], s_sq, out=norms[:rows])
-        sq = np.matmul(r, s.T, out=product[:rows])
+        if product is None:
+            product, sums = np.empty((len(r), len(s))), np.empty((min(len(r), SUM_ROWS), len(s)))
+        sq = np.matmul(r, s.T, out=product[: len(r)])
         sq *= -2.0
-        sq += norms[:rows]
+        for i in range(0, len(r), SUM_ROWS):
+            rows = slice(i, min(i + SUM_ROWS, len(r)))
+            sq[rows] += np.add(r_sq[rows, None], s_sq, out=sums[: rows.stop - i])
         yield sq
 
 
 def knn_radii(real, k: int) -> np.ndarray:
     """Per real sample, the Euclidean distance to its k-th nearest other real
     sample; the radii depend on the real samples alone.  A ``WindowSet``
-    is gathered once, for this call only."""
+    is gathered once, for this call only, and compared with itself
+    ``KNN_BLOCK`` rows at a time.  A real sample whose squared norm passes
+    ``MAX_SQ_NORM`` is refused (``_sq_norms``)."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     n, _, take = _row_source(real)
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
     r = take(slice(None))
-    blocks = list(_blocks(n))
-    with np.errstate(over="ignore"):
-        r_sq = _sq_norms(r[b] for b in blocks)
-    if not np.isfinite(r_sq).all():
-        raise DataError(f"real sample {np.argmin(np.isfinite(r_sq))} has a non-finite squared norm")
+    blocks = list(_blocks(n, KNN_BLOCK))
+    r_sq = _sq_norms(r[b] for b in blocks)
     radii = np.empty(n)
     for b, sq in zip(blocks, _sq_distances(((r[b], r_sq[b]) for b in blocks), r, r_sq)):
         own = np.arange(sq.shape[0])
@@ -333,7 +355,9 @@ def covered_fraction(real, synthetic, radii) -> float:
     it bounds the nearest distance overall.  Each tile, and each block of
     the real samples still open, is gathered when it is compared, so memory
     grows with the tile, the block and one number per real sample, not with
-    either sample count times the values per sample.
+    either sample count times the values per sample.  Real samples are
+    refused as ``knn_radii`` refuses them; a synthetic sample past the
+    float range covers nothing.
     """
     (n, dims, real_rows), (m, syn_dims, syn_rows) = _row_source(real), _row_source(synthetic)
     if dims != syn_dims:
@@ -344,7 +368,7 @@ def covered_fraction(real, synthetic, radii) -> float:
             f"coverage needs one finite radius per real sample ({n}), "
             f"got {radii.dtype} radii of shape {radii.shape}"
         )
-    r_sq = _sq_norms(real_rows(b) for b in _blocks(n))
+    r_sq = _sq_norms(real_rows(b) for b in _blocks(n, COVERAGE_BLOCK))
     open_rows = np.arange(n)
     # A distance past the float range overflows to inf, or to nan where it
     # takes inf - inf; fmin skips the nan, so such a sample covers nothing
@@ -352,7 +376,9 @@ def covered_fraction(real, synthetic, radii) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _tiles(m):
             tile = syn_rows(slice(lo, hi))
-            blocks = ((real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows)))
+            blocks = (
+                (real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows), COVERAGE_BLOCK)
+            )
             sq_tile = _sq_distances(blocks, tile, (tile * tile).sum(axis=1))
             nearest = np.concatenate([np.fmin.reduce(sq, axis=1) for sq in sq_tile])
             # Compared after the root, as squared distances could flip a tie.

@@ -495,6 +495,34 @@ class TestRealSideMemo:
         assert logs[2] == [logs[0][0].replace(str(tmp_path), str(tmp_path / "moved"))]
 
 
+class TestRealScalers:
+    @pytest.mark.parametrize("n, width", [(3, 1), (7, 3), (37, 13), (1001, 37)])
+    def test_bits_of_mean_and_std(self, n, width):
+        """The pooled deviation, taken in place, has the bits of
+        ``values.std()``, and each axis those of its own ``mean`` and
+        ``std``, on sizes that are not multiples of 8."""
+        rng = np.random.default_rng(n * width)
+        values = rng.normal(2.0, 3.0, size=(n, width, 3)) * rng.uniform(0.5, 2.0, size=3)
+        scaler, axis_scaler = harness._scalers(values.copy())
+        assert np.array_equal(scaler.mean, [values.mean()] * 3)
+        assert np.array_equal(scaler.std, [values.std()] * 3)
+        axes = [values[:, :, i] for i in range(3)]
+        assert np.array_equal(axis_scaler.mean, [v.mean() for v in axes])
+        assert np.array_equal(axis_scaler.std, [v.std() for v in axes])
+
+    def test_peak_within_its_input_and_one_axis(self):
+        """No temporary of the input's size: the pooled deviation overwrites
+        the input, and only an axis's deviations are a new array."""
+        values = np.random.default_rng(3).normal(size=(2001, 64, 3))
+        tracemalloc.start()
+        try:
+            harness._scalers(values.copy())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + values.nbytes // 3 + 64 * 1024
+
+
 class TestExperimentConfig:
     def test_roundtrip(self, fixture_dataset):
         real, syn = fixture_dataset

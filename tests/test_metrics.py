@@ -13,6 +13,9 @@ from synthfall.errors import ConfigError, DataError
 from synthfall.metrics import (
     COVERAGE_BLOCK,
     COVERAGE_TILE,
+    KNN_BLOCK,
+    MAX_SQ_NORM,
+    SUM_ROWS,
     DensityCurve,
     _ecdf_gap,
     classification_metrics,
@@ -455,28 +458,30 @@ class TestCoverage:
     def test_nearest_equals_the_plain_expression_bit_for_bit(self, n):
         """The one distance kernel (norms added into a reused buffer, the
         product scaled by -2 in place, clamp and root after the reduction)
-        gives the radii and nearest distances of the plain blocked
-        expressions bit for bit."""
+        gives the radii and nearest distances of the plain expressions
+        blocked as the kernel blocks them (``KNN_BLOCK`` rows for the radii,
+        ``COVERAGE_BLOCK`` for the nearest distances) bit for bit.  BLAS may
+        round a product's last columns differently for another row split."""
         rng = np.random.default_rng(100 + n)
         real = rng.normal(size=(n, 24))
         synthetic = rng.normal(0.1, 1.1, size=(300, 24))
 
-        def plain(a, b):
-            """|a|^2 + |b|^2 - 2 a.b clamped at 0, COVERAGE_BLOCK rows of a at a time."""
+        def plain(a, b, block):
+            """|a|^2 + |b|^2 - 2 a.b clamped at 0, ``block`` rows of a at a time."""
             a_sq, b_sq = (a * a).sum(axis=1), (b * b).sum(axis=1)
-            for i in range(0, len(a), COVERAGE_BLOCK):
-                rows = slice(i, i + COVERAGE_BLOCK)
+            for i in range(0, len(a), block):
+                rows = slice(i, i + block)
                 yield i, np.maximum(a_sq[rows, None] + b_sq[None, :] - 2.0 * (a[rows] @ b.T), 0.0)
 
         if n > 5:
             for k in (1, 5):
                 radii = []
-                for i, d in plain(real, real):
+                for i, d in plain(real, real, KNN_BLOCK):
                     own = np.arange(len(d))
                     d[own, i + own] = np.inf
                     radii.append(np.partition(d, k - 1, axis=1)[:, k - 1])
                 assert np.array_equal(knn_radii(real, k), np.sqrt(np.concatenate(radii)))
-        nearest = np.sqrt(np.concatenate([d.min(axis=1) for _, d in plain(real, synthetic)]))
+        nearest = np.sqrt(np.concatenate([d.min(axis=1) for _, d in plain(real, synthetic, COVERAGE_BLOCK)]))
         # A radius of exactly the nearest distance covers its row, the next
         # float below it does not: both fractions pin every distance's bits.
         assert covered_fraction(real, synthetic, nearest) == 1.0
@@ -504,7 +509,7 @@ class TestCoverage:
     def test_blockwise_norms_match_one_reduction(self, n, dims):
         rng = np.random.default_rng(n * dims)
         r = rng.normal(size=(n, dims)) * rng.uniform(1e-3, 1e3, size=(n, 1))
-        blocks = [r[b] for b in metrics._blocks(n)]
+        blocks = [r[b] for b in metrics._blocks(n, COVERAGE_BLOCK)]
         assert max(len(b) for b in blocks) <= COVERAGE_BLOCK
         assert np.array_equal(metrics._sq_norms(blocks), (r * r).sum(axis=1))
 
@@ -534,6 +539,81 @@ class TestCoverage:
             assert covered_fraction(r, s, np.concatenate([wide, nearest])) == 1.0
             below = np.concatenate([wide, np.nextafter(nearest, -np.inf)])
             assert covered_fraction(r, s, below) == first / n
+
+    @pytest.mark.parametrize("rows", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, KNN_BLOCK, COVERAGE_BLOCK])
+    def test_one_buffer_kernel_matches_the_two_buffer_expression(self, rows):
+        """The kernel adds |r|^2 + |s|^2 into the scaled product ``SUM_ROWS``
+        rows at a time.  Every distance keeps the bits of the sums formed
+        for the whole block in a second buffer, for blocks of ``rows`` rows
+        and a shorter tail, against other rows and against the rows
+        themselves."""
+        rng = np.random.default_rng(500 + rows)
+        r = rng.normal(size=(2 * rows + 3, 24)) * rng.uniform(0.1, 10.0, size=(2 * rows + 3, 1))
+        for s in (rng.normal(0.2, 1.3, size=(301, 24)), r):
+            r_sq, s_sq = (r * r).sum(axis=1), (s * s).sum(axis=1)
+            blocks = list(metrics._blocks(len(r), rows))
+            kernel = metrics._sq_distances(((r[b], r_sq[b]) for b in blocks), s, s_sq)
+            for b, sq in zip(blocks, kernel, strict=True):
+                norms = np.add(r_sq[b, None], s_sq)
+                product = r[b] @ s.T
+                product *= -2.0
+                product += norms
+                assert np.array_equal(sq, product)
+
+    def test_cold_radii_peak_within_the_rows_and_one_block(self):
+        """A cold knn_radii holds the gathered rows, one (KNN_BLOCK, n)
+        product, a (SUM_ROWS, n) sum buffer and a few numbers per row: no
+        second buffer of the block's size."""
+        rng = np.random.default_rng(14)
+        n, width = 3000, 8
+        real = window_rows(rng, n, width)
+        tracemalloc.start()
+        try:
+            knn_radii(real, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (3 * width + KNN_BLOCK + SUM_ROWS + 4) + 64 * 1024
+
+    @pytest.mark.parametrize("n", [KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK + 1])
+    def test_block_edges_match_brute_force(self, n):
+        """Radii and coverage at the edges of the radii's blocks, of the
+        sums' ``SUM_ROWS`` rows and of coverage's blocks."""
+        rng = np.random.default_rng(600 + n)
+        real, synthetic = rng.normal(size=(n, 4)), rng.normal(0.3, 1.2, size=(40, 4))
+        rows = real.tolist()
+        expect = [sorted(math.dist(a, b) for j, b in enumerate(rows) if j != i)[4] for i, a in enumerate(rows)]
+        np.testing.assert_allclose(knn_radii(real, 5), expect, rtol=1e-12, atol=0)
+        assert coverage(real, synthetic, k=5) == coverage_oracle(rows, synthetic.tolist(), 5)
+
+    def test_pairwise_sums_past_the_float_range_are_refused(self):
+        """Finite squared norms can still overflow |r|^2 + |s|^2 and leave
+        nan distances that the partition skips, which gave radii of 9.8e153
+        for rows 1e140 apart.  A real row past ``MAX_SQ_NORM`` is refused by
+        the first such row, without numpy warnings."""
+        rng = np.random.default_rng(16)
+        far = np.full((6, 6), 4e153) + rng.normal(0.0, 1e140, size=(6, 6))
+        real = np.concatenate([rng.normal(size=(6, 6)), far])
+        for compare in (lambda: knn_radii(real, 2), lambda: coverage(real, rng.normal(size=(5, 6)), k=2)):
+            with pytest.raises(DataError, match=r"^real sample 6 has a squared norm of 9\.6\d*e\+307, above"):
+                compare()
+
+    def test_rows_within_the_norm_bound_give_finite_radii(self):
+        """At the bound, the sums and products of the distance kernel stay
+        within the float range: rows of +c and -c, 2c * sqrt(6) apart."""
+        c = np.sqrt(MAX_SQ_NORM / 6) * (1 - 1e-12)
+        real = np.repeat([[c], [-c]], 6, axis=0) * np.ones(6)
+        assert ((real * real).sum(axis=1) <= MAX_SQ_NORM).all()
+        np.testing.assert_allclose(knn_radii(real, 6), 2 * c * np.sqrt(6), rtol=1e-12)
+
+    def test_covered_fraction_refuses_a_real_row_past_the_float_range(self):
+        """covered_fraction refuses real rows as knn_radii does, before the
+        squares overflow into a warning and an uncovered row."""
+        rng = np.random.default_rng(17)
+        real = rng.normal(size=(5, 4))
+        real[2, 1] = 1.5e308
+        with pytest.raises(DataError, match="^real sample 2 has a non-finite squared norm$"):
+            covered_fraction(real, rng.normal(size=(6, 4)), np.ones(5))
 
     def test_a_synthetic_window_past_the_float_range_hides_no_covering_one(self):
         """Adding a synthetic window never lowers coverage.  Distances to a
