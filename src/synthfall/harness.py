@@ -230,15 +230,17 @@ def _real_side(entries, opts) -> tuple[str, _RealSide]:
             _warn_if_short(entry, length, opts.window)
         return key, side
     pairs = list(_catalog_series(entries, opts.window, opts.stride, datas))
+    lengths = tuple(len(series) for series, _ in pairs)
     windows = _fall_windows((cut for _, cut in pairs), "real")
-    # The gathered values, which _scalers overwrites, are freed before
+    # The file bytes and parsed series, which the joined windows copy, and
+    # the gathered values, which _scalers overwrites, are freed before
     # knn_radii gathers the rows it needs.
+    del datas, pairs
     scaler, axis_scaler = _scalers(windows.values)
     windows, counts = windows.held()
     radii = knn_radii(apply_scaler(scaler, windows), opts.k)
     for arr in (windows.samples, windows.starts, windows.labels, windows.subjects, counts, radii):
         arr.flags.writeable = False
-    lengths = tuple(len(series) for series, _ in pairs)
     return key, _RealSide(lengths, scaler, axis_scaler, windows, counts, radii)
 
 

@@ -18,12 +18,8 @@ from .errors import ConfigError, DataError
 from .windowing import WindowSet
 
 EXACT_KS_LIMIT = 14
-COVERAGE_BLOCK = 256  # real rows per block of covered_fraction's distance matrices
+COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
 COVERAGE_TILE = 2 * COVERAGE_BLOCK  # synthetic rows per column tile of covered_fraction
-# Real rows per block of knn_radii, whose products span all n real rows, not
-# one tile.  BLAS may round a product's last columns differently for another
-# row split, so changing it can move radii by a few ulp.
-KNN_BLOCK = COVERAGE_BLOCK // 2
 SUM_ROWS = 16  # rows of |r|^2 + |s|^2 the distance kernel forms at a time
 # Two rows whose squared norms are at most this have |r|^2 + |s|^2 and 2 r.s
 # within the float range.
@@ -264,9 +260,9 @@ def coverage(real, synthetic, k: int = 5) -> float:
     return covered_fraction(real, synthetic, knn_radii(real, k))
 
 
-def _blocks(n: int, size: int):
-    """Slices of ``size`` rows over ``n`` rows."""
-    return (slice(start, min(start + size, n)) for start in range(0, n, size))
+def _blocks(n: int):
+    """Slices of ``COVERAGE_BLOCK`` rows over ``n`` rows."""
+    return (slice(start, min(start + COVERAGE_BLOCK, n)) for start in range(0, n, COVERAGE_BLOCK))
 
 
 def _sq_norms(blocks) -> np.ndarray:
@@ -316,16 +312,15 @@ def _sq_distances(blocks, s: np.ndarray, s_sq: np.ndarray):
 def knn_radii(real, k: int) -> np.ndarray:
     """Per real sample, the Euclidean distance to its k-th nearest other real
     sample; the radii depend on the real samples alone.  A ``WindowSet``
-    is gathered once, for this call only, and compared with itself
-    ``KNN_BLOCK`` rows at a time.  A real sample whose squared norm passes
-    ``MAX_SQ_NORM`` is refused (``_sq_norms``)."""
+    is gathered once, for this call only.  A real sample whose squared norm
+    passes ``MAX_SQ_NORM`` is refused (``_sq_norms``)."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     n, _, take = _row_source(real)
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
     r = take(slice(None))
-    blocks = list(_blocks(n, KNN_BLOCK))
+    blocks = list(_blocks(n))
     r_sq = _sq_norms(r[b] for b in blocks)
     radii = np.empty(n)
     for b, sq in zip(blocks, _sq_distances(((r[b], r_sq[b]) for b in blocks), r, r_sq)):
@@ -368,7 +363,7 @@ def covered_fraction(real, synthetic, radii) -> float:
             f"coverage needs one finite radius per real sample ({n}), "
             f"got {radii.dtype} radii of shape {radii.shape}"
         )
-    r_sq = _sq_norms(real_rows(b) for b in _blocks(n, COVERAGE_BLOCK))
+    r_sq = _sq_norms(real_rows(b) for b in _blocks(n))
     open_rows = np.arange(n)
     # A distance past the float range overflows to inf, or to nan where it
     # takes inf - inf; fmin skips the nan, so such a sample covers nothing
@@ -376,9 +371,7 @@ def covered_fraction(real, synthetic, radii) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _tiles(m):
             tile = syn_rows(slice(lo, hi))
-            blocks = (
-                (real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows), COVERAGE_BLOCK)
-            )
+            blocks = ((real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows)))
             sq_tile = _sq_distances(blocks, tile, (tile * tile).sum(axis=1))
             nearest = np.concatenate([np.fmin.reduce(sq, axis=1) for sq in sq_tile])
             # Compared after the root, as squared distances could flip a tie.

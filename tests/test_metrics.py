@@ -13,7 +13,6 @@ from synthfall.errors import ConfigError, DataError
 from synthfall.metrics import (
     COVERAGE_BLOCK,
     COVERAGE_TILE,
-    KNN_BLOCK,
     MAX_SQ_NORM,
     SUM_ROWS,
     DensityCurve,
@@ -458,30 +457,28 @@ class TestCoverage:
     def test_nearest_equals_the_plain_expression_bit_for_bit(self, n):
         """The one distance kernel (norms added into a reused buffer, the
         product scaled by -2 in place, clamp and root after the reduction)
-        gives the radii and nearest distances of the plain expressions
-        blocked as the kernel blocks them (``KNN_BLOCK`` rows for the radii,
-        ``COVERAGE_BLOCK`` for the nearest distances) bit for bit.  BLAS may
-        round a product's last columns differently for another row split."""
+        gives the radii and nearest distances of the plain blocked
+        expressions bit for bit."""
         rng = np.random.default_rng(100 + n)
         real = rng.normal(size=(n, 24))
         synthetic = rng.normal(0.1, 1.1, size=(300, 24))
 
-        def plain(a, b, block):
-            """|a|^2 + |b|^2 - 2 a.b clamped at 0, ``block`` rows of a at a time."""
+        def plain(a, b):
+            """|a|^2 + |b|^2 - 2 a.b clamped at 0, COVERAGE_BLOCK rows of a at a time."""
             a_sq, b_sq = (a * a).sum(axis=1), (b * b).sum(axis=1)
-            for i in range(0, len(a), block):
-                rows = slice(i, i + block)
+            for i in range(0, len(a), COVERAGE_BLOCK):
+                rows = slice(i, i + COVERAGE_BLOCK)
                 yield i, np.maximum(a_sq[rows, None] + b_sq[None, :] - 2.0 * (a[rows] @ b.T), 0.0)
 
         if n > 5:
             for k in (1, 5):
                 radii = []
-                for i, d in plain(real, real, KNN_BLOCK):
+                for i, d in plain(real, real):
                     own = np.arange(len(d))
                     d[own, i + own] = np.inf
                     radii.append(np.partition(d, k - 1, axis=1)[:, k - 1])
                 assert np.array_equal(knn_radii(real, k), np.sqrt(np.concatenate(radii)))
-        nearest = np.sqrt(np.concatenate([d.min(axis=1) for _, d in plain(real, synthetic, COVERAGE_BLOCK)]))
+        nearest = np.sqrt(np.concatenate([d.min(axis=1) for _, d in plain(real, synthetic)]))
         # A radius of exactly the nearest distance covers its row, the next
         # float below it does not: both fractions pin every distance's bits.
         assert covered_fraction(real, synthetic, nearest) == 1.0
@@ -509,7 +506,7 @@ class TestCoverage:
     def test_blockwise_norms_match_one_reduction(self, n, dims):
         rng = np.random.default_rng(n * dims)
         r = rng.normal(size=(n, dims)) * rng.uniform(1e-3, 1e3, size=(n, 1))
-        blocks = [r[b] for b in metrics._blocks(n, COVERAGE_BLOCK)]
+        blocks = [r[b] for b in metrics._blocks(n)]
         assert max(len(b) for b in blocks) <= COVERAGE_BLOCK
         assert np.array_equal(metrics._sq_norms(blocks), (r * r).sum(axis=1))
 
@@ -540,7 +537,7 @@ class TestCoverage:
             below = np.concatenate([wide, np.nextafter(nearest, -np.inf)])
             assert covered_fraction(r, s, below) == first / n
 
-    @pytest.mark.parametrize("rows", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, KNN_BLOCK, COVERAGE_BLOCK])
+    @pytest.mark.parametrize("rows", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, 128, COVERAGE_BLOCK])
     def test_one_buffer_kernel_matches_the_two_buffer_expression(self, rows):
         """The kernel adds |r|^2 + |s|^2 into the scaled product ``SUM_ROWS``
         rows at a time.  Every distance keeps the bits of the sums formed
@@ -551,7 +548,7 @@ class TestCoverage:
         r = rng.normal(size=(2 * rows + 3, 24)) * rng.uniform(0.1, 10.0, size=(2 * rows + 3, 1))
         for s in (rng.normal(0.2, 1.3, size=(301, 24)), r):
             r_sq, s_sq = (r * r).sum(axis=1), (s * s).sum(axis=1)
-            blocks = list(metrics._blocks(len(r), rows))
+            blocks = [slice(i, min(i + rows, len(r))) for i in range(0, len(r), rows)]
             kernel = metrics._sq_distances(((r[b], r_sq[b]) for b in blocks), s, s_sq)
             for b, sq in zip(blocks, kernel, strict=True):
                 norms = np.add(r_sq[b, None], s_sq)
@@ -561,7 +558,7 @@ class TestCoverage:
                 assert np.array_equal(sq, product)
 
     def test_cold_radii_peak_within_the_rows_and_one_block(self):
-        """A cold knn_radii holds the gathered rows, one (KNN_BLOCK, n)
+        """A cold knn_radii holds the gathered rows, one (COVERAGE_BLOCK, n)
         product, a (SUM_ROWS, n) sum buffer and a few numbers per row: no
         second buffer of the block's size."""
         rng = np.random.default_rng(14)
@@ -573,12 +570,13 @@ class TestCoverage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * (3 * width + KNN_BLOCK + SUM_ROWS + 4) + 64 * 1024
+        assert peak <= 8 * n * (3 * width + COVERAGE_BLOCK + SUM_ROWS + 4) + 64 * 1024
 
-    @pytest.mark.parametrize("n", [KNN_BLOCK - 1, KNN_BLOCK, KNN_BLOCK + 1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK + 1])
+    @pytest.mark.parametrize("n", [127, 128, 129, COVERAGE_BLOCK - 1, COVERAGE_BLOCK + 1])
     def test_block_edges_match_brute_force(self, n):
-        """Radii and coverage at the edges of the radii's blocks, of the
-        sums' ``SUM_ROWS`` rows and of coverage's blocks."""
+        """Radii and coverage about 128 real rows, a multiple of the sums'
+        ``SUM_ROWS`` rows, and at the edges of the kernel's
+        ``COVERAGE_BLOCK`` row blocks."""
         rng = np.random.default_rng(600 + n)
         real, synthetic = rng.normal(size=(n, 4)), rng.normal(0.3, 1.2, size=(40, 4))
         rows = real.tolist()
