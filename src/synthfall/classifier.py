@@ -440,17 +440,21 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
                 try:
                     batch = _as_batch(train_windows, model.dtype, "training", idx)
                     loss, grads = loss_and_gradients(model, batch, y_train[idx])
+                    grad = np.concatenate([grads[name].ravel() for name in names])
+                    # Checked once per step, so the next batch's forward pass
+                    # is not blamed for a step that left theta non-finite.
+                    _check_finite("gradients", grad)
+                    step += 1
+                    bc1 = 1.0 - ADAM_BETA1**step
+                    bc2 = 1.0 - ADAM_BETA2**step
+                    adam_m[:] = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
+                    adam_v[:] = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
+                    m_hat = adam_m / bc1
+                    v_hat = adam_v / bc2
+                    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                    _check_finite("adam update", theta)
                 except NumericError as exc:
                     raise exc.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
-                step += 1
-                bc1 = 1.0 - ADAM_BETA1**step
-                bc2 = 1.0 - ADAM_BETA2**step
-                grad = np.concatenate([grads[name].ravel() for name in names])
-                adam_m[:] = ADAM_BETA1 * adam_m + (1 - ADAM_BETA1) * grad
-                adam_v[:] = ADAM_BETA2 * adam_v + (1 - ADAM_BETA2) * grad * grad
-                m_hat = adam_m / bc1
-                v_hat = adam_v / bc2
-                theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 total += loss * idx.size
             history.train_loss.append(total / n)
 

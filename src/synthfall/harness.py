@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import TrainConfig, evaluate, init_model, train
+from .classifier import TrainConfig, _tensor_shapes, evaluate, init_model, train
 from .errors import ConfigError, DataError, NumericError
 from .ingest import (
     DatasetCatalog,
@@ -37,8 +37,10 @@ from .ingest import (
 from .kinematics import ActivityLabel
 from .metrics import (
     ClassificationMetrics,
+    CoverageBound,
     DensityCurve,
     KsResult,
+    coverage_bound,
     covered_fraction,
     histogram_density,
     jsd,
@@ -64,6 +66,9 @@ logger = logging.getLogger(__name__)
 
 _AXES = ("x", "y", "z")
 MAX_BINS = 10**6  # most density bins an alignment takes: 8 MB per bins-sized array
+# Most floats an experiment's parameter buffer, or one training batch's BPTT
+# history, may hold: 512 MiB at float32, before Adam's moments and copies.
+MAX_MODEL_FLOATS = 2**27
 
 
 def derive_seed(master_seed: int, index: int, role: str) -> int:
@@ -186,7 +191,8 @@ class _RealSide:
     """What an alignment computes from its real falls alone: each series'
     length, the scalers of both sides (pooled over axes, then per axis), the
     windows over the raw sample rows they hold (``WindowSet.held``) with the
-    number of windows holding each row, and the windows' k-NN radii."""
+    number of windows holding each row, the standardized windows' k-NN radii
+    and their coverage bound (``metrics.coverage_bound``)."""
 
     lengths: tuple[int, ...]
     scaler: Scaler
@@ -194,6 +200,7 @@ class _RealSide:
     windows: WindowSet
     counts: np.ndarray
     radii: np.ndarray
+    bound: CoverageBound
 
 
 # The real side of the last alignment that ran, under its _real_key.  One
@@ -238,10 +245,12 @@ def _real_side(entries, opts) -> tuple[str, _RealSide]:
     del datas, pairs
     scaler, axis_scaler = _scalers(windows.values)
     windows, counts = windows.held()
-    radii = knn_radii(apply_scaler(scaler, windows), opts.k)
+    standardized = apply_scaler(scaler, windows)
+    radii = knn_radii(standardized, opts.k)
+    bound = coverage_bound(standardized, radii)
     for arr in (windows.samples, windows.starts, windows.labels, windows.subjects, counts, radii):
         arr.flags.writeable = False
-    return key, _RealSide(lengths, scaler, axis_scaler, windows, counts, radii)
+    return key, _RealSide(lengths, scaler, axis_scaler, windows, counts, radii, bound)
 
 
 def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions | None = None) -> AlignmentReport:
@@ -258,7 +267,7 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     recording of both manifests must share one sampling rate.
 
     What depends on the real falls alone (their held windows and counts,
-    scalers and k-NN radii) is kept for the next call,
+    scalers, k-NN radii and coverage bound) is kept for the next call,
     keyed by the window, stride, k and the real fall entries' manifest
     fields and file bytes: comparing the same real set with another
     generator reads the real files but parses none of them.  Only the last
@@ -290,7 +299,7 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
         axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real.counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
-    cov = covered_fraction(real_std, syn_std, real.radii)
+    cov = covered_fraction(real_std, syn_std, real.radii, real.bound)
 
     jsd_per_axis = None
     if opts.per_axis:
@@ -340,6 +349,18 @@ class ExperimentConfig:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold!r}")
         for name in ("window", "stride", "hidden_size", "dense_units"):
             _at_least_one(self, name)
+        hid, w, b = self.hidden_size, self.window, self.train.batch_size
+        sizes = {
+            "parameter buffer": sum(math.prod(shape) for shape in _tensor_shapes(hid, self.dense_units, len(_AXES)).values()),
+            # h and c of W + 1 steps, the four gates and tanh(c) of W steps.
+            "BPTT history": (w + 1) * b * hid * 2 + w * b * 5 * hid,
+        }
+        for what, size in sizes.items():
+            if size > MAX_MODEL_FLOATS:
+                raise ConfigError(
+                    f"hidden_size {hid}, dense_units {self.dense_units}, window {w} and batch_size {b} "
+                    f"give a {what} of {size} floats, above {MAX_MODEL_FLOATS}"
+                )
         object.__setattr__(self, "synthetic_manifests", tuple(self.synthetic_manifests))
         object.__setattr__(self, "split_sizes", tuple(self.split_sizes))
         if any(n < 0 for n in self.split_sizes) or 0 in self.split_sizes[1:]:

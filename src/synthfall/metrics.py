@@ -24,6 +24,15 @@ SUM_ROWS = 16  # rows of |r|^2 + |s|^2 the distance kernel forms at a time
 # Two rows whose squared norms are at most this have |r|^2 + |s|^2 and 2 r.s
 # within the float range.
 MAX_SQ_NORM = np.finfo(np.float64).max / 8
+# covered_fraction's lower bound (coverage_bound): the real rows' top principal
+# axes it projects onto, the subspace-iteration sweeps that find them, the
+# longest rows it is built for (its dims x dims covariance is 18 MiB there),
+# and its slack, relative to the squared radius and to |r|^2 + |s|^2.
+BOUND_RANK = 32
+BOUND_SWEEPS = 8
+BOUND_MAX_DIMS = 1536
+BOUND_DELTA = 1e-9
+BOUND_GAMMA = 1e-9
 
 
 def _value_counts(values: np.ndarray, counts=None, what: str = "value") -> np.ndarray:
@@ -340,7 +349,120 @@ def _tiles(m: int):
     return zip(edges[:-1], edges[1:])
 
 
-def covered_fraction(real, synthetic, radii) -> float:
+def _checked_radii(radii, n: int) -> np.ndarray:
+    radii = np.asarray(radii)
+    if radii.shape != (n,) or radii.dtype.kind not in "iuf" or not np.isfinite(radii).all():
+        raise DataError(
+            f"coverage needs one finite radius per real sample ({n}), "
+            f"got {radii.dtype} radii of shape {radii.shape}"
+        )
+    return radii
+
+
+@dataclass(frozen=True)
+class CoverageBound:
+    """What ``covered_fraction`` computes from the real rows and their radii
+    alone (``coverage_bound``), kept read-only: each row's squared norm and,
+    for rows of more than ``BOUND_RANK`` and at most ``BOUND_MAX_DIMS``
+    values, the lower bound's halved basis ``B`` (dims, K), each row's
+    ``[rB, 1]`` (n, K + 1) and its threshold (n,).  The last three are None
+    for other row lengths, where every open row meets the distance kernel."""
+
+    r_sq: np.ndarray
+    basis: np.ndarray | None = None
+    lifted: np.ndarray | None = None
+    threshold: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in (self.r_sq, self.basis, self.lifted, self.threshold):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    def could_cover(self, rows: np.ndarray, tile: np.ndarray, s_sq: np.ndarray) -> np.ndarray:
+        """Which of the real ``rows`` the bound leaves open to some row of
+        ``tile`` (squared norms ``s_sq``): one (rows, K + 1) @ (K + 1, tile)
+        product per ``COVERAGE_BLOCK`` rows, whose ``np.fmin`` over the tile
+        is set against each row's threshold."""
+        if self.basis is None:
+            return np.ones(len(rows), dtype=bool)
+        # The (K, tile) product touches fewer BLAS buffer pages than its
+        # transpose, tile @ basis.
+        proj = self.basis.T @ tile.T
+        column = np.empty((len(proj) + 1, len(tile)))
+        np.multiply(proj, -2.0, out=column[:-1])
+        np.subtract((proj * proj).sum(axis=0), BOUND_GAMMA / 4 * s_sq, out=column[-1])
+        could = np.empty(len(rows), dtype=bool)
+        for b in _blocks(len(rows)):
+            nearest = np.fmin.reduce(self.lifted[rows[b]] @ column, axis=1)
+            could[b] = nearest <= self.threshold[rows[b]]
+        return could
+
+
+def _principal_axes(moment: np.ndarray) -> np.ndarray:
+    """An orthonormal (dims, ``BOUND_RANK``) basis near the top eigenvectors
+    of the covariance ``moment``: ``BOUND_SWEEPS`` sweeps of subspace
+    iteration from the unit axes of largest variance, each product made
+    orthonormal by Gram-Schmidt run twice.  The covariance is scaled to its
+    largest entry and shifted by 1e-3 on its diagonal, so every product has
+    full rank, also from fewer than ``BOUND_RANK`` rows.  Only matrix
+    products run: ``np.linalg.eigh`` would map about 1.2 MiB of LAPACK code
+    into the process on its first call."""
+    # One axis per row: (K, dims) products touch fewer BLAS buffer pages.
+    axes = np.zeros((BOUND_RANK, len(moment)))
+    axes[np.arange(BOUND_RANK), np.argsort(np.diag(moment))[-BOUND_RANK:]] = 1.0
+    scaled = moment / max(np.abs(moment).max(), np.finfo(np.float64).tiny)
+    scaled[np.diag_indices_from(scaled)] += 1e-3
+    for _ in range(BOUND_SWEEPS):
+        axes = axes @ scaled  # the covariance is symmetric
+        for j in range(BOUND_RANK):
+            for _ in range(2):
+                axes[j] -= (axes[:j] @ axes[j]) @ axes[:j]
+            axes[j] /= np.sqrt(axes[j] @ axes[j])
+    return axes.T
+
+
+def coverage_bound(real, radii) -> CoverageBound:
+    """The ``CoverageBound`` of the real samples and their radii: the squared
+    norms as ``_sq_norms`` gives them (refusing rows as ``knn_radii`` does),
+    and for rows of ``BOUND_RANK < dims <= BOUND_MAX_DIMS`` values the
+    bound ``covered_fraction`` describes.  Its basis is the real rows' top
+    ``BOUND_RANK`` principal axes (``_principal_axes``), from a covariance
+    summed ``COVERAGE_BLOCK`` rows at a time, halved; a covariance past the
+    float range leaves the bound out.  The rows are gathered twice, a block
+    at a time: for the covariance and norms, then for the projections."""
+    n, dims, rows = _row_source(real)
+    radii = _checked_radii(radii, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not BOUND_RANK < dims <= BOUND_MAX_DIMS:
+            return CoverageBound(_sq_norms(rows(b) for b in _blocks(n)))
+        moment, total = np.zeros((dims, dims)), np.zeros(dims)
+
+        def summed():
+            """Each block for _sq_norms, adding it into the covariance sums."""
+            for b in _blocks(n):
+                r = rows(b)
+                yield r
+                moment[...] += r.T @ r
+                total[...] += r.sum(axis=0)
+
+        r_sq = _sq_norms(summed())
+        moment -= np.outer(total, total / n)
+        if not np.isfinite(moment).all():
+            return CoverageBound(r_sq)
+        basis = _principal_axes(moment) * 0.5
+        # How far 2B is from orthonormal, plus the rounding of its Gram matrix.
+        drift = np.abs(4.0 * (basis.T @ basis) - np.eye(BOUND_RANK)).max() + dims * np.finfo(np.float64).eps
+        lifted = np.ones((n, BOUND_RANK + 1))
+        for b in _blocks(n):
+            lifted[b, :-1] = rows(b) @ basis
+        rho = radii.astype(np.float64)
+        stretch = 1.0 + BOUND_DELTA + BOUND_RANK * drift
+        threshold = (rho * rho * stretch + BOUND_GAMMA * r_sq) / 4 - (lifted[:, :-1] ** 2).sum(axis=1)
+        threshold += np.finfo(np.float64).tiny
+    return CoverageBound(r_sq, basis, lifted, threshold)
+
+
+def covered_fraction(real, synthetic, radii, bound: CoverageBound | None = None) -> float:
     """Fraction of real samples whose nearest synthetic sample lies within
     (<=) that real sample's radius, one finite radius per real sample.
 
@@ -349,21 +471,51 @@ def covered_fraction(real, synthetic, radii) -> float:
     monotone, so a tile's nearest distance is within the radius exactly when
     it bounds the nearest distance overall.  Each tile, and each block of
     the real samples still open, is gathered when it is compared, so memory
-    grows with the tile, the block and one number per real sample, not with
-    either sample count times the values per sample.  Real samples are
+    grows with the tile, the block and a few numbers per real sample, not
+    with either sample count times the values per sample.  Real samples are
     refused as ``knn_radii`` refuses them; a synthetic sample past the
     float range covers nothing.
+
+    Before the distance kernel, an exact lower bound drops the (real row,
+    tile) pairs that cannot cover.  With ``B`` the real rows' top
+    ``BOUND_RANK`` principal axes halved, ``a = rB`` and ``b = sB``,
+    4|a - b|^2 is at most (1 + K*drift)|r - s|^2, drift being how far 2B is
+    from orthonormal (measured when ``B`` is built).  A row stays open to a
+    tile unless, for every row ``s`` of it,
+
+        4(|a|^2 + |b|^2 - 2 a.b) > rho^2 (1 + BOUND_DELTA + K*drift)
+                                   + BOUND_GAMMA (|r|^2 + |s|^2).
+
+    The row terms are folded into one threshold per real row and
+    ``|b|^2 - BOUND_GAMMA |s|^2 / 4`` into the tile's appended column, so
+    the test is one product and one ``np.fmin`` per block.  The slack holds
+    every rounding error: the kernel's distance is within
+    (2 dims + 4) u (|r|^2 + |s|^2) of the true one (u = 2^-53), its root
+    within ``rho`` allows up to rho^2 (1 + 3u), and the projections and
+    the bound's own sums add at most (4.2 sqrt(K) dims + 2.1 K + 7) u
+    (|r|^2 + |s|^2); at ``BOUND_MAX_DIMS`` values all of it is below
+    ``BOUND_GAMMA`` / 200.  The smallest normal float added to the
+    threshold covers subnormal rounding, and halving ``B`` keeps every sum
+    of a pair that could cover within the float range.  A pair the bound
+    drops is thus one the kernel would not count, nan and inf included
+    (``np.fmin`` skips a nan as the kernel's minimum does, and a nan bound
+    drops a row the kernel's nan leaves open).  The rows left open run
+    through the unchanged kernel in blocks of ``COVERAGE_BLOCK``, against
+    the same tile and its norms, so each distance it computes is the one it
+    computed without the bound, and every row leaves at the same tile.
+
+    ``bound``, when given, is ``coverage_bound(real, radii)`` for these same
+    real samples and radii, which a caller comparing one real set with many
+    synthetic sets builds once; when None it is built here.
     """
     (n, dims, real_rows), (m, syn_dims, syn_rows) = _row_source(real), _row_source(synthetic)
     if dims != syn_dims:
         raise DataError(f"real samples have {dims} values and synthetic ones {syn_dims}")
-    radii = np.asarray(radii)
-    if radii.shape != (n,) or radii.dtype.kind not in "iuf" or not np.isfinite(radii).all():
-        raise DataError(
-            f"coverage needs one finite radius per real sample ({n}), "
-            f"got {radii.dtype} radii of shape {radii.shape}"
-        )
-    r_sq = _sq_norms(real_rows(b) for b in _blocks(n))
+    radii = _checked_radii(radii, n)
+    if bound is None:
+        bound = coverage_bound(real, radii)
+    elif bound.r_sq.shape != (n,):
+        raise DataError(f"coverage bound was built for {len(bound.r_sq)} real samples, not {n}")
     open_rows = np.arange(n)
     # A distance past the float range overflows to inf, or to nan where it
     # takes inf - inf; fmin skips the nan, so such a sample covers nothing
@@ -371,12 +523,16 @@ def covered_fraction(real, synthetic, radii) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi in _tiles(m):
             tile = syn_rows(slice(lo, hi))
-            blocks = ((real_rows(open_rows[b]), r_sq[open_rows[b]]) for b in _blocks(len(open_rows)))
-            sq_tile = _sq_distances(blocks, tile, (tile * tile).sum(axis=1))
-            nearest = np.concatenate([np.fmin.reduce(sq, axis=1) for sq in sq_tile])
-            # Compared after the root, as squared distances could flip a tie.
-            nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
-            open_rows = open_rows[~(nearest <= radii[open_rows])]
+            s_sq = (tile * tile).sum(axis=1)
+            could = bound.could_cover(open_rows, tile, s_sq)
+            rows, stays = open_rows[could], ~could
+            if len(rows):
+                blocks = ((real_rows(rows[b]), bound.r_sq[rows[b]]) for b in _blocks(len(rows)))
+                nearest = np.concatenate([np.fmin.reduce(sq, axis=1) for sq in _sq_distances(blocks, tile, s_sq)])
+                # Compared after the root, as squared distances could flip a tie.
+                nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
+                stays[could] = ~(nearest <= radii[rows])
+            open_rows = open_rows[stays]
             if not len(open_rows):
                 break
     return float((n - len(open_rows)) / n)

@@ -471,6 +471,41 @@ class TestTrain:
             train(model, toy_windows(6), toy_windows(2), config)
         assert info.value.where == ("epoch 0", "batch 0")
 
+    def test_overflowing_adam_update_is_named_with_epoch_and_batch(self):
+        """At float32's largest learning rate the step lr * m_hat overflows
+        wherever a gradient passes 1, so the first update leaves infinite
+        parameters: the error names the update, not the next forward pass."""
+        config = TrainConfig(learning_rate=float(np.finfo(np.float32).max), max_epochs=2, patience=1, batch_size=8)
+        with warnings.catch_warnings(), pytest.raises(
+            NumericError, match=r"^non-finite values in adam update \(epoch 0, batch 0\)$"
+        ) as info:
+            warnings.simplefilter("error", RuntimeWarning)
+            train(init_model(18, hidden_size=4, dense_units=4), toy_windows(6), toy_windows(2), config)
+        assert info.value.where == ("epoch 0", "batch 0")
+
+    def test_non_finite_gradients_are_named_with_epoch_and_batch(self, monkeypatch):
+        """A gradient that overflows in BPTT is named before Adam folds it
+        into its moments and the parameters; here the second batch's."""
+        import synthfall.classifier as classifier
+
+        def overflowing(model, batch, labels):
+            loss, grads = compute(model, batch, labels)
+            calls.append(len(labels))
+            if len(calls) == 2:
+                grads["w_h"][0, 0] = np.inf
+            return loss, grads
+
+        compute, calls = classifier.loss_and_gradients, []
+        monkeypatch.setattr(classifier, "loss_and_gradients", overflowing)
+        model = init_model(19, hidden_size=4, dense_units=4)
+        config = TrainConfig(max_epochs=2, patience=1, batch_size=8)
+        with warnings.catch_warnings(), pytest.raises(
+            NumericError, match=r"^non-finite values in gradients \(epoch 0, batch 1\)$"
+        ):
+            warnings.simplefilter("error", RuntimeWarning)
+            train(model, toy_windows(6), toy_windows(2), config)
+        assert np.isfinite(model.flat).all()
+
     def test_validation_set_beyond_float32_is_a_data_error(self):
         val = toy_windows(2, seed=17)
         huge = window_set(val.values * 1e45, val.labels, val.subjects)

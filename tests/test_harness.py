@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import build_dataset, build_synthetic_manifest
 from synthfall.classifier import TrainConfig, init_model
 from synthfall.cli import build_parser, main
-from synthfall import harness, ingest
+from synthfall import harness, ingest, metrics
 from synthfall.errors import ConfigError, DataError, NumericError
 from synthfall.harness import (
     AlignmentOptions,
@@ -47,7 +47,7 @@ from synthfall.metrics import (
     knn_radii,
     ks_two_sample,
 )
-from synthfall.windowing import MixSpec, compose_training_mix, slide_windows, split_subjects
+from synthfall.windowing import MixSpec, WindowSet, compose_training_mix, slide_windows, split_subjects
 
 FAST_TRAIN = {"max_epochs": 6, "patience": 6, "batch_size": 64}
 
@@ -417,6 +417,7 @@ class TestRealSideMemo:
         arrays = [getattr(side, f.name) for f in fields(side) if isinstance(getattr(side, f.name), np.ndarray)]
         assert len(arrays) == 2  # counts, radii
         arrays += [getattr(side.windows, f.name) for f in fields(side.windows) if f.name != "width"]
+        arrays += [getattr(side.bound, f.name) for f in fields(side.bound)]
         for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -449,6 +450,51 @@ class TestRealSideMemo:
         )
         assert bound < 8 * windows * dims
         assert peak < bound
+
+    def test_warm_pass_gathers_no_full_set_of_real_rows(self, tmp_path, calls, monkeypatch):
+        """A warm comparison neither rebuilds the coverage bound nor takes the
+        real rows' squared norms again: it gathers only the real rows the
+        bound leaves open, at most one block at a time.  Against a far
+        generator the bound leaves fewer than one real row in ten."""
+        real = build_dataset(tmp_path, subjects=12, series_len=400, seed=0)
+        near, far = (
+            build_synthetic_manifest(tmp_path, source=f"gen{g}", series=5, series_len=400, seed=30 + g, value_shift=shift)
+            for g, shift in enumerate((0.0, 3.0))
+        )
+        opts = AlignmentOptions(window=64, stride=8, bins=20, k=5)
+        counted = {"bound": 0, "norms": 0}
+        gathered = []
+
+        def counter(name, compute):
+            def counted_call(*args):
+                counted[name] += 1
+                return compute(*args)
+            return counted_call
+
+        def counted_rows(windows, idx=slice(None)):
+            rows = compute_rows(windows, idx)
+            gathered.append((len(windows), len(rows)))
+            return rows
+
+        compute_rows = WindowSet.rows
+        monkeypatch.setattr(WindowSet, "rows", counted_rows)
+        monkeypatch.setattr(harness, "coverage_bound", counter("bound", harness.coverage_bound))
+        monkeypatch.setattr(metrics, "_sq_norms", counter("norms", metrics._sq_norms))
+        reports = [run_alignment(real, near, opts)]
+        assert counted == {"bound": 1, "norms": 2}  # knn_radii's norms and the bound's
+        (side,) = harness._REAL_SIDE.values()
+        n = len(side.radii)
+        assert n == 12 * 43 > COVERAGE_BLOCK
+        for gen, most in ((near, n), (far, n // 10)):
+            gathered.clear()
+            reports.append(run_alignment(real, gen, opts))
+            assert counted == {"bound": 1, "norms": 2}
+            real_rows = [rows for size, rows in gathered if size == n]
+            assert max(real_rows, default=0) <= COVERAGE_BLOCK and sum(real_rows) <= most
+        assert calls["radii"] == [(n, 5)]
+        monkeypatch.undo()
+        for report, gen in zip(reports, (near, near, far)):
+            assert report.to_dict() == replicated_alignment(real, gen, opts).to_dict()
 
     def test_failing_comparison_leaves_the_memo_alone(self, tmp_path, calls):
         real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
@@ -592,6 +638,17 @@ class TestExperimentConfig:
     def test_split_sizes_refused(self, sizes):
         with pytest.raises(ConfigError, match="split sizes"):
             ExperimentConfig(real_manifest="real.json", seed=1, split_sizes=sizes)
+
+    def test_model_size_cap_is_inclusive(self, fixture_dataset, monkeypatch):
+        """Sizes at ``MAX_MODEL_FLOATS`` pass and one float more is refused,
+        for the BPTT history (W=8, B=4, H=2: 9*4*2*2 + 8*4*5*2 floats)."""
+        real, _ = fixture_dataset
+        small = dict(window=8, hidden_size=2, dense_units=2, train=TrainConfig(batch_size=4))
+        monkeypatch.setattr(harness, "MAX_MODEL_FLOATS", 9 * 4 * 2 * 2 + 8 * 4 * 5 * 2)
+        ExperimentConfig(str(real), seed=1, **small)
+        monkeypatch.setattr(harness, "MAX_MODEL_FLOATS", harness.MAX_MODEL_FLOATS - 1)
+        with pytest.raises(ConfigError, match=r"give a BPTT history of 464 floats, above 463$"):
+            ExperimentConfig(str(real), seed=1, **small)
 
     def test_derive_seed_stable(self):
         assert derive_seed(1, 0, "split") == derive_seed(1, 0, "split")
@@ -1290,6 +1347,37 @@ class TestCli:
         # One above the cap: a bin count no test should ever run.
         assert main(["align", *map(str, fixture_dataset), "--bins", "1000001", "--out", str(out)]) == 2
         assert "error: bins must be <= 1000000, got 1000001" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Parameters 4H^2 + 16H + DH + 6D + 1; history (W+1)B*2H + WB*5H; by
+    # default H = D = W = 128 and B = 64.
+    @pytest.mark.parametrize("flags, what, floats", [
+        (["--hidden-size", "200000"], "parameter buffer", 4 * 200000**2 + 16 * 200000 + 128 * 200000 + 6 * 128 + 1),
+        (["--dense-units", "2000000"], "parameter buffer", 4 * 128**2 + 16 * 128 + 2000000 * 128 + 6 * 2000000 + 1),
+        (["--window", "20000"], "BPTT history", 20001 * 64 * 2 * 128 + 20000 * 64 * 5 * 128),
+        (["--batch-size", "100000"], "BPTT history", 129 * 100000 * 2 * 128 + 128 * 100000 * 5 * 128),
+    ], ids=["hidden_size", "dense_units", "window", "batch_size"])
+    def test_model_above_the_cap_exit_2_before_reading(self, tmp_path, capsys, monkeypatch, fixture_dataset,
+                                                         flags, what, floats):
+        """A model whose parameter buffer or BPTT history passes
+        ``MAX_MODEL_FLOATS`` is refused from the sizes alone: no file is
+        read, so nothing of that size is ever allocated."""
+        def no_reading(path, *args, **kwargs):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(ingest, "read_file", no_reading)
+        monkeypatch.setattr(harness, "read_file", no_reading)
+        out = tmp_path / "o"
+        real, _ = fixture_dataset
+        tracemalloc.start()
+        try:
+            code = main(["experiment", "--real-manifest", str(real), "--seed", "1", *flags, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"give a {what} of {floats} floats, above {harness.MAX_MODEL_FLOATS}\n" in capsys.readouterr().err
+        assert peak < 1 << 20
         assert not out.exists()
 
     def test_test_set_beyond_float32_exit_3(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from synthfall import metrics
 from synthfall.errors import ConfigError, DataError
 from synthfall.metrics import (
+    BOUND_MAX_DIMS,
+    BOUND_RANK,
     COVERAGE_BLOCK,
     COVERAGE_TILE,
     MAX_SQ_NORM,
@@ -802,6 +805,166 @@ class TestCoverage:
             coverage(real, real, k=0)
         with pytest.raises(DataError, match="values"):
             coverage(real, rng.normal(size=(5, 3)), k=2)
+
+
+def anisotropic_rows(rng, n, dims, shift=0.0):
+    """``n`` rows of ``dims`` values whose first 8 axes spread 10 times wider
+    than the rest, so a rank-``BOUND_RANK`` projection holds most of each
+    distance."""
+    scale = np.where(np.arange(dims) < 8, 10.0, 1.0)
+    return shift + rng.normal(size=(n, dims)) * scale
+
+
+def edge_synthetic(rng, real, radii, far_rows):
+    """``far_rows`` rows far from every real row, then one row per real row at
+    ``radius * (1 - 1e-12)`` (even rows) or ``radius * (1 + 1e-12)`` (odd
+    rows) from it, along a direction in its wide axes."""
+    direction = np.zeros(real.shape)
+    direction[:, :8] = rng.normal(size=(len(real), 8))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    stretch = np.where(np.arange(len(real)) % 2, 1 + 1e-12, 1 - 1e-12)
+    far = anisotropic_rows(rng, far_rows, real.shape[1], shift=200.0)
+    return np.concatenate([far, real + (radii * stretch)[:, None] * direction])
+
+
+class TestCoverageBound:
+    """covered_fraction's projected lower bound drops only (real row, tile)
+    pairs that cannot cover, so coverage equals the plain expression's on
+    rows longer than ``BOUND_RANK``."""
+
+    @pytest.mark.parametrize("n", [13, BOUND_RANK, 301])
+    def test_rows_at_their_radius_match_the_plain_reference(self, n):
+        """Each real row has a synthetic row just inside (even rows) or just
+        outside (odd rows) its radius, behind a first tile of far rows the
+        bound drops whole; n = 13 and 32 leave the covariance short of
+        ``BOUND_RANK`` axes, and 13 and 301 are not multiples of 8."""
+        rng = np.random.default_rng(700 + n)
+        dims = 3 * BOUND_RANK
+        real = anisotropic_rows(rng, n, dims)
+        radii = knn_radii(real, 5) if n > 5 else np.full(n, 5.0)
+        synthetic = edge_synthetic(rng, real, radii, COVERAGE_TILE)
+        bound = metrics.coverage_bound(real, radii)
+        far = synthetic[:COVERAGE_TILE]
+        assert not bound.could_cover(np.arange(n), far, (far * far).sum(axis=1)).any()
+        expect = float(np.mean(plain_nearest(real, synthetic) <= radii))
+        assert covered_fraction(real, synthetic, radii) == expect
+        assert covered_fraction(real, synthetic, radii, bound) == expect
+        assert expect >= 0.5 - 0.5 / n
+
+    @pytest.mark.parametrize("n", [COVERAGE_BLOCK - 3, COVERAGE_BLOCK + 45])
+    def test_rows_far_from_the_origin_with_small_radii(self, n):
+        """At 1e6 from the origin a distance of 1e-3 is far below the kernel's
+        rounding, and the covariance cancels to noise.  Every radius is the
+        kernel's nearest distance or the float below it, so coverage pins
+        each distance's bits: the bound must drop none of the covered rows."""
+        rng = np.random.default_rng(800 + n)
+        dims = 2 * BOUND_RANK + 5
+        real = 1e6 + 1e-3 * rng.normal(size=(n, dims))
+        synthetic = 1e6 + 1e-3 * rng.normal(size=(300, dims))
+        nearest = plain_nearest(real, synthetic)
+        chosen = rng.random(n) < 0.5
+        radii = np.where(chosen, nearest, np.nextafter(nearest, -np.inf))
+        assert covered_fraction(real, synthetic, radii) == np.count_nonzero(chosen) / n
+
+    def test_synthetic_rows_near_the_float_maximum(self):
+        """Real rows at the squared-norm cap in two clusters, each covered by
+        a synthetic row 2.5 times as far out (squared norm about 0.8 of the
+        float maximum), in a tile that also holds a row past the float
+        range, which covers nothing and hides nothing."""
+        rng = np.random.default_rng(900)
+        dims = BOUND_RANK + 8
+        c = np.sqrt(MAX_SQ_NORM / dims) * 0.99
+        real = np.repeat([[c], [-c]], 6, axis=0) * (1 + 1e-3 * rng.normal(size=(12, dims)))
+        assert ((real * real).sum(axis=1) <= MAX_SQ_NORM).all()
+        radii = knn_radii(real, 6)
+        covering = 2.5 * real[[0, 6]]
+        beyond = np.full((1, dims), 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for synthetic in (covering, np.concatenate([covering[:1], beyond, covering[1:]])):
+                assert covered_fraction(real, synthetic, radii) == 1.0
+            assert covered_fraction(real, beyond, radii) == 0.0
+        with np.errstate(over="ignore"):  # the far cluster's distances pass the float range
+            assert (plain_nearest(real, covering) <= radii).all()
+
+    def test_bound_never_exceeds_the_exact_distance_less_the_slack(self):
+        """Each synthetic row i lies off real row i along one axis of the
+        bound's basis, so the projection holds its whole distance.  With
+        each radius the exact distance (summed in rationals) rounded down,
+        the bound keeps every row open: only its slack covers the rounding.
+        With the radius at half the distance it drops every row near the
+        origin."""
+        rng = np.random.default_rng(1000)
+        dims, n = BOUND_RANK + 16, 80
+        real = np.concatenate([anisotropic_rows(rng, n // 2, dims), anisotropic_rows(rng, n // 2, dims, shift=1e5)])
+        axes = 2 * metrics.coverage_bound(real, np.ones(n)).basis
+        synthetic = real + axes[:, rng.integers(0, BOUND_RANK, size=n)].T * rng.uniform(0.1, 30.0, size=(n, 1))
+
+        def below_exact(r, s):
+            """The largest float whose square is at most the exact |r - s|^2."""
+            sq = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(r, s))
+            rho = math.sqrt(sq)
+            while Fraction(rho) ** 2 > sq:
+                rho = math.nextafter(rho, 0.0)
+            return rho
+
+        exact = np.array([below_exact(r, s) for r, s in zip(real, synthetic)])
+        for radii, near_open in ((exact, n // 2), (exact / 2, 0)):
+            bound = metrics.coverage_bound(real, radii)
+            assert np.array_equal(2 * bound.basis, axes)
+            kept = [bound.could_cover(np.array([i]), s[None], (s * s)[None].sum(axis=1))[0] for i, s in enumerate(synthetic)]
+            # At 1e5 from the origin the slack passes these distances.
+            assert sum(kept[: n // 2]) == near_open and all(kept[n // 2 :])
+
+    def test_identical_real_rows(self):
+        """Real rows with no spread have a zero covariance; the basis is
+        still orthonormal, and a copy of the rows covers each of them at
+        radius 0."""
+        real = np.full((10, BOUND_RANK + 8), 0.5)
+        radii = knn_radii(real, 3)
+        bound = metrics.coverage_bound(real, radii)
+        assert np.abs(4 * bound.basis.T @ bound.basis - np.eye(BOUND_RANK)).max() < 1e-12
+        assert covered_fraction(real, real[:3], radii, bound) == 1.0
+        assert covered_fraction(real, real[:3] + 1e-3, radii, bound) == 0.0
+
+    def test_bound_built_once_per_real_set(self):
+        """The bound depends on the real rows and radii alone: one built for
+        them gives each synthetic set the coverage a fresh one gives, and
+        its arrays are read-only."""
+        rng = np.random.default_rng(1100)
+        dims = BOUND_RANK + 1
+        real = anisotropic_rows(rng, 200, dims)
+        radii = knn_radii(real, 5)
+        bound = metrics.coverage_bound(real, radii)
+        for shift in (0.0, 3.0, 30.0):
+            synthetic = anisotropic_rows(rng, 150, dims, shift=shift)
+            assert covered_fraction(real, synthetic, radii, bound) == covered_fraction(real, synthetic, radii)
+        for arr in (bound.r_sq, bound.basis, bound.lifted, bound.threshold):
+            assert not arr.flags.writeable
+        with pytest.raises(DataError, match="bound was built for 200 real samples, not 199"):
+            covered_fraction(real[:-1], synthetic, radii[:-1], bound)
+
+    @pytest.mark.parametrize("dims, scale", [
+        (BOUND_RANK, 1.0), (BOUND_MAX_DIMS + 1, 1.0), (BOUND_RANK + 8, np.sqrt(MAX_SQ_NORM) * 0.99),
+    ], ids=["short", "long", "covariance_past_the_float_range"])
+    def test_rows_without_a_bound_keep_only_their_norms(self, dims, scale):
+        """Rows of at most ``BOUND_RANK`` or more than ``BOUND_MAX_DIMS``
+        values, and rows whose covariance overflows (ten rows at the norm
+        cap on one axis), meet the kernel unfiltered."""
+        rng = np.random.default_rng(dims)
+        real = rng.normal(size=(10, dims))
+        real[:, 0] = scale * (1 + 1e-3 * real[:, 0]) if scale > 1 else real[:, 0]
+        real[:, 1:] /= scale
+        radii = knn_radii(real, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = metrics.coverage_bound(real, radii)
+        assert bound.basis is bound.lifted is bound.threshold is None
+        assert np.array_equal(bound.r_sq, (real * real).sum(axis=1))
+        synthetic = real[::2] * (1 + 1e-9)
+        with np.errstate(over="ignore"):
+            expect = float(np.mean(plain_nearest(real, synthetic) <= radii))
+        assert covered_fraction(real, synthetic, radii, bound) == expect >= 0.5
 
 
 class TestClassificationMetrics:
