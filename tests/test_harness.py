@@ -920,6 +920,7 @@ class TestReportBytes:
 
     ALIGNMENT = "c86c600f5b4ce805ef3cd00d9a4ab40a5607ee5ffbc626d55e128dbdcb8f5f25"
     EXPERIMENT = "04cdac0cf8a91bedd485c15471e295d6b9a1b1b473ff3de9baca43ec6fc0e5f5"
+    MULTI_BLOCK = "37cb14238e9810b5ce7bb8920753aecb05d03a15590a97fb27d3135d6ef3001c"
 
     @staticmethod
     def digest(files):
@@ -943,6 +944,34 @@ class TestReportBytes:
         ):
             files += harness.report_files(run_alignment(*manifests, opts), "json", "out")
         assert self.digest(files) == self.ALIGNMENT
+
+    def test_alignment_over_several_coverage_blocks_and_tiles(self, tmp_path, monkeypatch):
+        """329 real fall windows (more than one ``COVERAGE_BLOCK``, not a
+        multiple of 8) against 1081 synthetic ones (two ``COVERAGE_TILE``s,
+        the 57 left over joining the second), at 48 values per window, where
+        coverage's projected bound drops some rows: a cold comparison, then a
+        warm one with ``per_axis``.  It runs in a process of one BLAS thread,
+        as radii bits at such counts depend on how BLAS splits the rows."""
+        monkeypatch.chdir(tmp_path)
+        real = build_dataset(Path("."), subjects=7, series_len=200, seed=2)
+        syn = build_synthetic_manifest(Path("."), series=23, series_len=200, seed=3, value_shift=0.3)
+        script = (
+            "import pickle, sys\n"
+            "from synthfall import harness\n"
+            "files = []\n"
+            "for per_axis in (False, True):\n"
+            "    opts = harness.AlignmentOptions(window=16, stride=4, bins=25, k=5, per_axis=per_axis)\n"
+            "    files += harness.report_files(harness.run_alignment(*sys.argv[1:], opts), 'json', 'out')\n"
+            "pickle.dump(files, sys.stdout.buffer)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(real), str(syn)], capture_output=True, check=True,
+            env={
+                **os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                "PYTHONPATH": str(Path(harness.__file__).parents[1]),
+            },
+        )
+        assert self.digest(pickle.loads(done.stdout)) == self.MULTI_BLOCK
 
     def test_experiment_report_and_histories(self, manifests):
         real, syn = manifests
