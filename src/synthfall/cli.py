@@ -123,10 +123,7 @@ def _cmd_kinematics(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    options = AlignmentOptions(
-        window=args.window, stride=args.stride, bins=args.bins, k=args.k,
-        per_axis=args.per_axis,
-    )
+    options = AlignmentOptions(**{f.name: getattr(args, f.name) for f in fields(AlignmentOptions)})
     # Every comparison runs before anything is written, so a failing one
     # leaves no reports behind; the real side is prepared once and kept.
     reports = [run_alignment(args.real_manifest, syn, options) for syn in args.synthetic_manifests]

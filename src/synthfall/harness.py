@@ -191,15 +191,15 @@ class _RealSide:
     """What an alignment computes from its real falls alone: each series'
     length, the scalers of both sides (pooled over axes, then per axis), the
     windows over the raw sample rows they hold (``WindowSet.held``) with the
-    number of windows holding each row, the standardized windows' k-NN radii
-    and their coverage bound (``metrics.coverage_bound``)."""
+    number of windows holding each row, and the coverage bound
+    (``metrics.coverage_bound``) of those windows standardized, which holds
+    them and their k-NN radii."""
 
     lengths: tuple[int, ...]
     scaler: Scaler
     axis_scaler: Scaler
     windows: WindowSet
     counts: np.ndarray
-    radii: np.ndarray
     bound: CoverageBound
 
 
@@ -246,11 +246,11 @@ def _real_side(entries, opts) -> tuple[str, _RealSide]:
     scaler, axis_scaler = _scalers(windows.values)
     windows, counts = windows.held()
     standardized = apply_scaler(scaler, windows)
-    radii = knn_radii(standardized, opts.k)
-    bound = coverage_bound(standardized, radii)
-    for arr in (windows.samples, windows.starts, windows.labels, windows.subjects, counts, radii):
+    bound = coverage_bound(standardized, knn_radii(standardized, opts.k))
+    kept = (getattr(w, name) for w in (windows, standardized) for name in ("samples", "starts", "labels", "subjects"))
+    for arr in (counts, *kept):
         arr.flags.writeable = False
-    return key, _RealSide(lengths, scaler, axis_scaler, windows, counts, radii, bound)
+    return key, _RealSide(lengths, scaler, axis_scaler, windows, counts, bound)
 
 
 def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions | None = None) -> AlignmentReport:
@@ -267,7 +267,8 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     recording of both manifests must share one sampling rate.
 
     What depends on the real falls alone (their held windows and counts,
-    scalers, k-NN radii and coverage bound) is kept for the next call,
+    scalers, and the coverage bound, which holds the standardized windows
+    and their k-NN radii) is kept for the next call,
     keyed by the window, stride, k and the real fall entries' manifest
     fields and file bytes: comparing the same real set with another
     generator reads the real files but parses none of them.  Only the last
@@ -285,9 +286,8 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     _REAL_SIDE.clear()
     _REAL_SIDE[key] = real
 
-    syn_windows, syn_counts = syn_windows.held()
-    real_std, syn_std = (apply_scaler(real.scaler, w) for w in (real.windows, syn_windows))
-    real_vals, syn_vals = real_std.samples, syn_std.samples
+    syn_std = apply_scaler(real.scaler, syn_windows)
+    real_vals, syn_vals, syn_counts = real.bound.real.samples, syn_std.samples, syn_std.counts()
 
     # Each sample's three values share its count.
     real_curve, syn_curve = _density_pair(
@@ -299,7 +299,7 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
         axis: ks_two_sample(real_vals[:, i], syn_vals[:, i], counts=(real.counts, syn_counts))
         for i, axis in enumerate(_AXES)
     }
-    cov = covered_fraction(real_std, syn_std, real.radii, real.bound)
+    cov = covered_fraction(real.bound, syn_std)
 
     jsd_per_axis = None
     if opts.per_axis:

@@ -238,21 +238,21 @@ def jsd(p: DensityCurve, q: DensityCurve) -> float:
 # Coverage
 
 def _row_source(samples):
-    """(count, values per row, take) of a non-empty set of samples, where
-    ``take(idx)`` gives the rows an index array or slice selects as an
-    (n, values) array.  A ``WindowSet`` is gathered from its buffer
+    """(samples, count, values per row, take) of a non-empty set of samples,
+    where ``take(idx)`` gives the rows an index array or slice selects as an
+    (n, values) array.  A ``WindowSet`` is kept and gathered from its buffer
     (``WindowSet.rows``); a matrix (each window of an (N, W, C) array
-    flattened) is indexed, so a slice of it is a view."""
+    flattened) is kept as float64 and indexed, so a slice of it is a view."""
     if isinstance(samples, WindowSet):
-        source = (len(samples), samples.width * 3, samples.rows)
+        source = (samples, len(samples), samples.width * 3, samples.rows)
     else:
         arr = np.ascontiguousarray(samples, dtype=np.float64)
         if arr.ndim == 3:
             arr = arr.reshape(arr.shape[0], -1)
         if arr.ndim != 2:
             raise DataError("expected a non-empty set of windows or sample vectors")
-        source = (*arr.shape, arr.__getitem__)
-    if not source[0]:
+        source = (arr, *arr.shape, arr.__getitem__)
+    if not source[1]:
         raise DataError("expected a non-empty set of windows or sample vectors")
     return source
 
@@ -266,7 +266,7 @@ def coverage(real, synthetic, k: int = 5) -> float:
     lies within (<=) that radius (``covered_fraction``).  Memory grows with
     the sample count, not its square.
     """
-    return covered_fraction(real, synthetic, knn_radii(real, k))
+    return covered_fraction(coverage_bound(real, knn_radii(real, k)), synthetic)
 
 
 def _blocks(n: int):
@@ -325,7 +325,7 @@ def knn_radii(real, k: int) -> np.ndarray:
     passes ``MAX_SQ_NORM`` is refused (``_sq_norms``)."""
     if k < 1:
         raise ConfigError("k must be >= 1")
-    n, _, take = _row_source(real)
+    _, n, _, take = _row_source(real)
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
     r = take(slice(None))
@@ -349,33 +349,29 @@ def _tiles(m: int):
     return zip(edges[:-1], edges[1:])
 
 
-def _checked_radii(radii, n: int) -> np.ndarray:
-    radii = np.asarray(radii)
-    if radii.shape != (n,) or radii.dtype.kind not in "iuf" or not np.isfinite(radii).all():
-        raise DataError(
-            f"coverage needs one finite radius per real sample ({n}), "
-            f"got {radii.dtype} radii of shape {radii.shape}"
-        )
-    return radii
-
-
 @dataclass(frozen=True)
 class CoverageBound:
-    """What ``covered_fraction`` computes from the real rows and their radii
-    alone (``coverage_bound``), kept read-only: each row's squared norm and,
-    for rows of more than ``BOUND_RANK`` and at most ``BOUND_MAX_DIMS``
-    values, the lower bound's halved basis ``B`` (dims, K), each row's
-    ``[rB, 1]`` (n, K + 1) and its threshold (n,).  The last three are None
-    for other row lengths, where every open row meets the distance kernel."""
+    """The real side of ``covered_fraction`` (``coverage_bound``), with its
+    arrays read-only: the real samples as ``_row_source`` keeps them (a
+    matrix as a view of it), a float64 copy of their radii, each row's
+    squared norm and, for rows of more than ``BOUND_RANK`` and at most
+    ``BOUND_MAX_DIMS`` values, the lower bound's halved basis ``B``
+    (dims, K), each row's ``[rB, 1]`` (n, K + 1) and its threshold (n,).
+    The last three are None for other row lengths, where every open row
+    meets the distance kernel."""
 
+    real: WindowSet | np.ndarray
+    radii: np.ndarray
     r_sq: np.ndarray
     basis: np.ndarray | None = None
     lifted: np.ndarray | None = None
     threshold: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.r_sq, self.basis, self.lifted, self.threshold):
-            if arr is not None:
+        if isinstance(self.real, np.ndarray):
+            object.__setattr__(self, "real", self.real.view())
+        for arr in (self.real, self.radii, self.r_sq, self.basis, self.lifted, self.threshold):
+            if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 
     def could_cover(self, rows: np.ndarray, tile: np.ndarray, s_sq: np.ndarray) -> np.ndarray:
@@ -422,19 +418,26 @@ def _principal_axes(moment: np.ndarray) -> np.ndarray:
 
 
 def coverage_bound(real, radii) -> CoverageBound:
-    """The ``CoverageBound`` of the real samples and their radii: the squared
-    norms as ``_sq_norms`` gives them (refusing rows as ``knn_radii`` does),
-    and for rows of ``BOUND_RANK < dims <= BOUND_MAX_DIMS`` values the
-    bound ``covered_fraction`` describes.  Its basis is the real rows' top
-    ``BOUND_RANK`` principal axes (``_principal_axes``), from a covariance
-    summed ``COVERAGE_BLOCK`` rows at a time, halved; a covariance past the
-    float range leaves the bound out.  The rows are gathered twice, a block
-    at a time: for the covariance and norms, then for the projections."""
-    n, dims, rows = _row_source(real)
-    radii = _checked_radii(radii, n)
+    """The ``CoverageBound`` of the real samples and one finite radius per
+    real sample, which keeps both, so ``covered_fraction`` takes it alone:
+    the squared norms as ``_sq_norms`` gives them (refusing rows as
+    ``knn_radii`` does), and for rows of ``BOUND_RANK < dims <=
+    BOUND_MAX_DIMS`` values the bound ``covered_fraction`` describes.  Its
+    basis is the real rows' top ``BOUND_RANK`` principal axes
+    (``_principal_axes``), from a covariance summed ``COVERAGE_BLOCK`` rows at
+    a time, halved; a covariance past the float range leaves the bound out.
+    The rows are gathered twice, a block at a time: for the covariance and
+    norms, then for the projections."""
+    real, n, dims, rows = _row_source(real)
+    radii = np.asarray(radii)
+    if radii.shape != (n,) or radii.dtype.kind not in "iuf" or not np.isfinite(radii).all():
+        raise DataError(
+            f"coverage needs one finite radius per real sample ({n}), got {radii.dtype} radii of shape {radii.shape}"
+        )
+    rho = radii.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         if not BOUND_RANK < dims <= BOUND_MAX_DIMS:
-            return CoverageBound(_sq_norms(rows(b) for b in _blocks(n)))
+            return CoverageBound(real, rho, _sq_norms(rows(b) for b in _blocks(n)))
         moment, total = np.zeros((dims, dims)), np.zeros(dims)
 
         def summed():
@@ -448,23 +451,25 @@ def coverage_bound(real, radii) -> CoverageBound:
         r_sq = _sq_norms(summed())
         moment -= np.outer(total, total / n)
         if not np.isfinite(moment).all():
-            return CoverageBound(r_sq)
+            return CoverageBound(real, rho, r_sq)
         basis = _principal_axes(moment) * 0.5
         # How far 2B is from orthonormal, plus the rounding of its Gram matrix.
         drift = np.abs(4.0 * (basis.T @ basis) - np.eye(BOUND_RANK)).max() + dims * np.finfo(np.float64).eps
         lifted = np.ones((n, BOUND_RANK + 1))
         for b in _blocks(n):
             lifted[b, :-1] = rows(b) @ basis
-        rho = radii.astype(np.float64)
         stretch = 1.0 + BOUND_DELTA + BOUND_RANK * drift
         threshold = (rho * rho * stretch + BOUND_GAMMA * r_sq) / 4 - (lifted[:, :-1] ** 2).sum(axis=1)
         threshold += np.finfo(np.float64).tiny
-    return CoverageBound(r_sq, basis, lifted, threshold)
+    return CoverageBound(real, rho, r_sq, basis, lifted, threshold)
 
 
-def covered_fraction(real, synthetic, radii, bound: CoverageBound | None = None) -> float:
-    """Fraction of real samples whose nearest synthetic sample lies within
-    (<=) that real sample's radius, one finite radius per real sample.
+def covered_fraction(bound: CoverageBound, synthetic) -> float:
+    """Fraction of the real samples of ``bound`` (``coverage_bound``) whose
+    nearest synthetic sample lies within (<=) that real sample's radius.
+    The bound holds the real rows it was built from and their radii, so it
+    can be paired with no other: a caller comparing one real set with many
+    synthetic sets builds it once.
 
     The synthetic samples are compared one column tile at a time, and a real
     sample leaves once a tile covers it: ``min``, the clamp and the root are
@@ -472,9 +477,8 @@ def covered_fraction(real, synthetic, radii, bound: CoverageBound | None = None)
     it bounds the nearest distance overall.  Each tile, and each block of
     the real samples still open, is gathered when it is compared, so memory
     grows with the tile, the block and a few numbers per real sample, not
-    with either sample count times the values per sample.  Real samples are
-    refused as ``knn_radii`` refuses them; a synthetic sample past the
-    float range covers nothing.
+    with either sample count times the values per sample.  A synthetic
+    sample past the float range covers nothing.
 
     Before the distance kernel, an exact lower bound drops the (real row,
     tile) pairs that cannot cover.  With ``B`` the real rows' top
@@ -503,19 +507,10 @@ def covered_fraction(real, synthetic, radii, bound: CoverageBound | None = None)
     through the unchanged kernel in blocks of ``COVERAGE_BLOCK``, against
     the same tile and its norms, so each distance it computes is the one it
     computed without the bound, and every row leaves at the same tile.
-
-    ``bound``, when given, is ``coverage_bound(real, radii)`` for these same
-    real samples and radii, which a caller comparing one real set with many
-    synthetic sets builds once; when None it is built here.
     """
-    (n, dims, real_rows), (m, syn_dims, syn_rows) = _row_source(real), _row_source(synthetic)
+    (_, n, dims, real_rows), (_, m, syn_dims, syn_rows) = _row_source(bound.real), _row_source(synthetic)
     if dims != syn_dims:
         raise DataError(f"real samples have {dims} values and synthetic ones {syn_dims}")
-    radii = _checked_radii(radii, n)
-    if bound is None:
-        bound = coverage_bound(real, radii)
-    elif bound.r_sq.shape != (n,):
-        raise DataError(f"coverage bound was built for {len(bound.r_sq)} real samples, not {n}")
     open_rows = np.arange(n)
     # A distance past the float range overflows to inf, or to nan where it
     # takes inf - inf; fmin skips the nan, so such a sample covers nothing
@@ -531,7 +526,7 @@ def covered_fraction(real, synthetic, radii, bound: CoverageBound | None = None)
                 nearest = np.concatenate([np.fmin.reduce(sq, axis=1) for sq in _sq_distances(blocks, tile, s_sq)])
                 # Compared after the root, as squared distances could flip a tie.
                 nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
-                stays[could] = ~(nearest <= radii[rows])
+                stays[could] = ~(nearest <= bound.radii[rows])
             open_rows = open_rows[stays]
             if not len(open_rows):
                 break
@@ -556,14 +551,19 @@ def classification_metrics(probabilities, labels, threshold: float = 0.5) -> Cla
     """Confusion counts and precision/recall/F1 at a probability threshold.
 
     Predicts the positive (fall) class when probability >= threshold; zero
-    denominators yield 0 by convention.
+    denominators yield 0 by convention.  Labels other than 0 and 1 and
+    non-finite probabilities are refused.
     """
     probs = np.asarray(probabilities, dtype=np.float64).ravel()
-    y = np.asarray(labels).ravel().astype(np.int64)
+    y = np.asarray(labels).ravel()
     if probs.size != y.size:
         raise DataError(f"length mismatch: {probs.size} probabilities vs {y.size} labels")
     if probs.size == 0:
         raise DataError("classification_metrics requires at least one sample")
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be 0 or 1")
+    if not np.isfinite(probs).all():
+        raise DataError("probabilities must be finite")
     pred = probs >= threshold
     pos = y == 1
     tp = int(np.sum(pred & pos))

@@ -415,13 +415,14 @@ class TestRealSideMemo:
         self.check(real, gen)
         (side,) = harness._REAL_SIDE.values()
         arrays = [getattr(side, f.name) for f in fields(side) if isinstance(getattr(side, f.name), np.ndarray)]
-        assert len(arrays) == 2  # counts, radii
-        arrays += [getattr(side.windows, f.name) for f in fields(side.windows) if f.name != "width"]
-        arrays += [getattr(side.bound, f.name) for f in fields(side.bound)]
+        assert len(arrays) == 1  # counts
+        for windows in (side.windows, side.bound.real):
+            arrays += [getattr(windows, f.name) for f in fields(windows) if f.name != "width"]
+        arrays += [getattr(side.bound, f.name) for f in fields(side.bound) if f.name != "real"]
         for arr in arrays:
             assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            side.radii[0] = 0.0
+            side.bound.radii[0] = 0.0
 
     def test_warm_peak_grows_with_held_rows_not_window_values(self, tmp_path, calls):
         """Coverage gathers its windows from the standardized held rows as
@@ -440,7 +441,7 @@ class TestRealSideMemo:
             tracemalloc.stop()
         assert calls["radii"] == [(3276, 5)]
         (side,) = harness._REAL_SIDE.values()
-        windows, tile, dims = len(side.radii), report.ks_x.m // opts.window, 3 * opts.window
+        windows, tile, dims = len(side.bound.radii), report.ks_x.m // opts.window, 3 * opts.window
         held = 3 * (len(side.windows.samples) + 400)  # held values of both sides; each synthetic row is held
         bound = 8 * (
             2 * COVERAGE_BLOCK * tile  # the two reused distance buffers
@@ -483,7 +484,7 @@ class TestRealSideMemo:
         reports = [run_alignment(real, near, opts)]
         assert counted == {"bound": 1, "norms": 2}  # knn_radii's norms and the bound's
         (side,) = harness._REAL_SIDE.values()
-        n = len(side.radii)
+        n = len(side.bound.radii)
         assert n == 12 * 43 > COVERAGE_BLOCK
         for gen, most in ((near, n), (far, n // 10)):
             gathered.clear()
@@ -495,6 +496,32 @@ class TestRealSideMemo:
         monkeypatch.undo()
         for report, gen in zip(reports, (near, near, far)):
             assert report.to_dict() == replicated_alignment(real, gen, opts).to_dict()
+
+    def test_warm_pass_standardizes_only_the_synthetic_side(self, tmp_path, calls, monkeypatch):
+        """With ``per_axis`` off, a warm comparison makes one ``apply_scaler``
+        call and one ``WindowSet.held`` call, both on the synthetic windows:
+        the real windows are standardized once, as the coverage bound's
+        rows, and the synthetic counts come from the standardized set."""
+        real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
+        first, second = self.generators(tmp_path, 2)
+        self.check(real, first)
+        scaled, held = [], []
+
+        def counted_scaler(scaler, windows):
+            scaled.append(len(windows))
+            return compute_scaler(scaler, windows)
+
+        def counted_held(windows):
+            held.append(len(windows))
+            return compute_held(windows)
+
+        compute_scaler, compute_held = harness.apply_scaler, WindowSet.held
+        monkeypatch.setattr(harness, "apply_scaler", counted_scaler)
+        monkeypatch.setattr(WindowSet, "held", counted_held)
+        report = run_alignment(real, second, self.OPTS)
+        assert scaled == held == [report.ks_x.m // self.OPTS.window] != [report.ks_x.n // self.OPTS.window]
+        assert report.to_dict() == replicated_alignment(real, second, self.OPTS).to_dict()
+        assert calls["radii"] == [(54, 3)]
 
     def test_failing_comparison_leaves_the_memo_alone(self, tmp_path, calls):
         real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
@@ -1275,11 +1302,15 @@ class TestCli:
         assert code == 2
         assert "error: unknown train config fields: ['seed']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["experiment"])
+    @pytest.mark.parametrize("command", ["experiment", "align"])
     def test_every_config_field_is_a_flag(self, command):
-        dests = set(vars(build_parser().parse_args([command, "--seed", "1"])))
-        expected = {f.name for f in fields(ExperimentConfig) if f.name != "train"}
-        expected |= {f.name for f in fields(TrainConfig)}
+        if command == "align":
+            args, expected = ["real.json", "gen.json"], {f.name for f in fields(AlignmentOptions)}
+        else:
+            args = ["--seed", "1"]
+            expected = {f.name for f in fields(ExperimentConfig) if f.name != "train"}
+            expected |= {f.name for f in fields(TrainConfig)}
+        dests = set(vars(build_parser().parse_args([command, *args])))
         assert expected <= dests, sorted(expected - dests)
 
     @pytest.mark.parametrize("command", ["experiment"])

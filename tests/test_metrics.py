@@ -22,6 +22,7 @@ from synthfall.metrics import (
     _ecdf_gap,
     classification_metrics,
     coverage,
+    coverage_bound,
     covered_fraction,
     histogram_density,
     jsd,
@@ -484,8 +485,8 @@ class TestCoverage:
         nearest = np.sqrt(np.concatenate([d.min(axis=1) for _, d in plain(real, synthetic)]))
         # A radius of exactly the nearest distance covers its row, the next
         # float below it does not: both fractions pin every distance's bits.
-        assert covered_fraction(real, synthetic, nearest) == 1.0
-        assert covered_fraction(real, synthetic, np.nextafter(nearest, -np.inf)) == 0.0
+        assert covered_fraction(coverage_bound(real, nearest), synthetic) == 1.0
+        assert covered_fraction(coverage_bound(real, np.nextafter(nearest, -np.inf)), synthetic) == 0.0
 
     @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
     def test_gathered_rows_match_the_same_rows_as_an_array(self, n):
@@ -501,8 +502,8 @@ class TestCoverage:
         nearest = plain_nearest(real_arr, syn_arr)
         below = np.nextafter(nearest, -np.inf)
         for r, s in ((real, synthetic), (real_arr, syn_arr)):
-            assert covered_fraction(r, s, nearest) == 1.0
-            assert covered_fraction(r, s, below) == 0.0
+            assert covered_fraction(coverage_bound(r, nearest), s) == 1.0
+            assert covered_fraction(coverage_bound(r, below), s) == 0.0
 
     @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
     @pytest.mark.parametrize("dims", [1, 3, 24, 384])
@@ -536,9 +537,9 @@ class TestCoverage:
         assert nearest.max() < plain_nearest(real_arr, syn_arr[:COVERAGE_TILE]).min()
         wide = np.full(first, 1e6)  # the first tile covers these rows
         for r, s in ((real, synthetic), (real_arr, syn_arr)):
-            assert covered_fraction(r, s, np.concatenate([wide, nearest])) == 1.0
+            assert covered_fraction(coverage_bound(r, np.concatenate([wide, nearest])), s) == 1.0
             below = np.concatenate([wide, np.nextafter(nearest, -np.inf)])
-            assert covered_fraction(r, s, below) == first / n
+            assert covered_fraction(coverage_bound(r, below), s) == first / n
 
     @pytest.mark.parametrize("rows", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, 128, COVERAGE_BLOCK])
     def test_one_buffer_kernel_matches_the_two_buffer_expression(self, rows):
@@ -608,13 +609,13 @@ class TestCoverage:
         np.testing.assert_allclose(knn_radii(real, 6), 2 * c * np.sqrt(6), rtol=1e-12)
 
     def test_covered_fraction_refuses_a_real_row_past_the_float_range(self):
-        """covered_fraction refuses real rows as knn_radii does, before the
-        squares overflow into a warning and an uncovered row."""
+        """covered_fraction's bound refuses real rows as knn_radii does,
+        before the squares overflow into a warning and an uncovered row."""
         rng = np.random.default_rng(17)
         real = rng.normal(size=(5, 4))
         real[2, 1] = 1.5e308
         with pytest.raises(DataError, match="^real sample 2 has a non-finite squared norm$"):
-            covered_fraction(real, rng.normal(size=(6, 4)), np.ones(5))
+            covered_fraction(coverage_bound(real, np.ones(5)), rng.normal(size=(6, 4)))
 
     def test_a_synthetic_window_past_the_float_range_hides_no_covering_one(self):
         """Adding a synthetic window never lowers coverage.  Distances to a
@@ -701,7 +702,7 @@ class TestCoverage:
             synthetic[: n // 2] = real[: n // 2]
             tracemalloc.start()
             try:
-                assert covered_fraction(real, synthetic, radii) == 0.5
+                assert covered_fraction(coverage_bound(real, radii), synthetic) == 0.5
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -746,11 +747,11 @@ class TestCoverage:
         nearest = np.sqrt(sq.min(axis=1).astype(np.float64))
         below = np.nextafter(nearest, -np.inf)
         real, synthetic = real.astype(np.float64), synthetic.astype(np.float64)
-        assert covered_fraction(real, synthetic, nearest) == 1.0
-        assert covered_fraction(real, synthetic, below) == 0.0
+        assert covered_fraction(coverage_bound(real, nearest), synthetic) == 1.0
+        assert covered_fraction(coverage_bound(real, below), synthetic) == 0.0
         chosen = rng.random(n) < 0.5
         radii = np.where(chosen, nearest, below)
-        assert covered_fraction(real, synthetic, radii) == np.count_nonzero(chosen) / n
+        assert covered_fraction(coverage_bound(real, radii), synthetic) == np.count_nonzero(chosen) / n
 
     @pytest.mark.parametrize(
         "radii, n",
@@ -767,7 +768,7 @@ class TestCoverage:
         rng = np.random.default_rng(13)
         real = rng.normal(size=(n, 4))
         with pytest.raises(DataError, match="one finite radius per real sample"):
-            covered_fraction(real, real.copy(), radii)
+            covered_fraction(coverage_bound(real, radii), real.copy())
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -843,12 +844,12 @@ class TestCoverageBound:
         real = anisotropic_rows(rng, n, dims)
         radii = knn_radii(real, 5) if n > 5 else np.full(n, 5.0)
         synthetic = edge_synthetic(rng, real, radii, COVERAGE_TILE)
-        bound = metrics.coverage_bound(real, radii)
+        bound = coverage_bound(real, radii)
         far = synthetic[:COVERAGE_TILE]
         assert not bound.could_cover(np.arange(n), far, (far * far).sum(axis=1)).any()
         expect = float(np.mean(plain_nearest(real, synthetic) <= radii))
-        assert covered_fraction(real, synthetic, radii) == expect
-        assert covered_fraction(real, synthetic, radii, bound) == expect
+        assert covered_fraction(coverage_bound(real, radii), synthetic) == expect
+        assert covered_fraction(bound, synthetic) == expect
         assert expect >= 0.5 - 0.5 / n
 
     @pytest.mark.parametrize("n", [COVERAGE_BLOCK - 3, COVERAGE_BLOCK + 45])
@@ -864,7 +865,7 @@ class TestCoverageBound:
         nearest = plain_nearest(real, synthetic)
         chosen = rng.random(n) < 0.5
         radii = np.where(chosen, nearest, np.nextafter(nearest, -np.inf))
-        assert covered_fraction(real, synthetic, radii) == np.count_nonzero(chosen) / n
+        assert covered_fraction(coverage_bound(real, radii), synthetic) == np.count_nonzero(chosen) / n
 
     def test_synthetic_rows_near_the_float_maximum(self):
         """Real rows at the squared-norm cap in two clusters, each covered by
@@ -882,8 +883,8 @@ class TestCoverageBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for synthetic in (covering, np.concatenate([covering[:1], beyond, covering[1:]])):
-                assert covered_fraction(real, synthetic, radii) == 1.0
-            assert covered_fraction(real, beyond, radii) == 0.0
+                assert covered_fraction(coverage_bound(real, radii), synthetic) == 1.0
+            assert covered_fraction(coverage_bound(real, radii), beyond) == 0.0
         with np.errstate(over="ignore"):  # the far cluster's distances pass the float range
             assert (plain_nearest(real, covering) <= radii).all()
 
@@ -897,7 +898,7 @@ class TestCoverageBound:
         rng = np.random.default_rng(1000)
         dims, n = BOUND_RANK + 16, 80
         real = np.concatenate([anisotropic_rows(rng, n // 2, dims), anisotropic_rows(rng, n // 2, dims, shift=1e5)])
-        axes = 2 * metrics.coverage_bound(real, np.ones(n)).basis
+        axes = 2 * coverage_bound(real, np.ones(n)).basis
         synthetic = real + axes[:, rng.integers(0, BOUND_RANK, size=n)].T * rng.uniform(0.1, 30.0, size=(n, 1))
 
         def below_exact(r, s):
@@ -910,7 +911,7 @@ class TestCoverageBound:
 
         exact = np.array([below_exact(r, s) for r, s in zip(real, synthetic)])
         for radii, near_open in ((exact, n // 2), (exact / 2, 0)):
-            bound = metrics.coverage_bound(real, radii)
+            bound = coverage_bound(real, radii)
             assert np.array_equal(2 * bound.basis, axes)
             kept = [bound.could_cover(np.array([i]), s[None], (s * s)[None].sum(axis=1))[0] for i, s in enumerate(synthetic)]
             # At 1e5 from the origin the slack passes these distances.
@@ -922,27 +923,50 @@ class TestCoverageBound:
         radius 0."""
         real = np.full((10, BOUND_RANK + 8), 0.5)
         radii = knn_radii(real, 3)
-        bound = metrics.coverage_bound(real, radii)
+        bound = coverage_bound(real, radii)
         assert np.abs(4 * bound.basis.T @ bound.basis - np.eye(BOUND_RANK)).max() < 1e-12
-        assert covered_fraction(real, real[:3], radii, bound) == 1.0
-        assert covered_fraction(real, real[:3] + 1e-3, radii, bound) == 0.0
+        assert covered_fraction(bound, real[:3]) == 1.0
+        assert covered_fraction(bound, real[:3] + 1e-3) == 0.0
 
     def test_bound_built_once_per_real_set(self):
         """The bound depends on the real rows and radii alone: one built for
         them gives each synthetic set the coverage a fresh one gives, and
-        its arrays are read-only."""
+        its arrays are read-only, while the caller's rows and radii stay
+        writeable."""
         rng = np.random.default_rng(1100)
         dims = BOUND_RANK + 1
         real = anisotropic_rows(rng, 200, dims)
         radii = knn_radii(real, 5)
-        bound = metrics.coverage_bound(real, radii)
+        bound = coverage_bound(real, radii)
         for shift in (0.0, 3.0, 30.0):
             synthetic = anisotropic_rows(rng, 150, dims, shift=shift)
-            assert covered_fraction(real, synthetic, radii, bound) == covered_fraction(real, synthetic, radii)
-        for arr in (bound.r_sq, bound.basis, bound.lifted, bound.threshold):
+            assert covered_fraction(bound, synthetic) == covered_fraction(coverage_bound(real, radii), synthetic)
+        for arr in (bound.real, bound.radii, bound.r_sq, bound.basis, bound.lifted, bound.threshold):
             assert not arr.flags.writeable
-        with pytest.raises(DataError, match="bound was built for 200 real samples, not 199"):
-            covered_fraction(real[:-1], synthetic, radii[:-1], bound)
+        assert real.flags.writeable and radii.flags.writeable
+
+    @pytest.mark.parametrize("rows", ["matrix", "windows"])
+    def test_bound_of_halved_radii_covers_at_the_halved_radii(self, rows):
+        """The bound carries the radii it was built from: one built from
+        halved radii gives the plain reference's coverage at those halved
+        radii, on 300 rows of 48 values, where the bound applies."""
+        rng = np.random.default_rng(1200)
+        real_arr = rng.normal(size=(300, 48))
+        syn_arr = real_arr[rng.permutation(300)[:250]] + 0.6 * rng.normal(size=(250, 48))
+        radii = knn_radii(real_arr, 5)
+        nearest = plain_nearest(real_arr, syn_arr)
+        if rows == "windows":  # each row as a window of 16 samples, laid end to end
+            real, synthetic = (windows_over(a.reshape(-1, 3), np.arange(len(a)) * 16, 16) for a in (real_arr, syn_arr))
+        else:
+            real, synthetic = real_arr, syn_arr
+        fractions = []
+        for scale in (1.0, 0.5):
+            expect = float(np.mean(nearest <= radii * scale))
+            bound = coverage_bound(real, radii * scale)
+            assert np.array_equal(bound.radii, radii * scale)
+            assert covered_fraction(bound, synthetic) == expect
+            fractions.append(expect)
+        assert fractions[0] > fractions[1] > 0.0
 
     @pytest.mark.parametrize("dims, scale", [
         (BOUND_RANK, 1.0), (BOUND_MAX_DIMS + 1, 1.0), (BOUND_RANK + 8, np.sqrt(MAX_SQ_NORM) * 0.99),
@@ -958,13 +982,13 @@ class TestCoverageBound:
         radii = knn_radii(real, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            bound = metrics.coverage_bound(real, radii)
+            bound = coverage_bound(real, radii)
         assert bound.basis is bound.lifted is bound.threshold is None
         assert np.array_equal(bound.r_sq, (real * real).sum(axis=1))
         synthetic = real[::2] * (1 + 1e-9)
         with np.errstate(over="ignore"):
             expect = float(np.mean(plain_nearest(real, synthetic) <= radii))
-        assert covered_fraction(real, synthetic, radii, bound) == expect >= 0.5
+        assert covered_fraction(bound, synthetic) == expect >= 0.5
 
 
 class TestClassificationMetrics:
@@ -994,6 +1018,21 @@ class TestClassificationMetrics:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             classification_metrics([0.5], [1, 0])
+
+    @pytest.mark.parametrize("labels", [[1.7, 0], [2, 0], [-1, 0], [1, np.nan], ["1", "0"]])
+    def test_labels_other_than_0_and_1_refused(self, labels):
+        with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+            classification_metrics([0.9, 0.1], labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probabilities_refused(self, bad):
+        with pytest.raises(DataError, match="^probabilities must be finite$"):
+            classification_metrics([0.9, bad], [1, 0])
+
+    def test_float_and_bool_labels_count_as_integers(self):
+        expect = classification_metrics([0.9, 0.1, 0.7], [1, 0, 0])
+        for labels in ([1.0, 0.0, 0.0], [True, False, False]):
+            assert classification_metrics([0.9, 0.1, 0.7], labels) == expect
 
     def test_brute_force_agreement(self):
         rng = np.random.default_rng(7)
