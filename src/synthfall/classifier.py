@@ -30,8 +30,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Gate blocks of the fused LSTM tensors, in row order: the three sigmoid gates
-# (input, forget, output) fill columns [0, 3H) of a step's gate activations,
-# the tanh cell candidate g fills [3H, 4H).
+# (input, forget, output) fill columns [0, 3H) of a step's pre-activations
+# and blocks 0-2 of its gate-major activations, the tanh cell candidate g
+# fills [3H, 4H) and block 3.
 GATE_ORDER = ("i", "f", "o", "g")
 # The seeded init draws the blocks in (i, f, c, o) order, c being the cell
 # candidate; this permutation takes that order to GATE_ORDER.
@@ -177,8 +178,12 @@ def _lstm(model: ModelParams, batch: np.ndarray, keep_history: bool):
     ``history`` is None unless ``keep_history``; then it holds what BPTT reads,
     time-major: the inputs ``x (W*B, I)``, ``h`` and ``c`` of shape
     ``(W+1, B, H)`` (index t is the state before step t), the activated gates
-    ``(W, B, 4H)`` and ``tanh(c)`` ``(W, B, H)``.  Without history the same
-    arithmetic runs on one-step state buffers, so results are bit-equal.
+    gate-major, ``(W, 4, B, H)`` in ``GATE_ORDER``, and ``tanh(c)``
+    ``(W, B, H)``.  The gates lie over the memory of the input projection
+    ``(W, B, 4H)``: step t's block is the same bytes in both views, and each
+    step rewrites its block gate-major, so every elementwise pass runs on
+    contiguous ``(B, H)`` blocks.  Without history the same arithmetic runs on
+    one-step state buffers, so results are bit-equal.
     """
     b, w, n_in = batch.shape
     hid = model.hidden_size
@@ -186,26 +191,76 @@ def _lstm(model: ModelParams, batch: np.ndarray, keep_history: bool):
     x = np.ascontiguousarray(batch.transpose(1, 0, 2)).reshape(w * b, n_in)
     # Input projections for the whole window at once; only the recurrent part
     # has to run step by step.
-    gates = (x @ model.w_x.T).reshape(w, b, 4 * hid)
-    gates += model.b
+    proj = (x @ model.w_x.T).reshape(w, b, 4 * hid)
+    proj += model.b
+    gates = proj.reshape(w, 4, b, hid)
     w_h_t = model.w_h.T
     n_states = w + 1 if keep_history else 1
     h = np.zeros((n_states, b, hid), dtype=dtype)
     c = np.zeros((n_states, b, hid), dtype=dtype)
     tanh_c = np.empty((w if keep_history else 1, b, hid), dtype=dtype)
+    # One step's pre-activations, row-major (B, 4H), and i * g.
+    pre = np.empty((b, 4 * hid), dtype=dtype)
+    i_g = np.empty((b, hid), dtype=dtype)
     for t in range(w):
         now, nxt = (t, t + 1) if keep_history else (0, 0)
+        np.matmul(h[now], w_h_t, out=pre)
+        pre += proj[t]
         a = gates[t]
-        a += h[now] @ w_h_t
-        a[:, : 3 * hid] = _sigmoid(a[:, : 3 * hid])
-        np.tanh(a[:, 3 * hid :], out=a[:, 3 * hid :])
-        i_t, f_t, o_t, g_t = (a[:, k * hid : (k + 1) * hid] for k in range(4))
+        a[...] = pre.reshape(b, 4, hid).transpose(1, 0, 2)
+        # _sigmoid's float ops, in place on the three sigmoid gates.
+        s = a[:3]
+        s *= 0.5
+        np.tanh(s, out=s)
+        s += 1.0
+        s *= 0.5
+        i_t, f_t, o_t, g_t = a
+        np.tanh(g_t, out=g_t)
         np.multiply(f_t, c[now], out=c[nxt])
-        c[nxt] += i_t * g_t
+        np.multiply(i_t, g_t, out=i_g)
+        c[nxt] += i_g
         np.tanh(c[nxt], out=tanh_c[now])
         np.multiply(o_t, tanh_c[now], out=h[nxt])
     history = (x, h, c, gates, tanh_c) if keep_history else None
     return h[-1], history
+
+
+def _bptt(model: ModelParams, history, dh: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backpropagate ``dh``, the loss gradient of the last hidden state,
+    through every step of ``history``; returns the gradients of ``w_x``,
+    ``w_h`` and ``b``.
+
+    Step t's gate activations are read only by step t, so each step
+    overwrites its block with its pre-activation gradient, row-major
+    ``(B, 4H)``; after the loop the buffer holds da for every step in the
+    projection's layout, and the weight gradients are one matmul or
+    reduction each over all W*B rows.
+    """
+    x, h, c, gates, tanh_c = history
+    w, _, b, hid = gates.shape
+    da_rows = gates.reshape(w, b, 4 * hid)
+    # One step's da, gate-major.
+    da = np.empty((4, b, hid), dtype=gates.dtype)
+    dc = np.zeros_like(dh)
+    for t in range(w - 1, -1, -1):
+        a = gates[t]
+        i_t, f_t, o_t, g_t = a
+        tc = tanh_c[t]
+        dc += dh * o_t * (1.0 - tc * tc)
+        # da_i, da_f and da_o as one (3, B, H) product: (dc*g, dc*c,
+        # dh*tanh(c)) times s, then times 1 - s, of their gate s.
+        np.multiply(dc, g_t, out=da[0])
+        np.multiply(dc, c[t], out=da[1])
+        np.multiply(dh, tc, out=da[2])
+        da[:3] *= a[:3]
+        da[:3] *= 1.0 - a[:3]
+        np.multiply(dc, i_t, out=da[3])
+        da[3] *= 1.0 - g_t * g_t
+        dc *= f_t
+        da_rows[t].reshape(b, 4, hid)[...] = da.transpose(1, 0, 2)
+        dh = da_rows[t] @ model.w_h
+    da_all = da_rows.reshape(w * b, 4 * hid)
+    return da_all.T @ x, da_all.T @ h[:w].reshape(w * b, hid), da_all.sum(axis=0)
 
 
 def _forward(model: ModelParams, batch: np.ndarray, train: bool):
@@ -218,7 +273,12 @@ def _forward(model: ModelParams, batch: np.ndarray, train: bool):
     m = model
     dtype = m.dtype
     h_t, history = _lstm(m, batch, train)
-    _check_finite("lstm", h_t)
+    if not np.all(np.isfinite(h_t)):
+        # Error path only: run again keeping every hidden state, to name the
+        # first step whose hidden state is non-finite.
+        h_all = _lstm(m, batch, True)[1][1]
+        step = int(np.argmin(np.isfinite(h_all[1:]).all(axis=(1, 2))))
+        raise NumericError("non-finite values in lstm", (f"step {step}",))
 
     z1 = h_t @ m.dense1_w.T + m.dense1_b
     _check_finite("dense1", z1)
@@ -293,7 +353,7 @@ def loss_and_gradients(model: ModelParams, batch, labels):
     loss = _bce(p, y)
 
     m = model
-    b, w, _ = arr.shape
+    b = arr.shape[0]
     dtype = m.dtype
 
     # Head gradients.  Clipped probabilities pass no gradient, matching the
@@ -323,32 +383,11 @@ def loss_and_gradients(model: ModelParams, batch, labels):
     g_dense1_b = dz1.sum(axis=0)
     dh = dz1 @ m.dense1_w
 
-    # BPTT.  Step t's gate activations are read only by step t, so each step
-    # overwrites them with its pre-activation gradient; after the loop
-    # ``gates`` holds da for every step and the weight gradients are one
-    # matmul or reduction each over all W*B rows.
-    x, h, c, gates, tanh_c = cache["history"]
-    hid = m.hidden_size
-    dc = np.zeros_like(dh)
-    for t in range(w - 1, -1, -1):
-        a = gates[t]
-        i_t, f_t, o_t, g_t = (a[:, k * hid : (k + 1) * hid] for k in range(4))
-        tc = tanh_c[t]
-        do = dh * tc
-        dc += dh * o_t * (1.0 - tc * tc)
-        da_i = dc * g_t * i_t * (1.0 - i_t)
-        da_f = dc * c[t] * f_t * (1.0 - f_t)
-        da_o = do * o_t * (1.0 - o_t)
-        da_g = dc * i_t * (1.0 - g_t * g_t)
-        dc *= f_t
-        for k, da in enumerate((da_i, da_f, da_o, da_g)):
-            a[:, k * hid : (k + 1) * hid] = da
-        dh = a @ m.w_h
-    da_all = gates.reshape(w * b, 4 * hid)
+    g_w_x, g_w_h, g_b = _bptt(m, cache["history"], dh)
     grads = {
-        "w_x": da_all.T @ x,
-        "w_h": da_all.T @ h[:w].reshape(w * b, hid),
-        "b": da_all.sum(axis=0),
+        "w_x": g_w_x,
+        "w_h": g_w_h,
+        "b": g_b,
         "dense1_w": g_dense1_w,
         "dense1_b": g_dense1_b,
         "bn_gamma": g_bn_gamma,

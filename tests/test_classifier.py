@@ -105,6 +105,67 @@ def reference_adam_epochs(model, windows, config, seed):
     return snapshots
 
 
+def row_major_lstm(model, batch, keep_history):
+    """The LSTM pass as it ran with a row-major ``(W, B, 4H)`` gate history,
+    each gate a strided column block, kept verbatim as a bit-for-bit oracle
+    for the gate-major pass."""
+    b, w, n_in = batch.shape
+    hid = model.hidden_size
+    dtype = model.dtype
+    x = np.ascontiguousarray(batch.transpose(1, 0, 2)).reshape(w * b, n_in)
+    gates = (x @ model.w_x.T).reshape(w, b, 4 * hid)
+    gates += model.b
+    w_h_t = model.w_h.T
+    n_states = w + 1 if keep_history else 1
+    h = np.zeros((n_states, b, hid), dtype=dtype)
+    c = np.zeros((n_states, b, hid), dtype=dtype)
+    tanh_c = np.empty((w if keep_history else 1, b, hid), dtype=dtype)
+    for t in range(w):
+        now, nxt = (t, t + 1) if keep_history else (0, 0)
+        a = gates[t]
+        a += h[now] @ w_h_t
+        a[:, : 3 * hid] = _sigmoid(a[:, : 3 * hid])
+        np.tanh(a[:, 3 * hid :], out=a[:, 3 * hid :])
+        i_t, f_t, o_t, g_t = (a[:, k * hid : (k + 1) * hid] for k in range(4))
+        np.multiply(f_t, c[now], out=c[nxt])
+        c[nxt] += i_t * g_t
+        np.tanh(c[nxt], out=tanh_c[now])
+        np.multiply(o_t, tanh_c[now], out=h[nxt])
+    history = (x, h, c, gates, tanh_c) if keep_history else None
+    return h[-1], history
+
+
+def row_major_bptt(model, history, dh):
+    """BPTT over ``row_major_lstm``'s history, kept verbatim likewise."""
+    x, h, c, gates, tanh_c = history
+    w, b, _ = gates.shape
+    hid = model.hidden_size
+    dc = np.zeros_like(dh)
+    for t in range(w - 1, -1, -1):
+        a = gates[t]
+        i_t, f_t, o_t, g_t = (a[:, k * hid : (k + 1) * hid] for k in range(4))
+        tc = tanh_c[t]
+        do = dh * tc
+        dc += dh * o_t * (1.0 - tc * tc)
+        da_i = dc * g_t * i_t * (1.0 - i_t)
+        da_f = dc * c[t] * f_t * (1.0 - f_t)
+        da_o = do * o_t * (1.0 - o_t)
+        da_g = dc * i_t * (1.0 - g_t * g_t)
+        dc *= f_t
+        for k, da in enumerate((da_i, da_f, da_o, da_g)):
+            a[:, k * hid : (k + 1) * hid] = da
+        dh = a @ model.w_h
+    da_all = gates.reshape(w * b, 4 * hid)
+    return da_all.T @ x, da_all.T @ h[:w].reshape(w * b, hid), da_all.sum(axis=0)
+
+
+def train_then_eval(model, batch, labels):
+    """One train-mode pass, then an eval pass with the moved BN statistics:
+    (loss, gradients, parameter buffer after the pass, probabilities)."""
+    loss, grads = loss_and_gradients(model, batch, labels)
+    return loss, grads, model.flat.copy(), forward(model, batch)
+
+
 def stump_f1(windows):
     """Decision-stump oracle: best threshold on the window mean."""
     means = np.array([v.mean() for v in windows.values])
@@ -305,6 +366,89 @@ class TestForward:
         assert peak(batch) - peak(batch[:EVAL_BATCH]) < gate_buffer
 
 
+# Batch sizes of the oracle grid: below, at and past BLAS's small-matrix
+# kernels and the 2-thread row split.
+ORACLE_BATCHES = (1, 2, 3, 4, 5, 17, 64, 333)
+
+
+class TestGateMajorLayout:
+    """The gate-major pass makes the same matrix products as the row-major
+    one, so every result keeps its bits; CI runs this class with one BLAS
+    thread and with the runner's thread count."""
+
+    @pytest.mark.parametrize("dtype, hidden, width", [
+        *((np.float32, hid, w) for hid in (4, 7, 64) for w in (1, 9, 128)),
+        *((np.float64, hid, w) for hid in (4, 7, 64) for w in (1, 9)),
+    ])
+    def test_bit_equal_to_row_major_oracle(self, monkeypatch, dtype, hidden, width):
+        import synthfall.classifier as classifier
+
+        for b in ORACLE_BATCHES:
+            rng = np.random.default_rng([hidden, width, b])
+            model = init_model(hidden * 1000 + width, hidden_size=hidden, dense_units=5, dtype=dtype)
+            batch = rng.normal(size=(b, width, 3)).astype(dtype)
+            labels = rng.integers(0, 2, b)
+            got = train_then_eval(model.copy(), batch, labels)
+            with monkeypatch.context() as patch:
+                patch.setattr(classifier, "_lstm", row_major_lstm)
+                patch.setattr(classifier, "_bptt", row_major_bptt)
+                want = train_then_eval(model.copy(), batch, labels)
+            assert got[0] == want[0], f"loss, B={b}"
+            assert got[1].keys() == want[1].keys()
+            for name in want[1]:
+                assert got[1][name].dtype == dtype and np.array_equal(got[1][name], want[1][name]), f"{name}, B={b}"
+            assert np.array_equal(got[2], want[2]), f"parameters and BN statistics, B={b}"
+            assert np.array_equal(got[3], want[3]), f"forward, B={b}"
+
+    def test_bptt_keeps_no_second_gate_buffer(self):
+        """The gate history lies over the input projection's memory and BPTT
+        writes each step's gradient over its block, so one pass peaks below
+        the history plus a quarter of the gate buffer."""
+        b, w, hid = 64, 128, 64
+        model = init_model(23, hidden_size=hid, dense_units=hid)
+        batch = np.random.default_rng(23).normal(size=(b, w, 3)).astype(np.float32)
+        labels = np.arange(b) % 2
+        tracemalloc.start()
+        try:
+            loss_and_gradients(model, batch, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        item = np.dtype(np.float32).itemsize
+        gates = w * b * 4 * hid * item
+        # gates, h and c (W+1, B, H), tanh(c) (W, B, H) and the inputs x.
+        history = gates + (2 * (w + 1) * b * hid + w * b * hid + w * b * 3) * item
+        assert peak < history + gates // 4
+
+    def test_lstm_error_names_the_first_non_finite_step(self, monkeypatch):
+        """Only once the last hidden state fails its check is the batch run
+        again, with history, to name the first non-finite step."""
+        import synthfall.classifier as classifier
+
+        calls = []
+
+        def counted(model, batch, keep_history):
+            calls.append(keep_history)
+            return lstm(model, batch, keep_history)
+
+        lstm = classifier._lstm
+        monkeypatch.setattr(classifier, "_lstm", counted)
+        model = init_model(24, hidden_size=8, dense_units=8)
+        batch = np.random.default_rng(24).normal(size=(3, 12, 3)).astype(np.float32)
+        forward(model, batch)
+        loss_and_gradients(model, batch, [0, 1, 0])
+        assert calls == [False, True]
+
+        batch[1, 9, 0] = np.nan
+        batch[2, 5, 2] = np.nan
+        calls.clear()
+        with pytest.raises(NumericError, match=r"^non-finite values in lstm \(step 5\)$") as info:
+            forward(model, batch)
+        assert info.value.where == ("step 5",) and calls == [False, True]
+        with pytest.raises(NumericError, match=r"^non-finite values in lstm \(step 5\)$"):
+            loss_and_gradients(model, batch, [0, 1, 0])
+
+
 class TestSigmoid:
     def test_float32_extremes(self):
         x = np.array([0.0, 20.0, -20.0, 88.0, -88.0, 1e4, -1e4], dtype=np.float32)
@@ -465,11 +609,11 @@ class TestTrain:
         model.w_h[0, 0] = np.inf
         config = TrainConfig(max_epochs=2, patience=1, batch_size=8)
         with warnings.catch_warnings(), pytest.raises(
-            NumericError, match=r"^non-finite values in lstm \(epoch 0, batch 0\)$"
+            NumericError, match=r"^non-finite values in lstm \(epoch 0, batch 0, step 0\)$"
         ) as info:
             warnings.simplefilter("error", RuntimeWarning)
             train(model, toy_windows(6), toy_windows(2), config)
-        assert info.value.where == ("epoch 0", "batch 0")
+        assert info.value.where == ("epoch 0", "batch 0", "step 0")
 
     def test_overflowing_adam_update_is_named_with_epoch_and_batch(self):
         """At float32's largest learning rate the step lr * m_hat overflows

@@ -1503,4 +1503,4 @@ class TestCli:
             ])
         assert code == 4
         err = capsys.readouterr().err
-        assert "error: non-finite values in lstm (iteration 0, epoch 0, batch 0)" in err
+        assert "error: non-finite values in lstm (iteration 0, epoch 0, batch 0, step 0)" in err
