@@ -493,7 +493,14 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
                     theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                     _check_finite("adam update", theta)
                 except NumericError as exc:
-                    raise exc.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
+                    err = exc
+                    largest = float(np.max(np.abs(theta)))
+                    # Finite parameters this large overflow where two of them
+                    # multiply, so the step size that made them is the cause.
+                    if math.isfinite(largest) and largest >= math.sqrt(np.finfo(model.dtype).max):
+                        cause = f"|parameter| up to {largest:.3g} at learning rate {config.learning_rate:g}"
+                        err = NumericError(exc.message, exc.where + (cause,))
+                    raise err.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
                 total += loss * idx.size
             history.train_loss.append(total / n)
 

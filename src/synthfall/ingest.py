@@ -38,6 +38,21 @@ CSV_HEADER = "x;y;z"
 
 # ---------------------------------------------------------------------------
 # Accelerometer CSV (header `x;y;z`, semicolon-separated, LF line endings)
+#
+# The writer's form of a cell is `-?D{1,7}\.DDDDDD`.  Both directions handle
+# that form with whole-file byte kernels on little-endian '<u8' words, whose
+# lowest byte is a string's first; any other value or body goes through
+# ``%``-formatting or ``float()``, with the same bytes and bits.
+
+_HEAD = (CSV_HEADER + "\n").encode()
+_U8 = np.dtype("<u8")
+_K = np.arange(1000, dtype=np.int64)
+_DIGITS3 = (_K // 100 + 48) | (_K // 10 % 10 + 48) << 8 | (_K % 10 + 48) << 16  # b"000".."999"
+_POW10 = 10 ** np.arange(1, 7, dtype=np.int64)
+_ROW_SEPS = np.frombuffer(b";;\n", np.uint8)
+_SEP_WORDS = _ROW_SEPS.astype(np.int64) << 56
+# _DIGIT_BYTES[d]: the digit values of a word's top d bytes of ASCII digits.
+_DIGIT_BYTES = np.array([((1 << 64) - (1 << 8 * (8 - d))) & 0x0F0F0F0F0F0F0F0F for d in range(9)], _U8)
 
 
 def read_accel_csv(
@@ -53,6 +68,75 @@ def read_accel_csv(
     The file itself carries no rate/label metadata; callers supply it
     (the dataset manifest does for cataloged files).
     """
+    samples = _read_writer_form(data) if isinstance(data, bytes) else None
+    if samples is None:
+        body = _body_lines(data)
+        samples = _parse_body_fast(body)
+        if samples is None:
+            samples = _parse_body(body)
+    return AccelSeries(
+        samples=samples,
+        sampling_rate=sampling_rate,
+        label=label,
+        provenance=provenance,
+        subject_id=subject_id,
+    )
+
+
+def _swar8(w: np.ndarray) -> np.ndarray:
+    """The number spelled by each word's eight digit values 0..9, first byte
+    most significant: pairs, then quads, then all eight (Lemire's reduction)."""
+    w = (w * np.uint64(2561)) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)
+    w = (w * np.uint64(6553601)) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)
+    return (w * np.uint64(42949672960001)) >> np.uint64(32)
+
+
+def _read_writer_form(data: bytes) -> np.ndarray | None:
+    """The samples of a CSV of an ``x;y;z`` LF header and rows of three
+    writer-form cells, each row ending in LF; None for any other input.
+
+    Byte counts check the body: a separator seven bytes after each ``.``,
+    in the ``; ; LF`` pattern and the last LF ending the file, ``-`` only at
+    cell starts, one to seven digits before each ``.`` and digits everywhere
+    else.  Each cell is then read from two 8-byte runs: the integer digits,
+    ending before the ``.``, and the last integer digit, the ``.`` and the
+    decimals, ending at the separator.  The value ``n / 1e6``, with
+    ``n < 10**13``, has the bits of ``float(cell)``: both operands are exact
+    doubles, so the one rounding is the correct one (Clinger 1990).
+    """
+    if not data.startswith(_HEAD):
+        return None
+    # Two zero bytes before the 6-byte header put the body at offset 8, so
+    # every cell's integer run starts inside the buffer.
+    padded = bytes(2) + data
+    b = np.frombuffer(padded, np.uint8, offset=8)
+    dots = np.flatnonzero(b == 46)
+    ends = dots + 7
+    if not dots.size or dots.size % 3 or ends[-1] != b.size - 1 or (b[ends].reshape(-1, 3) != _ROW_SEPS).any():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    neg = b[starts] == 45
+    digits = dots - starts - neg
+    if not ((digits >= 1) & (digits <= 7)).all():
+        return None
+    if np.count_nonzero((b - 48) < 10) != b.size - 2 * dots.size - np.count_nonzero(neg):
+        return None
+    runs = np.ndarray(len(padded) - 7, _U8, padded, strides=(1,))  # the run at every offset
+    w = np.empty((2, dots.size), _U8)
+    np.take(runs, dots, out=w[0])
+    np.take(runs, ends, out=w[1])
+    w[0] &= _DIGIT_BYTES[digits]
+    w[1] &= _DIGIT_BYTES[6]
+    whole, frac = _swar8(w)
+    values = (whole * np.uint64(10**6) + frac).astype(np.float64) / np.where(neg, -1e6, 1e6)
+    return values.reshape(-1, 3)
+
+
+def _body_lines(data: bytes | str) -> list[str]:
+    """The lines after a checked ``x;y;z`` header; DataError for a file that
+    is not UTF-8 or does not start with that header."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
@@ -66,17 +150,7 @@ def read_accel_csv(
     if not lines or lines[0].rstrip("\r") != CSV_HEADER:
         got = lines[0].rstrip("\r") if lines else ""
         raise DataError(f"missing or misordered header: expected {CSV_HEADER!r}, got {got!r}")
-    body = lines[1:]
-    samples = _parse_body_fast(body)
-    if samples is None:
-        samples = _parse_body(body)
-    return AccelSeries(
-        samples=samples,
-        sampling_rate=sampling_rate,
-        label=label,
-        provenance=provenance,
-        subject_id=subject_id,
-    )
+    return lines[1:]
 
 
 def _parse_body_fast(body: list[str]) -> np.ndarray | None:
@@ -118,13 +192,70 @@ def _parse_body(body: list[str]) -> np.ndarray:
 
 
 def write_accel_csv(series: AccelSeries) -> bytes:
-    """Serialize an AccelSeries to CSV bytes (6 decimal places, LF endings).
+    """Serialize an AccelSeries to CSV bytes (6 decimal places, LF endings),
+    byte for byte as ``"%.6f"`` writes each value.
 
-    One ``%``-format over all values: ``%.6f`` rounds as ``f"{x:.6f}"`` does.
+    A series with a value that rounds to ``|x| >= 1e7`` is written by one
+    ``%``-format over all values.
     """
     samples = series.samples
-    rows = ("%.6f;%.6f;%.6f\n" * samples.shape[0]) % tuple(samples.ravel().tolist())
-    return (CSV_HEADER + "\n" + rows).encode("utf-8")
+    words = _cell_words(samples.ravel())
+    if words is None:
+        rows = ("%.6f;%.6f;%.6f\n" * samples.shape[0]) % tuple(samples.ravel().tolist())
+        return (CSV_HEADER + "\n" + rows).encode("utf-8")
+    cells = words.view(np.uint8)
+    return _HEAD + cells[cells != 0].tobytes()
+
+
+def _cell_words(x: np.ndarray) -> np.ndarray | None:
+    """Each value's cell as two '<u8' words, rows of three cells; None when a
+    value rounds to ``|x| >= 1e7``.
+
+    The first word holds the sign and the integer digits in its top bytes
+    and zero bytes below them; the second holds ``.``, the six decimals and
+    the separator.  ``rint(x * 1e6)`` rounds half to even as ``"%.6f"`` does,
+    except where the float product lands on a half, which ``_tie_rounded``
+    settles.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # x * 1e6 overflows beyond 1.8e302
+        p = x * 1e6
+        n = np.rint(p)
+        tie = np.abs(n - p) == 0.5
+    if tie.any():
+        n[tie] = _tie_rounded(x[tie], p[tie], n[tie])
+    if not (np.abs(n) < 1e13).all():
+        return None
+    whole, frac = _divmod(np.abs(n).astype(np.int64), 10**6)
+    thousands, ones = _divmod(whole, 1000)
+    millions, thousands = _divmod(thousands, 1000)
+    more = np.searchsorted(_POW10, whole, side="right")  # digits after the first
+    int_word = (millions + 48) << 8 | _DIGITS3[thousands] << 16 | _DIGITS3[ones] << 40
+    int_word &= -1 << 56 - 8 * more
+    int_word |= (45 << 48 - 8 * more) * np.signbit(x)
+    high, low = _divmod(frac, 1000)
+    words = np.empty((x.size // 3, 3, 2), _U8)
+    words[..., 0] = int_word.reshape(-1, 3)
+    words[..., 1] = (46 | _DIGITS3[high] << 8 | _DIGITS3[low] << 32).reshape(-1, 3) | _SEP_WORDS
+    return words
+
+
+def _divmod(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(a, d)`` for non-negative ``a``, by one floor division: an
+    int64 ``%`` costs about four of them."""
+    q = a // d
+    return q, a - q * d
+
+
+def _tie_rounded(x: np.ndarray, p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``x * 1e6`` rounded half to even where its float product ``p`` is a
+    half: the sign of the exact product error decides, and a zero error
+    keeps ``rint``'s even ``n``.  The error is Dekker's (1971), on a
+    Veltkamp split of ``x`` by ``2**27 + 1``; ``1e6`` has 14 significant
+    bits, so it needs no split and every partial product is exact."""
+    c = x * 134217729.0
+    hi = c - (c - x)
+    err = (hi * 1e6 - p) + (x - hi) * 1e6
+    return np.where(err > 0, np.ceil(p), np.where(err < 0, np.floor(p), n))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import operator
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -1504,3 +1505,26 @@ class TestCli:
         assert code == 4
         err = capsys.readouterr().err
         assert "error: non-finite values in lstm (iteration 0, epoch 0, batch 0, step 0)" in err
+
+    def test_huge_learning_rate_names_the_rate_exit_4(self, tmp_path, capsys, fixture_dataset):
+        """A first Adam step at learning rate 1e30 leaves finite parameters near
+        1e30, past the square root of float32's max, and the next forward pass
+        overflows: the error names the learning rate and the largest parameter."""
+        real, syn = fixture_dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([
+                "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(syn),
+                "--seed", "3", "--iterations", "1", "--window", "64", "--stride", "16",
+                "--hidden-size", "4", "--dense-units", "4", "--max-epochs", "2",
+                "--patience", "2", "--mix", "0.6,0.2,0.2", "--learning-rate", "1e30",
+                "--out", str(tmp_path / "o"),
+            ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^error: non-finite values in \w+ \(iteration 0, epoch 0, batch \d+(, step \d+)?, "
+            r"\|parameter\| up to 1e\+30 at learning rate 1e\+30\)$",
+            err, re.MULTILINE,
+        ), err
+        assert "Traceback" not in err

@@ -20,6 +20,7 @@ from synthfall.ingest import (
     PromptCatalog,
     _checked,
     _fits,
+    _read_writer_form,
     catalog_dataset,
     generate_prompt_variants,
     load_entry,
@@ -198,13 +199,23 @@ def assert_reads_like_reference(data):
     assert outcome(lambda d: read_accel_csv(d).samples, data) == outcome(reference_read, data)
 
 
+# Cells of the writer's form `-?D{1,7}\.DDDDDD`, integer part zero-padded or not.
+WRITER_FORM_CELLS = st.builds(
+    lambda minus, whole, width, frac: f"{'-' * minus}{whole:0{width}d}.{frac:06d}",
+    st.booleans(), st.integers(0, 10**7 - 1), st.integers(1, 7), st.integers(0, 10**6 - 1),
+)
 NEAR_VALID_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.floats(-1e3, 1e3).map(lambda v: f"{v:.6f}"),
     st.sampled_from([
         "1_0", "1__0", "_1", "\uff11\uff12", "\u0661", " 3 ", "\t4", "5\r", "\u20036",
         "nan", "-nan", "inf", "-Infinity", "1e400", "-0", "0x10", "", " ", "abc", "1e", "+.5", "5.",
+        "-0.000000", "-.500000", "1.", "--1.000000", "1-2.000000",
     ]),
+    st.builds(lambda v, frac: f"{v}.{frac:06d}", st.integers(-(10**9) + 1, 10**9 - 1), st.integers(0, 10**6 - 1)),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.5f}"),
+    st.floats(-1e3, 1e3).map(lambda v: f"{v:.7f}"),
+    WRITER_FORM_CELLS,
 )
 NEAR_VALID_LINES = st.one_of(
     st.lists(NEAR_VALID_CELLS, min_size=3, max_size=3).map(";".join),
@@ -258,6 +269,17 @@ class TestAccelCsvMatchesRowLoop:
     def test_named_bodies(self, body):
         assert_reads_like_reference("x;y;z\n" + body)
 
+    @pytest.mark.parametrize("body", [
+        b"1.000000;2.000000;3.000000\n-4.500000;0005.000000;-0.000000\n",
+        b"1.000000;2.000000\n3.000000;4.000000;5.000000;6.000000\n",
+        b"1.000000;2.00x000;3.000000\n",
+        b"1.000000;2.000000;3.000000\n4.000000;5.000000;6.000000\r\n",
+        b"123456789.000000;1.000000;2.000000\n",
+        b"12345678.000000;-1234567.000000;-.500000\n",
+    ])
+    def test_named_writer_form_bodies(self, body):
+        assert_reads_like_reference(b"x;y;z\n" + body)
+
     def test_error_lines_unchanged(self):
         with pytest.raises(DataError, match="^line 4: expected 3 semicolon-separated values, got 4$"):
             read_accel_csv(b"x;y;z\n1;2;3\n4;5;6\n1;2;3;4\n")
@@ -273,11 +295,38 @@ class TestAccelCsvMatchesRowLoop:
 
     def test_writer_rounding_edges(self):
         edges = [0.0, -0.0, 5e-7, -5e-7, 0.5e-6, 1.5e-6, -2.5e-6, 1.0000005, 2.0000005, 1e15, -1e15, 1e15 + 0.5]
+        edges += [9999999.4999995, 9999999.9999995, 1e7, -1e7, 0.0078125, -0.0078125, 0.0234375, -0.0234375]
+        edges += [5e-324, -5e-324]
         ties = (np.arange(-20, 21) * 1e-6 + 5e-7).tolist()
         samples = np.array(edges + ties + [0.0] * (-len(edges + ties) % 3)).reshape(-1, 3)
         data = write_accel_csv(AccelSeries(samples=samples, sampling_rate=32.0))
         assert data == reference_write(samples)
         assert b"-0.000000;" in data
+        # One value a row, so a value below 1e7 is written apart from the
+        # values that round to 1e7 or more.
+        for value in samples.ravel():
+            row = np.array([[value, 0.0, -value]])
+            data = write_accel_csv(AccelSeries(samples=row, sampling_rate=32.0))
+            assert data == reference_write(row)
+            assert_reads_like_reference(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(WRITER_FORM_CELLS, min_size=3, max_size=3).map(";".join), min_size=1, max_size=12),
+           st.lists(NEAR_VALID_LINES, max_size=1), st.data())
+    def test_writer_form_bodies(self, lines, odd, data):
+        """LF bodies of writer-form rows, sometimes with one other line."""
+        lines[data.draw(st.integers(0, len(lines))):0] = odd
+        assert_reads_like_reference(("x;y;z\n" + "".join(line + "\n" for line in lines)).encode())
+
+    def test_writer_form_with_crlf_or_no_final_lf(self):
+        samples = np.random.default_rng(3).normal(scale=50.0, size=(40, 3))
+        data = write_accel_csv(AccelSeries(samples=samples, sampling_rate=46.0))
+        expected = read_accel_csv(data).samples.tobytes()
+        assert _read_writer_form(data).tobytes() == expected
+        for variant in (data.replace(b"\n", b"\r\n"), data[:-1], data.replace(b"\n", b"\r\n")[:-2]):
+            assert _read_writer_form(variant) is None
+            assert_reads_like_reference(variant)
+            assert read_accel_csv(variant).samples.tobytes() == expected
 
     def test_roundtrip_large_series(self):
         rng = np.random.default_rng(7)
