@@ -496,8 +496,14 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
                     err = exc
                     largest = float(np.max(np.abs(theta)))
                     # Finite parameters this large overflow where two of them
-                    # multiply, so the step size that made them is the cause.
-                    if math.isfinite(largest) and largest >= math.sqrt(np.finfo(model.dtype).max):
+                    # multiply, or where one multiplies an activation: an input
+                    # value, an LSTM state (at most 1) or a BatchNorm output
+                    # (at most |gamma| sqrt(B) + |beta|).  The step size that
+                    # made them is then the cause.
+                    top = float(np.finfo(model.dtype).max)
+                    gamma, beta = (float(np.abs(v).max()) for v in (model.bn_gamma, model.bn_beta))
+                    activation = max(float(np.abs(batch).max()), 1.0, gamma * math.sqrt(idx.size) + beta)
+                    if math.isfinite(largest) and (largest >= math.sqrt(top) or largest * activation >= top):
                         cause = f"|parameter| up to {largest:.3g} at learning rate {config.learning_rate:g}"
                         err = NumericError(exc.message, exc.where + (cause,))
                     raise err.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc

@@ -17,6 +17,7 @@ import logging
 import math
 import re
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -202,6 +203,14 @@ class _RealSide:
     counts: np.ndarray
     bound: CoverageBound
 
+    @cached_property
+    def axis_samples(self) -> np.ndarray:
+        """The held samples standardized per axis (read-only), computed by
+        the first ``per_axis`` comparison of this real set and kept."""
+        samples = apply_scaler(self.axis_scaler, self.windows).samples
+        samples.flags.writeable = False
+        return samples
+
 
 # The real side of the last alignment that ran, under its _real_key.  One
 # real set is compared with many generators in turn, and only the generator
@@ -267,10 +276,11 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
     recording of both manifests must share one sampling rate.
 
     What depends on the real falls alone (their held windows and counts,
-    scalers, and the coverage bound, which holds the standardized windows
-    and their k-NN radii) is kept for the next call,
-    keyed by the window, stride, k and the real fall entries' manifest
-    fields and file bytes: comparing the same real set with another
+    scalers, the coverage bound, which holds the standardized windows and
+    their k-NN radii, and, once a ``per_axis`` comparison asks for them, the
+    samples standardized per axis) is kept for the next call, keyed by the
+    window, stride, k and the real fall entries' manifest fields and file
+    bytes: comparing the same real set with another
     generator reads the real files but parses none of them.  Only the last
     real set is kept, and only once a comparison with it gets past loading
     its synthetic windows.
@@ -303,7 +313,7 @@ def run_alignment(real_manifest, synthetic_manifest, options: AlignmentOptions |
 
     jsd_per_axis = None
     if opts.per_axis:
-        real_ax, syn_ax = (apply_scaler(real.axis_scaler, w).samples for w in (real.windows, syn_windows))
+        real_ax, syn_ax = real.axis_samples, apply_scaler(real.axis_scaler, syn_windows).samples
         jsd_per_axis = {
             axis: jsd(*_density_pair((real_ax[:, i], real.counts), (syn_ax[:, i], syn_counts), opts.bins))
             for i, axis in enumerate(_AXES)

@@ -18,9 +18,14 @@ from .errors import ConfigError, DataError
 from .windowing import WindowSet
 
 EXACT_KS_LIMIT = 14
-COVERAGE_BLOCK = 256  # real rows per block of coverage's distance matrices
-COVERAGE_TILE = 2 * COVERAGE_BLOCK  # synthetic rows per column tile of covered_fraction
-SUM_ROWS = 16  # rows of |r|^2 + |s|^2 the distance kernel forms at a time
+COVERAGE_BLOCK = 256  # open real rows per block of covered_fraction's distances
+COVERAGE_TILE = 2 * COVERAGE_BLOCK  # rows per tile of knn_radii and of the synthetic rows
+# Both operands of every distance product are padded to a multiple of PAD
+# rows, and to at least 4 * PAD, so each entry has the bits of its own two
+# rows on scipy-openblas 0.3.31 (Haswell kernel, 1 and 2 threads): the
+# micro-kernel's panels are whole, and no product has the at most 1024
+# entries of OpenBLAS's small-matrix path, whose sums round differently.
+PAD = 16
 # Two rows whose squared norms are at most this have |r|^2 + |s|^2 and 2 r.s
 # within the float range.
 MAX_SQ_NORM = np.finfo(np.float64).max / 8
@@ -294,59 +299,83 @@ def _sq_norms(blocks) -> np.ndarray:
     return r_sq
 
 
-def _sq_distances(blocks, s: np.ndarray, s_sq: np.ndarray):
-    """For each (rows, their squared norms) pair of ``blocks``, the largest
-    first, the squared Euclidean distances from those rows to every row of
-    ``s`` as |r|^2 + |s|^2 - 2 r.s, in one buffer reused for every block.
-    Scaling the product by -2 in place is exact; scaling a copy of ``r``
-    instead can change bits where BLAS takes a block times its own transpose
-    as a symmetric update.  The norm sums are formed ``SUM_ROWS`` rows at a
-    time in a small buffer and added into their rows of the product: the
-    same two elementwise operations on the same operands as whole-block
-    sums, so every distance keeps its bits.  Rounding can leave entries
-    below 0: callers reduce first, then clamp at 0 and take the root, both
-    monotone, so the reduction picks the same entry."""
-    product = sums = None
-    for r, r_sq in blocks:
-        if product is None:
-            product, sums = np.empty((len(r), len(s))), np.empty((min(len(r), SUM_ROWS), len(s)))
-        sq = np.matmul(r, s.T, out=product[: len(r)])
+def _padded(idx: np.ndarray) -> np.ndarray:
+    """The index array ``idx`` with its last index repeated up to a multiple
+    of ``PAD`` of at least ``4 * PAD``; a repeated row enters no dot product
+    of another row."""
+    return idx[np.minimum(np.arange(max(-(-len(idx) // PAD), 4) * PAD), len(idx) - 1)]
+
+
+def _sq_distances(take, r_sq, blocks, s: np.ndarray, s_sq: np.ndarray):
+    """For each index array of ``blocks``, the squared Euclidean distances
+    from those rows (gathered by ``take``, squared norms ``r_sq``) to every
+    row of ``s`` (a ``_padded`` gather, squared norms ``s_sq``), as
+    (-2 r.s) + (|r|^2 + |s|^2), in one buffer reused for every block.  Each
+    block is gathered ``_padded`` and its pad rows sliced off, so every
+    distance has the bits of its pair alone, and d(r, s) is d(s, r): the
+    product is symmetric and the norm sum is formed first.  The operands
+    are never one buffer, which numpy would take as a symmetric update of
+    other bits.  Scaling the product by -2 in place is exact; the norm sums
+    are formed ``PAD`` rows at a time in a small buffer.  Rounding can leave
+    entries below 0: callers reduce first, then clamp at 0 and take the
+    root, both monotone, so the reduction picks the same entry."""
+    padded = [_padded(b) for b in blocks]
+    product, sums = np.empty((max(map(len, padded)), len(s))), np.empty((PAD, len(s)))
+    for b, idx in zip(blocks, padded):
+        sq = np.matmul(take(idx), s.T, out=product[: len(idx)])
         sq *= -2.0
-        for i in range(0, len(r), SUM_ROWS):
-            rows = slice(i, min(i + SUM_ROWS, len(r)))
-            sq[rows] += np.add(r_sq[rows, None], s_sq, out=sums[: rows.stop - i])
-        yield sq
+        for i in range(0, len(b), PAD):
+            sq[i : i + PAD] += np.add(r_sq[idx[i : i + PAD], None], s_sq, out=sums)
+        yield sq[: len(b)]
 
 
 def knn_radii(real, k: int) -> np.ndarray:
     """Per real sample, the Euclidean distance to its k-th nearest other real
-    sample; the radii depend on the real samples alone.  A ``WindowSet``
-    is gathered once, for this call only.  A real sample whose squared norm
-    passes ``MAX_SQ_NORM`` is refused (``_sq_norms``)."""
+    sample; the radii depend on the real samples alone.  The rows are
+    compared in pairs of tiles (I, J >= I) (``_tiles``), each gathered when
+    it is compared: a pair's distances update the k smallest of I's rows
+    and, transposed, of J's.  The k-th smallest of a set does not depend on
+    the order it is seen in, and each distance has the bits of its pair
+    alone (``_sq_distances``), so the radii are those of the whole padded
+    distance matrix, while memory grows with a tile's square and k numbers
+    per row.  A real sample whose squared norm passes ``MAX_SQ_NORM`` is
+    refused (``_sq_norms``)."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     _, n, _, take = _row_source(real)
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
-    r = take(slice(None))
-    blocks = list(_blocks(n))
-    r_sq = _sq_norms(r[b] for b in blocks)
-    radii = np.empty(n)
-    for b, sq in zip(blocks, _sq_distances(((r[b], r_sq[b]) for b in blocks), r, r_sq)):
-        own = np.arange(sq.shape[0])
-        sq[own, b.start + own] = np.inf
-        sq.partition(k - 1, axis=1)
-        radii[b] = sq[:, k - 1]
-    return np.sqrt(np.maximum(radii, 0.0, out=radii), out=radii)
+    tiles = list(_tiles(n))
+    r_sq = _sq_norms(take(t) for t in tiles)
+    nearest = np.full((n, k), np.inf)  # each row's k smallest, the k-th last
+
+    def merge(rows, sq):
+        """Folds the distances ``sq`` of ``rows`` into their k smallest; a
+        row with none below its k-th smallest keeps them."""
+        near = sq.min(axis=1) < nearest[rows, -1]
+        both = np.concatenate([nearest[rows[near]], sq[near]], axis=1)
+        both.partition(k - 1, axis=1)
+        nearest[rows[near]] = both[:, :k]
+
+    for i, cols in enumerate(tiles):
+        idx = _padded(cols)
+        for rows, sq in zip(tiles[i:], _sq_distances(take, r_sq, tiles[i:], take(idx), r_sq[idx])):
+            sq = sq[:, : len(cols)]
+            if rows is cols:
+                sq[np.arange(len(cols)), np.arange(len(cols))] = np.inf
+            else:
+                merge(cols, sq.T)
+            merge(rows, sq)
+    return np.sqrt(np.maximum(nearest[:, -1], 0.0))
 
 
 def _tiles(m: int):
-    """(start, stop) column tiles of ``COVERAGE_TILE`` rows over ``m`` rows;
-    a remainder of less than half a tile joins the last tile."""
+    """Index arrays of ``COVERAGE_TILE`` rows over ``m`` rows; a remainder
+    of less than half a tile joins the last tile."""
     edges = list(range(0, m, COVERAGE_TILE)) + [m]
     if len(edges) > 2 and m - edges[-2] < COVERAGE_TILE // 2:
         del edges[-2]
-    return zip(edges[:-1], edges[1:])
+    return (np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -503,10 +532,10 @@ def covered_fraction(bound: CoverageBound, synthetic) -> float:
     of a pair that could cover within the float range.  A pair the bound
     drops is thus one the kernel would not count, nan and inf included
     (``np.fmin`` skips a nan as the kernel's minimum does, and a nan bound
-    drops a row the kernel's nan leaves open).  The rows left open run
-    through the unchanged kernel in blocks of ``COVERAGE_BLOCK``, against
-    the same tile and its norms, so each distance it computes is the one it
-    computed without the bound, and every row leaves at the same tile.
+    drops a row the kernel's nan leaves open).  The rows left open meet the
+    kernel in blocks of ``COVERAGE_BLOCK``, and a distance does not depend
+    on which other rows share its block (``_sq_distances``), so each one is
+    the one it was without the bound, and every row leaves at the same tile.
     """
     (_, n, dims, real_rows), (_, m, syn_dims, syn_rows) = _row_source(bound.real), _row_source(synthetic)
     if dims != syn_dims:
@@ -516,14 +545,15 @@ def covered_fraction(bound: CoverageBound, synthetic) -> float:
     # takes inf - inf; fmin skips the nan, so such a sample covers nothing
     # and hides no other sample of its tile.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in _tiles(m):
-            tile = syn_rows(slice(lo, hi))
+        for cols in _tiles(m):
+            tile = syn_rows(_padded(cols))
             s_sq = (tile * tile).sum(axis=1)
             could = bound.could_cover(open_rows, tile, s_sq)
             rows, stays = open_rows[could], ~could
             if len(rows):
-                blocks = ((real_rows(rows[b]), bound.r_sq[rows[b]]) for b in _blocks(len(rows)))
-                nearest = np.concatenate([np.fmin.reduce(sq, axis=1) for sq in _sq_distances(blocks, tile, s_sq)])
+                blocks = [rows[b] for b in _blocks(len(rows))]
+                distances = _sq_distances(real_rows, bound.r_sq, blocks, tile, s_sq)
+                nearest = np.concatenate([np.fmin.reduce(sq[:, : len(cols)], axis=1) for sq in distances])
                 # Compared after the root, as squared distances could flip a tie.
                 nearest = np.sqrt(np.maximum(nearest, 0.0, out=nearest), out=nearest)
                 stays[could] = ~(nearest <= bound.radii[rows])

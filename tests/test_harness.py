@@ -456,8 +456,9 @@ class TestRealSideMemo:
     def test_warm_pass_gathers_no_full_set_of_real_rows(self, tmp_path, calls, monkeypatch):
         """A warm comparison neither rebuilds the coverage bound nor takes the
         real rows' squared norms again: it gathers only the real rows the
-        bound leaves open, at most one block at a time.  Against a far
-        generator the bound leaves fewer than one real row in ten."""
+        bound leaves open, at most one block of distinct rows at a time (a
+        padded gather repeats its last row).  Against a far generator the
+        bound leaves fewer than one real row in ten."""
         real = build_dataset(tmp_path, subjects=12, series_len=400, seed=0)
         near, far = (
             build_synthetic_manifest(tmp_path, source=f"gen{g}", series=5, series_len=400, seed=30 + g, value_shift=shift)
@@ -474,9 +475,8 @@ class TestRealSideMemo:
             return counted_call
 
         def counted_rows(windows, idx=slice(None)):
-            rows = compute_rows(windows, idx)
-            gathered.append((len(windows), len(rows)))
-            return rows
+            gathered.append((len(windows), len(np.unique(np.arange(len(windows))[idx]))))
+            return compute_rows(windows, idx)
 
         compute_rows = WindowSet.rows
         monkeypatch.setattr(WindowSet, "rows", counted_rows)
@@ -522,6 +522,33 @@ class TestRealSideMemo:
         report = run_alignment(real, second, self.OPTS)
         assert scaled == held == [report.ks_x.m // self.OPTS.window] != [report.ks_x.n // self.OPTS.window]
         assert report.to_dict() == replicated_alignment(real, second, self.OPTS).to_dict()
+        assert calls["radii"] == [(54, 3)]
+
+    def test_warm_per_axis_pass_standardizes_only_the_synthetic_side(self, tmp_path, calls, monkeypatch):
+        """The real samples standardized per axis are computed by the first
+        ``per_axis`` comparison of a real set and kept, and by no comparison
+        without ``per_axis``: a warm ``per_axis`` comparison calls
+        ``apply_scaler`` on the synthetic windows only, once per scaler."""
+        real = build_dataset(tmp_path, subjects=6, series_len=200, seed=0)
+        first, second = self.generators(tmp_path, 2)
+        opts = replace(self.OPTS, per_axis=True)
+        self.check(real, first)
+        (side,) = harness._REAL_SIDE.values()
+        assert "axis_samples" not in vars(side)
+        self.check(real, first, opts)
+        assert not side.axis_samples.flags.writeable
+        scaled = []
+
+        def counted_scaler(scaler, windows):
+            scaled.append(len(windows))
+            return compute_scaler(scaler, windows)
+
+        compute_scaler = harness.apply_scaler
+        monkeypatch.setattr(harness, "apply_scaler", counted_scaler)
+        report = run_alignment(real, second, opts)
+        assert scaled == [report.ks_x.m // opts.window] * 2
+        monkeypatch.undo()
+        assert report.to_dict() == replicated_alignment(real, second, opts).to_dict()
         assert calls["radii"] == [(54, 3)]
 
     def test_failing_comparison_leaves_the_memo_alone(self, tmp_path, calls):
@@ -1525,6 +1552,29 @@ class TestCli:
         assert re.search(
             r"^error: non-finite values in \w+ \(iteration 0, epoch 0, batch \d+(, step \d+)?, "
             r"\|parameter\| up to 1e\+30 at learning rate 1e\+30\)$",
+            err, re.MULTILINE,
+        ), err
+        assert "Traceback" not in err
+
+    def test_learning_rate_below_the_square_root_bound_names_the_rate_exit_4(self, tmp_path, capsys, fixture_dataset):
+        """At learning rate 1e19 the parameters stay below the square root of
+        float32's max, but BatchNorm's output, scaled by gamma, times
+        ``dense2_w`` passes the float32 range: the error names the rate."""
+        real, syn = fixture_dataset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([
+                "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(syn),
+                "--seed", "3", "--iterations", "1", "--window", "64", "--stride", "16",
+                "--hidden-size", "4", "--dense-units", "4", "--max-epochs", "2",
+                "--patience", "2", "--mix", "0.6,0.2,0.2", "--learning-rate", "1e19",
+                "--out", str(tmp_path / "o"),
+            ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^error: non-finite values in dense2 \(iteration 0, epoch 0, batch \d+, "
+            r"\|parameter\| up to 1\.\d+e\+19 at learning rate 1e\+19\)$",
             err, re.MULTILINE,
         ), err
         assert "Traceback" not in err

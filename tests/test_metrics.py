@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from synthfall.metrics import (
     COVERAGE_BLOCK,
     COVERAGE_TILE,
     MAX_SQ_NORM,
-    SUM_ROWS,
+    PAD,
     DensityCurve,
     _ecdf_gap,
     classification_metrics,
@@ -382,15 +386,35 @@ def dense_knn_distances(real, synthetic, k):
     return np.partition(d_rr, k - 1, axis=1)[:, k - 1], dists(real, synthetic).min(axis=1)
 
 
+def padded_product(a, b):
+    """a @ b.T with each operand padded, by repeating its last row, to a
+    multiple of ``PAD`` rows of at least ``4 * PAD``, then sliced back: the
+    whole-matrix product whose entries the distance kernel reproduces."""
+    def pad(x):
+        return x[np.minimum(np.arange(max(-(-len(x) // PAD), 4) * PAD), len(x) - 1)]
+
+    return (pad(a) @ pad(b).T)[: len(a), : len(b)]
+
+
+def plain_sq_distances(a, b):
+    """|a|^2 + |b|^2 - 2 a.b over the whole padded product, unclamped."""
+    a_sq, b_sq = (a * a).sum(axis=1), (b * b).sum(axis=1)
+    return a_sq[:, None] + b_sq[None, :] - 2.0 * padded_product(a, b)
+
+
+def plain_radii(real, k):
+    """knn_radii's reference: the k-th smallest of each row of the whole
+    padded distance matrix, its diagonal left out, clamped at 0."""
+    d = plain_sq_distances(real, real)
+    np.fill_diagonal(d, np.inf)
+    return np.sqrt(np.maximum(np.partition(d, k - 1, axis=1)[:, k - 1], 0.0))
+
+
 def plain_nearest(a, b):
     """Nearest distance from each row of ``a`` to the rows of ``b``, from the
-    plain expression |a|^2 + |b|^2 - 2 a.b clamped at 0, ``COVERAGE_BLOCK``
-    rows of ``a`` at a time."""
-    a_sq, b_sq = (a * a).sum(axis=1), (b * b).sum(axis=1)
-    blocks = [slice(i, i + COVERAGE_BLOCK) for i in range(0, len(a), COVERAGE_BLOCK)]
-    return np.sqrt(np.concatenate([
-        np.maximum(a_sq[rows, None] + b_sq[None, :] - 2.0 * (a[rows] @ b.T), 0.0).min(axis=1) for rows in blocks
-    ]))
+    plain expression |a|^2 + |b|^2 - 2 a.b on the padded product, clamped
+    at 0."""
+    return np.sqrt(np.maximum(plain_sq_distances(a, b), 0.0).min(axis=1))
 
 
 def window_rows(rng, n, width=8, shift=0.0):
@@ -459,34 +483,80 @@ class TestCoverage:
 
     @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
     def test_nearest_equals_the_plain_expression_bit_for_bit(self, n):
-        """The one distance kernel (norms added into a reused buffer, the
-        product scaled by -2 in place, clamp and root after the reduction)
-        gives the radii and nearest distances of the plain blocked
-        expressions bit for bit."""
+        """The one distance kernel (padded tiles and blocks, norms added into
+        a reused buffer, the product scaled by -2 in place, clamp and root
+        after the reduction) gives the radii and nearest distances of the
+        plain expressions on the whole padded product bit for bit."""
         rng = np.random.default_rng(100 + n)
         real = rng.normal(size=(n, 24))
         synthetic = rng.normal(0.1, 1.1, size=(300, 24))
-
-        def plain(a, b):
-            """|a|^2 + |b|^2 - 2 a.b clamped at 0, COVERAGE_BLOCK rows of a at a time."""
-            a_sq, b_sq = (a * a).sum(axis=1), (b * b).sum(axis=1)
-            for i in range(0, len(a), COVERAGE_BLOCK):
-                rows = slice(i, i + COVERAGE_BLOCK)
-                yield i, np.maximum(a_sq[rows, None] + b_sq[None, :] - 2.0 * (a[rows] @ b.T), 0.0)
-
         if n > 5:
             for k in (1, 5):
-                radii = []
-                for i, d in plain(real, real):
-                    own = np.arange(len(d))
-                    d[own, i + own] = np.inf
-                    radii.append(np.partition(d, k - 1, axis=1)[:, k - 1])
-                assert np.array_equal(knn_radii(real, k), np.sqrt(np.concatenate(radii)))
-        nearest = np.sqrt(np.concatenate([d.min(axis=1) for _, d in plain(real, synthetic)]))
+                assert np.array_equal(knn_radii(real, k), plain_radii(real, k))
+        nearest = plain_nearest(real, synthetic)
         # A radius of exactly the nearest distance covers its row, the next
         # float below it does not: both fractions pin every distance's bits.
         assert covered_fraction(coverage_bound(real, nearest), synthetic) == 1.0
         assert covered_fraction(coverage_bound(real, np.nextafter(nearest, -np.inf)), synthetic) == 0.0
+
+    @pytest.mark.parametrize("tile", [96, 128, 200, COVERAGE_TILE])
+    def test_tiles_of_any_size_give_the_whole_matrix_bits(self, tile, monkeypatch):
+        """Radii and nearest distances are those of the whole padded matrix,
+        bit for bit, whatever the size of knn_radii's tiles and of
+        covered_fraction's tiles and blocks, at 1001 real and 517 synthetic
+        rows of 384 values, neither a multiple of ``PAD``."""
+        monkeypatch.setattr(metrics, "COVERAGE_TILE", tile)
+        monkeypatch.setattr(metrics, "COVERAGE_BLOCK", tile // 2)
+        rng = np.random.default_rng(700)
+        real, synthetic = window_rows(rng, 1001, 128).rows(), window_rows(rng, 517, 128, shift=0.1).rows()
+        for k in (1, 5):
+            assert np.array_equal(knn_radii(real, k), plain_radii(real, k))
+        nearest = plain_nearest(real, synthetic)
+        assert covered_fraction(coverage_bound(real, nearest), synthetic) == 1.0
+        assert covered_fraction(coverage_bound(real, np.nextafter(nearest, -np.inf)), synthetic) == 0.0
+
+    @pytest.mark.parametrize("n, m", [(12, 40), (COVERAGE_BLOCK + 5, 50)])
+    def test_small_products_keep_the_whole_matrix_bits(self, n, m):
+        """A few real rows, or a 5-row tail block of open rows, against a few
+        synthetic rows of 384 values give the bits of the whole padded
+        matrix: padding to at least ``4 * PAD`` rows keeps every product off
+        BLAS's path for the smallest products, whose sums round otherwise."""
+        rng = np.random.default_rng(900 + n)
+        real, synthetic = window_rows(rng, n, 128).rows(), window_rows(rng, m, 128, shift=0.1).rows()
+        assert np.array_equal(knn_radii(real, 5), plain_radii(real, 5))
+        nearest = plain_nearest(real, synthetic)
+        assert covered_fraction(coverage_bound(real, nearest), synthetic) == 1.0
+        assert covered_fraction(coverage_bound(real, np.nextafter(nearest, -np.inf)), synthetic) == 0.0
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """knn_radii and covered_fraction's nextafter bracket on 2047 real
+        windows of 384 values (no multiple of ``PAD``), each computed in a
+        process of one and of two BLAS threads, give the same bytes.  With
+        unpadded (256, n) products, one of these radii moved between the two
+        thread counts."""
+        rng = np.random.default_rng(806)
+        real, synthetic = window_rows(rng, 2047, 128).rows(), window_rows(rng, 600, 128, shift=0.1).rows()
+        np.savez(tmp_path / "rows.npz", real=real, synthetic=synthetic, nearest=plain_nearest(real, synthetic))
+        script = (
+            "import sys, numpy as np\n"
+            "from synthfall.metrics import coverage_bound, covered_fraction, knn_radii\n"
+            "d = np.load(sys.argv[1])\n"
+            "fractions = [covered_fraction(coverage_bound(d['real'], r), d['synthetic'])\n"
+            "             for r in (d['nearest'], np.nextafter(d['nearest'], -np.inf))]\n"
+            "print(knn_radii(d['real'], 5).tobytes().hex(), fractions)\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "rows.npz")], capture_output=True, text=True, check=True,
+                env={
+                    **os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                    "PYTHONPATH": str(Path(metrics.__file__).parents[1]),
+                },
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].endswith(" [1.0, 0.0]\n")
 
     @pytest.mark.parametrize("n", [1, COVERAGE_BLOCK - 1, COVERAGE_BLOCK, COVERAGE_BLOCK + 1, 2 * COVERAGE_BLOCK + 37])
     def test_gathered_rows_match_the_same_rows_as_an_array(self, n):
@@ -531,7 +601,7 @@ class TestCoverage:
                                   rng.normal(size=(near + width, 3))])
         starts = np.concatenate([np.arange(COVERAGE_TILE), COVERAGE_TILE + width + rng.permutation(near)])
         synthetic = windows_over(samples, starts, width)
-        assert [hi - lo for lo, hi in metrics._tiles(len(synthetic))] == [COVERAGE_TILE, near]
+        assert [len(t) for t in metrics._tiles(len(synthetic))] == [COVERAGE_TILE, near]
         real_arr, syn_arr = real.rows(), synthetic.rows()
         nearest = plain_nearest(real_arr[first:], syn_arr[COVERAGE_TILE:])
         assert nearest.max() < plain_nearest(real_arr, syn_arr[:COVERAGE_TILE]).min()
@@ -541,45 +611,49 @@ class TestCoverage:
             below = np.concatenate([wide, np.nextafter(nearest, -np.inf)])
             assert covered_fraction(coverage_bound(r, below), s) == first / n
 
-    @pytest.mark.parametrize("rows", [1, SUM_ROWS - 1, SUM_ROWS, SUM_ROWS + 1, 128, COVERAGE_BLOCK])
+    @pytest.mark.parametrize("rows", [1, PAD - 1, PAD, PAD + 1, 128, COVERAGE_BLOCK])
     def test_one_buffer_kernel_matches_the_two_buffer_expression(self, rows):
-        """The kernel adds |r|^2 + |s|^2 into the scaled product ``SUM_ROWS``
-        rows at a time.  Every distance keeps the bits of the sums formed
-        for the whole block in a second buffer, for blocks of ``rows`` rows
+        """The kernel adds |r|^2 + |s|^2 into the scaled product ``PAD`` rows
+        at a time.  Every distance keeps the bits of the sums formed for the
+        whole padded matrix in a second buffer, for blocks of ``rows`` rows
         and a shorter tail, against other rows and against the rows
         themselves."""
         rng = np.random.default_rng(500 + rows)
         r = rng.normal(size=(2 * rows + 3, 24)) * rng.uniform(0.1, 10.0, size=(2 * rows + 3, 1))
         for s in (rng.normal(0.2, 1.3, size=(301, 24)), r):
             r_sq, s_sq = (r * r).sum(axis=1), (s * s).sum(axis=1)
-            blocks = [slice(i, min(i + rows, len(r))) for i in range(0, len(r), rows)]
-            kernel = metrics._sq_distances(((r[b], r_sq[b]) for b in blocks), s, s_sq)
+            expect = padded_product(r, s)
+            expect *= -2.0
+            expect += np.add(r_sq[:, None], s_sq)
+            cols = metrics._padded(np.arange(len(s)))
+            blocks = [np.arange(i, min(i + rows, len(r))) for i in range(0, len(r), rows)]
+            kernel = metrics._sq_distances(r.__getitem__, r_sq, blocks, s[cols], s_sq[cols])
             for b, sq in zip(blocks, kernel, strict=True):
-                norms = np.add(r_sq[b, None], s_sq)
-                product = r[b] @ s.T
-                product *= -2.0
-                product += norms
-                assert np.array_equal(sq, product)
+                assert np.array_equal(sq[:, : len(s)], expect[b])
 
     def test_cold_radii_peak_within_the_rows_and_one_block(self):
-        """A cold knn_radii holds the gathered rows, one (COVERAGE_BLOCK, n)
-        product, a (SUM_ROWS, n) sum buffer and a few numbers per row: no
-        second buffer of the block's size."""
+        """A cold knn_radii holds two gathered tiles, one product of two
+        tiles, the merge's copies of a tile's distances, a (PAD, tile) sum
+        buffer and a few numbers per row: not every gathered row, whose
+        values here pass that bound by more than half."""
         rng = np.random.default_rng(14)
-        n, width = 3000, 8
+        n, width, k = 6000, 128, 5
         real = window_rows(rng, n, width)
         tracemalloc.start()
         try:
-            knn_radii(real, 5)
+            knn_radii(real, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * n * (3 * width + COVERAGE_BLOCK + SUM_ROWS + 4) + 64 * 1024
+        tile = COVERAGE_TILE + PAD
+        bound = 8 * (2 * tile * 3 * width + 3 * tile * (tile + k) + PAD * tile + n * (k + 4)) + 64 * 1024
+        assert 1.5 * bound < 8 * n * 3 * width
+        assert peak <= bound
 
     @pytest.mark.parametrize("n", [127, 128, 129, COVERAGE_BLOCK - 1, COVERAGE_BLOCK + 1])
     def test_block_edges_match_brute_force(self, n):
-        """Radii and coverage about 128 real rows, a multiple of the sums'
-        ``SUM_ROWS`` rows, and at the edges of the kernel's
+        """Radii and coverage about 128 real rows, a multiple of the kernel's
+        ``PAD`` rows, and at the edges of covered_fraction's
         ``COVERAGE_BLOCK`` row blocks."""
         rng = np.random.default_rng(600 + n)
         real, synthetic = rng.normal(size=(n, 4)), rng.normal(0.3, 1.2, size=(40, 4))
