@@ -307,18 +307,14 @@ def _forward(model: ModelParams, batch: np.ndarray, train: bool):
     return p, cache
 
 
-def forward(model: ModelParams, batch) -> np.ndarray:
-    """Eval-mode probabilities in (0, 1) for a batch of windows.
+def forward(model: ModelParams, windows, *, name: str = "batch") -> np.ndarray:
+    """The one eval-mode pass: probabilities in (0, 1) for a batch of windows.
 
-    Normalizes with the stored running BN statistics, so it is a pure
-    function of (model, input); keeps no BPTT history and runs in near-equal
-    batches of at most ``EVAL_BATCH`` windows.
-    """
-    return _eval_probs(model, batch if isinstance(batch, WindowSet) else _as_batch(batch, model.dtype), "batch")
-
-
-def _eval_probs(model: ModelParams, windows, name: str) -> np.ndarray:
-    """``forward``, each batch gathered and cast on its own, naming ``name`` if one overflows."""
+    Normalizes with the stored running BN statistics, so it is a pure function
+    of (model, input); keeps no BPTT history and runs in near-equal batches of
+    at most ``EVAL_BATCH`` windows, each cast on its own: DataError naming
+    ``name`` if one overflows."""
+    windows = windows if isinstance(windows, WindowSet) else _as_batch(windows, model.dtype, name)
     chunks = np.array_split(np.arange(len(windows)), -(-len(windows) // EVAL_BATCH) or 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         probs = [_forward(model, _as_batch(windows, model.dtype, name, i), train=False)[0] for i in chunks]
@@ -442,6 +438,24 @@ def _labels_of(windows, name: str) -> np.ndarray:
     raise DataError(f"{name} set must be a non-empty WindowSet")
 
 
+def _blame_learning_rate(exc: NumericError, model: ModelParams, inputs, train: bool, learning_rate: float):
+    """``exc``, naming the learning rate when finite parameters are so large
+    that they overflow where two multiply or one multiplies an activation: an
+    input, an LSTM state (at most 1) or a BatchNorm output, |gamma| spread +
+    |beta|, the spread being sqrt(B) under a step's batch statistics and a
+    dense1 output's bound over the smallest deviation under the running ones."""
+    largest = float(np.max(np.abs(model.flat[: model.n_trainable])))
+    top = float(np.finfo(model.dtype).max)
+    gamma, beta, mean = (float(np.abs(v).max()) for v in (model.bn_gamma, model.bn_beta, model.bn_mean))
+    deviation = math.sqrt(float(model.bn_var.min()) + BN_EPS)
+    spread = math.sqrt(len(inputs)) if train else ((model.hidden_size + 1) * largest + mean) / deviation
+    activation = max(float(np.abs(inputs).max()), 1.0, gamma * spread + beta)
+    if math.isfinite(largest) and (largest >= math.sqrt(top) or largest * activation >= top):
+        cause = f"|parameter| up to {largest:.3g} at learning rate {learning_rate:g}"
+        return NumericError(exc.message, exc.where + (cause,))
+    return exc
+
+
 def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, seed: int = 0):
     """Adam minibatch training with early stopping on validation loss;
     ``seed`` drives the epoch shuffles.
@@ -493,27 +507,16 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
                     theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                     _check_finite("adam update", theta)
                 except NumericError as exc:
-                    err = exc
-                    largest = float(np.max(np.abs(theta)))
-                    # Finite parameters this large overflow where two of them
-                    # multiply, or where one multiplies an activation: an input
-                    # value, an LSTM state (at most 1) or a BatchNorm output
-                    # (at most |gamma| sqrt(B) + |beta|).  The step size that
-                    # made them is then the cause.
-                    top = float(np.finfo(model.dtype).max)
-                    gamma, beta = (float(np.abs(v).max()) for v in (model.bn_gamma, model.bn_beta))
-                    activation = max(float(np.abs(batch).max()), 1.0, gamma * math.sqrt(idx.size) + beta)
-                    if math.isfinite(largest) and (largest >= math.sqrt(top) or largest * activation >= top):
-                        cause = f"|parameter| up to {largest:.3g} at learning rate {config.learning_rate:g}"
-                        err = NumericError(exc.message, exc.where + (cause,))
-                    raise err.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
+                    located = _blame_learning_rate(exc, model, batch, True, config.learning_rate)
+                    raise located.within(f"epoch {epoch}", f"batch {start // config.batch_size}") from exc
                 total += loss * idx.size
             history.train_loss.append(total / n)
 
             try:
-                val_probs = _eval_probs(model, val_windows, "validation")
+                val_probs = forward(model, val_windows, name="validation")
             except NumericError as exc:
-                raise exc.within(f"epoch {epoch}", "validation") from exc
+                located = _blame_learning_rate(exc, model, val_windows.values, False, config.learning_rate)
+                raise located.within(f"epoch {epoch}", "validation") from exc
             val_loss = _bce(val_probs, y_val)
             history.val_loss.append(val_loss)
             history.val_f1.append(classification_metrics(val_probs, y_val).f1)
@@ -534,5 +537,5 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
 def evaluate(model: ModelParams, test_windows, threshold: float = 0.5) -> ClassificationMetrics:
     """Eval-mode forward over the test windows, scored against their labels."""
     labels = _labels_of(test_windows, "test")
-    return classification_metrics(_eval_probs(model, test_windows, "test"), labels, threshold)
+    return classification_metrics(forward(model, test_windows, name="test"), labels, threshold)
 

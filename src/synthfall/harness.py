@@ -607,10 +607,8 @@ def _run_iteration(config, i, subjects, real_windows, synthetic_pool):
     try:
         best, history = train(model, train_w, val_w, config.train, seed=derive_seed(config.seed, i, "train"))
         scores = evaluate(best, test_w, config.threshold)
-    except NumericError as exc:
+    except (NumericError, DataError) as exc:
         raise exc.within(f"iteration {i}") from exc
-    except DataError as exc:
-        raise DataError(f"{exc} (iteration {i})") from exc
     result = IterationResult(
         index=i,
         **asdict(scores),

@@ -683,6 +683,24 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(max_epochs=10, patience=20)
 
+    def test_every_eval_pass_goes_through_forward(self, monkeypatch):
+        """Training's validation passes and ``evaluate`` call the module's
+        ``forward``, so a wrapper put on it sees each of them by name."""
+        import synthfall.classifier as classifier
+
+        def counting(model, windows, *, name="batch"):
+            seen.append((name, len(windows)))
+            return unwrapped(model, windows, name=name)
+
+        unwrapped, seen = classifier.forward, []
+        monkeypatch.setattr(classifier, "forward", counting)
+        config = TrainConfig(max_epochs=3, patience=3, batch_size=8)
+        val, test = toy_windows(3, seed=44), toy_windows(2, seed=45)
+        best, history = train(init_model(46, hidden_size=4, dense_units=4), toy_windows(6), val, config)
+        evaluate(best, test)
+        assert history.epochs() == 3
+        assert seen == [("validation", len(val))] * 3 + [("test", len(test))]
+
 
 class TestEvaluate:
     def test_zero_head_predicts_all_positive(self):

@@ -1113,11 +1113,14 @@ class TestCli:
         """A result sent back from a worker process keeps its error's message,
         place and exit code."""
         numeric = NumericError("non-finite values in lstm", ("epoch 0", "batch 1")).within("iteration 2")
-        for exc in (numeric, DataError("test windows hold values beyond the float32 range")):
+        located = DataError("test windows hold values beyond the float32 range").within("iteration 0")
+        for exc in (numeric, DataError("test windows hold values beyond the float32 range"), located):
             back = pickle.loads(pickle.dumps(exc))
             assert (type(back), str(back), back.exit_code) == (type(exc), str(exc), exc.exit_code)
         assert pickle.loads(pickle.dumps(numeric)).where == ("iteration 2", "epoch 0", "batch 1")
         assert str(numeric) == "non-finite values in lstm (iteration 2, epoch 0, batch 1)"
+        assert pickle.loads(pickle.dumps(located)).where == ("iteration 0",)
+        assert str(located) == "test windows hold values beyond the float32 range (iteration 0)"
 
     def test_ingest_ok(self, capsys, fixture_dataset):
         real, _ = fixture_dataset
@@ -1575,6 +1578,35 @@ class TestCli:
         assert re.search(
             r"^error: non-finite values in dense2 \(iteration 0, epoch 0, batch \d+, "
             r"\|parameter\| up to 1\.\d+e\+19 at learning rate 1e\+19\)$",
+            err, re.MULTILINE,
+        ), err
+        assert "Traceback" not in err
+
+    def test_learning_rate_that_overflows_validation_names_the_rate_exit_4(self, tmp_path, capsys, fixture_dataset):
+        """At learning rate 3e18 every training step of epoch 0 stays finite,
+        but the parameters it leaves, near 8e18, overflow in the validation
+        pass's dense2: that error names the rate too.  At 1e18 the same run
+        trains."""
+        real, syn = fixture_dataset
+
+        def run(rate):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main([
+                    "experiment", "--real-manifest", str(real), "--synthetic-manifest", str(syn),
+                    "--seed", "3", "--iterations", "1", "--window", "64", "--stride", "16",
+                    "--hidden-size", "4", "--dense-units", "4", "--max-epochs", "2",
+                    "--patience", "2", "--mix", "0.6,0.2,0.2", "--learning-rate", rate,
+                    "--out", str(tmp_path / rate),
+                ])
+            return code, capsys.readouterr().err
+
+        assert run("1e18") == (0, "")
+        code, err = run("3e18")
+        assert code == 4
+        assert re.search(
+            r"^error: non-finite values in dense2 \(iteration 0, epoch 0, validation, "
+            r"\|parameter\| up to \d\.\d+e\+18 at learning rate 3e\+18\)$",
             err, re.MULTILINE,
         ), err
         assert "Traceback" not in err
