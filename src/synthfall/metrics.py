@@ -18,8 +18,8 @@ from .errors import ConfigError, DataError
 from .windowing import WindowSet
 
 EXACT_KS_LIMIT = 14
-COVERAGE_BLOCK = 256  # open real rows per block of covered_fraction's distances
-COVERAGE_TILE = 2 * COVERAGE_BLOCK  # rows per tile of knn_radii and of the synthetic rows
+COVERAGE_BLOCK = 256  # rows per synthetic tile and per block of open real rows of covered_fraction
+COVERAGE_TILE = 2 * COVERAGE_BLOCK  # rows per tile of knn_radii and per bound product of could_cover
 # Both operands of every distance product are padded to a multiple of PAD
 # rows, and to at least 4 * PAD, so each entry has the bits of its own two
 # rows on scipy-openblas 0.3.31 (Haswell kernel, 1 and 2 threads): the
@@ -274,9 +274,9 @@ def coverage(real, synthetic, k: int = 5) -> float:
     return covered_fraction(coverage_bound(real, knn_radii(real, k)), synthetic)
 
 
-def _blocks(n: int):
-    """Slices of ``COVERAGE_BLOCK`` rows over ``n`` rows."""
-    return (slice(start, min(start + COVERAGE_BLOCK, n)) for start in range(0, n, COVERAGE_BLOCK))
+def _blocks(n: int, size: int):
+    """Slices of ``size`` rows over ``n`` rows."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
 def _sq_norms(blocks) -> np.ndarray:
@@ -316,16 +316,19 @@ def _sq_distances(take, r_sq, blocks, s: np.ndarray, s_sq: np.ndarray):
     product is symmetric and the norm sum is formed first.  The operands
     are never one buffer, which numpy would take as a symmetric update of
     other bits.  Scaling the product by -2 in place is exact; the norm sums
-    are formed ``PAD`` rows at a time in a small buffer.  Rounding can leave
-    entries below 0: callers reduce first, then clamp at 0 and take the
-    root, both monotone, so the reduction picks the same entry."""
+    are formed as many rows at a time as fit a buffer of 2^16 entries, each
+    still ``r_sq[i] + s_sq[j]``.  Rounding can leave entries below 0:
+    callers reduce first, then clamp at 0 and take the root, both monotone,
+    so the reduction picks the same entry."""
     padded = [_padded(b) for b in blocks]
-    product, sums = np.empty((max(map(len, padded)), len(s))), np.empty((PAD, len(s)))
+    chunk = max(2**16 // len(s), 1)
+    product, sums = np.empty((max(map(len, padded)), len(s))), np.empty((chunk, len(s)))
     for b, idx in zip(blocks, padded):
         sq = np.matmul(take(idx), s.T, out=product[: len(idx)])
         sq *= -2.0
-        for i in range(0, len(b), PAD):
-            sq[i : i + PAD] += np.add(r_sq[idx[i : i + PAD], None], s_sq, out=sums)
+        for i in range(0, len(b), chunk):
+            norms = r_sq[idx[i : i + chunk], None]
+            sq[i : i + chunk] += np.add(norms, s_sq, out=sums[: len(norms)])
         yield sq[: len(b)]
 
 
@@ -345,7 +348,7 @@ def knn_radii(real, k: int) -> np.ndarray:
     _, n, _, take = _row_source(real)
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
-    tiles = list(_tiles(n))
+    tiles = list(_tiles(n, COVERAGE_TILE))
     r_sq = _sq_norms(take(t) for t in tiles)
     nearest = np.full((n, k), np.inf)  # each row's k smallest, the k-th last
 
@@ -369,11 +372,11 @@ def knn_radii(real, k: int) -> np.ndarray:
     return np.sqrt(np.maximum(nearest[:, -1], 0.0))
 
 
-def _tiles(m: int):
-    """Index arrays of ``COVERAGE_TILE`` rows over ``m`` rows; a remainder
-    of less than half a tile joins the last tile."""
-    edges = list(range(0, m, COVERAGE_TILE)) + [m]
-    if len(edges) > 2 and m - edges[-2] < COVERAGE_TILE // 2:
+def _tiles(m: int, size: int):
+    """Index arrays of ``size`` rows over ``m`` rows; a remainder of less
+    than half a tile joins the last tile."""
+    edges = list(range(0, m, size)) + [m]
+    if len(edges) > 2 and m - edges[-2] < size // 2:
         del edges[-2]
     return (np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
@@ -406,7 +409,7 @@ class CoverageBound:
     def could_cover(self, rows: np.ndarray, tile: np.ndarray, s_sq: np.ndarray) -> np.ndarray:
         """Which of the real ``rows`` the bound leaves open to some row of
         ``tile`` (squared norms ``s_sq``): one (rows, K + 1) @ (K + 1, tile)
-        product per ``COVERAGE_BLOCK`` rows, whose ``np.fmin`` over the tile
+        product per ``COVERAGE_TILE`` rows, whose ``np.fmin`` over the tile
         is set against each row's threshold."""
         if self.basis is None:
             return np.ones(len(rows), dtype=bool)
@@ -417,7 +420,7 @@ class CoverageBound:
         np.multiply(proj, -2.0, out=column[:-1])
         np.subtract((proj * proj).sum(axis=0), BOUND_GAMMA / 4 * s_sq, out=column[-1])
         could = np.empty(len(rows), dtype=bool)
-        for b in _blocks(len(rows)):
+        for b in _blocks(len(rows), COVERAGE_TILE):
             nearest = np.fmin.reduce(self.lifted[rows[b]] @ column, axis=1)
             could[b] = nearest <= self.threshold[rows[b]]
         return could
@@ -466,12 +469,12 @@ def coverage_bound(real, radii) -> CoverageBound:
     rho = radii.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         if not BOUND_RANK < dims <= BOUND_MAX_DIMS:
-            return CoverageBound(real, rho, _sq_norms(rows(b) for b in _blocks(n)))
+            return CoverageBound(real, rho, _sq_norms(rows(b) for b in _blocks(n, COVERAGE_BLOCK)))
         moment, total = np.zeros((dims, dims)), np.zeros(dims)
 
         def summed():
             """Each block for _sq_norms, adding it into the covariance sums."""
-            for b in _blocks(n):
+            for b in _blocks(n, COVERAGE_BLOCK):
                 r = rows(b)
                 yield r
                 moment[...] += r.T @ r
@@ -485,7 +488,7 @@ def coverage_bound(real, radii) -> CoverageBound:
         # How far 2B is from orthonormal, plus the rounding of its Gram matrix.
         drift = np.abs(4.0 * (basis.T @ basis) - np.eye(BOUND_RANK)).max() + dims * np.finfo(np.float64).eps
         lifted = np.ones((n, BOUND_RANK + 1))
-        for b in _blocks(n):
+        for b in _blocks(n, COVERAGE_BLOCK):
             lifted[b, :-1] = rows(b) @ basis
         stretch = 1.0 + BOUND_DELTA + BOUND_RANK * drift
         threshold = (rho * rho * stretch + BOUND_GAMMA * r_sq) / 4 - (lifted[:, :-1] ** 2).sum(axis=1)
@@ -500,14 +503,15 @@ def covered_fraction(bound: CoverageBound, synthetic) -> float:
     can be paired with no other: a caller comparing one real set with many
     synthetic sets builds it once.
 
-    The synthetic samples are compared one column tile at a time, and a real
-    sample leaves once a tile covers it: ``min``, the clamp and the root are
-    monotone, so a tile's nearest distance is within the radius exactly when
-    it bounds the nearest distance overall.  Each tile, and each block of
-    the real samples still open, is gathered when it is compared, so memory
-    grows with the tile, the block and a few numbers per real sample, not
-    with either sample count times the values per sample.  A synthetic
-    sample past the float range covers nothing.
+    The synthetic samples are compared one column tile of ``COVERAGE_BLOCK``
+    rows at a time (``_tiles``), and a real sample leaves once a tile covers
+    it: ``min``, the clamp and the root are monotone, so a tile's nearest
+    distance is within the radius exactly when it bounds the nearest
+    distance overall.  Each tile, and each block of the real samples still
+    open, is gathered when it is compared, so memory grows with the tile,
+    the block and a few numbers per real sample, not with either sample
+    count times the values per sample.  A synthetic sample past the float
+    range covers nothing.
 
     Before the distance kernel, an exact lower bound drops the (real row,
     tile) pairs that cannot cover.  With ``B`` the real rows' top
@@ -521,10 +525,10 @@ def covered_fraction(bound: CoverageBound, synthetic) -> float:
 
     The row terms are folded into one threshold per real row and
     ``|b|^2 - BOUND_GAMMA |s|^2 / 4`` into the tile's appended column, so
-    the test is one product and one ``np.fmin`` per block.  The slack holds
-    every rounding error: the kernel's distance is within
-    (2 dims + 4) u (|r|^2 + |s|^2) of the true one (u = 2^-53), its root
-    within ``rho`` allows up to rho^2 (1 + 3u), and the projections and
+    the test is one product and one ``np.fmin`` per ``COVERAGE_TILE`` open
+    rows.  The slack holds every rounding error: the kernel's distance is
+    within (2 dims + 4) u (|r|^2 + |s|^2) of the true one (u = 2^-53), its
+    root within ``rho`` allows up to rho^2 (1 + 3u), and the projections and
     the bound's own sums add at most (4.2 sqrt(K) dims + 2.1 K + 7) u
     (|r|^2 + |s|^2); at ``BOUND_MAX_DIMS`` values all of it is below
     ``BOUND_GAMMA`` / 200.  The smallest normal float added to the
@@ -545,13 +549,13 @@ def covered_fraction(bound: CoverageBound, synthetic) -> float:
     # takes inf - inf; fmin skips the nan, so such a sample covers nothing
     # and hides no other sample of its tile.
     with np.errstate(over="ignore", invalid="ignore"):
-        for cols in _tiles(m):
+        for cols in _tiles(m, COVERAGE_BLOCK):
             tile = syn_rows(_padded(cols))
             s_sq = (tile * tile).sum(axis=1)
             could = bound.could_cover(open_rows, tile, s_sq)
             rows, stays = open_rows[could], ~could
             if len(rows):
-                blocks = [rows[b] for b in _blocks(len(rows))]
+                blocks = [rows[b] for b in _blocks(len(rows), COVERAGE_BLOCK)]
                 distances = _sq_distances(real_rows, bound.r_sq, blocks, tile, s_sq)
                 nearest = np.concatenate([np.fmin.reduce(sq[:, : len(cols)], axis=1) for sq in distances])
                 # Compared after the root, as squared distances could flip a tie.

@@ -14,6 +14,7 @@ from synthfall.classifier import (
     GATE_ORDER,
     TrainConfig,
     TrainHistory,
+    _blame_learning_rate,
     _forward,
     _lstm,
     _sigmoid,
@@ -626,6 +627,24 @@ class TestTrain:
             warnings.simplefilter("error", RuntimeWarning)
             train(init_model(18, hidden_size=4, dense_units=4), toy_windows(6), toy_windows(2), config)
         assert info.value.where == ("epoch 0", "batch 0")
+
+    def test_eval_pass_blame_divides_by_the_running_deviation(self):
+        """Under the running statistics a BatchNorm output is bounded by
+        |gamma| ((H + 1) |parameter| + |bn_mean|) / sqrt(min bn_var + eps) +
+        |beta|: parameters of 1e18 name the rate of an eval pass while the
+        running variance is 1, not once it is 1e36, and a step's rule
+        (sqrt(B) for 8 windows) does not name it."""
+        model = init_model(20, hidden_size=4, dense_units=4)
+        model.dense1_w[...] = 1e18
+        model.bn_gamma[...] = 1e18
+        inputs = toy_windows(4).values
+        exc = NumericError("non-finite values in dense2", ("validation",))
+        named = _blame_learning_rate(exc, model, inputs, False, 3e18)
+        assert type(named) is NumericError
+        assert str(named) == "non-finite values in dense2 (validation, |parameter| up to 1e+18 at learning rate 3e+18)"
+        assert _blame_learning_rate(exc, model, inputs, True, 3e18) is exc
+        model.bn_var[...] = 1e36
+        assert _blame_learning_rate(exc, model, inputs, False, 3e18) is exc
 
     def test_non_finite_gradients_are_named_with_epoch_and_batch(self, monkeypatch):
         """A gradient that overflows in BPTT is named before Adam folds it

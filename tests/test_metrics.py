@@ -417,6 +417,15 @@ def plain_nearest(a, b):
     return np.sqrt(np.maximum(plain_sq_distances(a, b), 0.0).min(axis=1))
 
 
+def tile_lengths(m, size):
+    """The row counts of ``metrics._tiles(m, size)``: whole tiles of ``size``
+    rows, a remainder of less than half a tile joined to the last one."""
+    whole, rest = divmod(m, size)
+    if whole and rest < size // 2:
+        return [size] * (whole - 1) + [size + rest]
+    return [size] * whole + [rest]
+
+
 def window_rows(rng, n, width=8, shift=0.0):
     """``n`` overlapping windows of ``width`` rows of one (n + width, 3)
     buffer, in a random order."""
@@ -502,18 +511,30 @@ class TestCoverage:
     @pytest.mark.parametrize("tile", [96, 128, 200, COVERAGE_TILE])
     def test_tiles_of_any_size_give_the_whole_matrix_bits(self, tile, monkeypatch):
         """Radii and nearest distances are those of the whole padded matrix,
-        bit for bit, whatever the size of knn_radii's tiles and of
-        covered_fraction's tiles and blocks, at 1001 real and 517 synthetic
-        rows of 384 values, neither a multiple of ``PAD``."""
+        bit for bit, whatever the size of knn_radii's tiles (``COVERAGE_TILE``)
+        and of covered_fraction's tiles and blocks (``COVERAGE_BLOCK``), at
+        1001 real and 517 synthetic rows of 384 values, neither a multiple of
+        ``PAD``.  Each call's tiles are recorded, so a size read before the
+        patch fails here."""
         monkeypatch.setattr(metrics, "COVERAGE_TILE", tile)
         monkeypatch.setattr(metrics, "COVERAGE_BLOCK", tile // 2)
+        tiles, calls = metrics._tiles, []
+
+        def recorded(m, size):
+            made = list(tiles(m, size))
+            calls.append([len(t) for t in made])
+            return iter(made)
+
+        monkeypatch.setattr(metrics, "_tiles", recorded)
         rng = np.random.default_rng(700)
         real, synthetic = window_rows(rng, 1001, 128).rows(), window_rows(rng, 517, 128, shift=0.1).rows()
         for k in (1, 5):
             assert np.array_equal(knn_radii(real, k), plain_radii(real, k))
+        assert calls == 2 * [tile_lengths(1001, tile)]
         nearest = plain_nearest(real, synthetic)
         assert covered_fraction(coverage_bound(real, nearest), synthetic) == 1.0
         assert covered_fraction(coverage_bound(real, np.nextafter(nearest, -np.inf)), synthetic) == 0.0
+        assert calls[2:] == 2 * [tile_lengths(517, tile // 2)]
 
     @pytest.mark.parametrize("n, m", [(12, 40), (COVERAGE_BLOCK + 5, 50)])
     def test_small_products_keep_the_whole_matrix_bits(self, n, m):
@@ -580,7 +601,7 @@ class TestCoverage:
     def test_blockwise_norms_match_one_reduction(self, n, dims):
         rng = np.random.default_rng(n * dims)
         r = rng.normal(size=(n, dims)) * rng.uniform(1e-3, 1e3, size=(n, 1))
-        blocks = [r[b] for b in metrics._blocks(n)]
+        blocks = [r[b] for b in metrics._blocks(n, COVERAGE_BLOCK)]
         assert max(len(b) for b in blocks) <= COVERAGE_BLOCK
         assert np.array_equal(metrics._sq_norms(blocks), (r * r).sum(axis=1))
 
@@ -595,16 +616,16 @@ class TestCoverage:
         width, first = 8, 40
         n = first + COVERAGE_BLOCK + tail
         real = window_rows(rng, n, width)
-        # A far first tile of COVERAGE_TILE windows, then a near one.
+        # A far first tile of COVERAGE_BLOCK windows, then a near one.
         near = 300
-        samples = np.concatenate([rng.normal(100.0, 1.0, size=(COVERAGE_TILE + width, 3)),
+        samples = np.concatenate([rng.normal(100.0, 1.0, size=(COVERAGE_BLOCK + width, 3)),
                                   rng.normal(size=(near + width, 3))])
-        starts = np.concatenate([np.arange(COVERAGE_TILE), COVERAGE_TILE + width + rng.permutation(near)])
+        starts = np.concatenate([np.arange(COVERAGE_BLOCK), COVERAGE_BLOCK + width + rng.permutation(near)])
         synthetic = windows_over(samples, starts, width)
-        assert [len(t) for t in metrics._tiles(len(synthetic))] == [COVERAGE_TILE, near]
+        assert [len(t) for t in metrics._tiles(len(synthetic), COVERAGE_BLOCK)] == [COVERAGE_BLOCK, near]
         real_arr, syn_arr = real.rows(), synthetic.rows()
-        nearest = plain_nearest(real_arr[first:], syn_arr[COVERAGE_TILE:])
-        assert nearest.max() < plain_nearest(real_arr, syn_arr[:COVERAGE_TILE]).min()
+        nearest = plain_nearest(real_arr[first:], syn_arr[COVERAGE_BLOCK:])
+        assert nearest.max() < plain_nearest(real_arr, syn_arr[:COVERAGE_BLOCK]).min()
         wide = np.full(first, 1e6)  # the first tile covers these rows
         for r, s in ((real, synthetic), (real_arr, syn_arr)):
             assert covered_fraction(coverage_bound(r, np.concatenate([wide, nearest])), s) == 1.0
@@ -795,23 +816,24 @@ class TestCoverage:
         float64, whatever kernel BLAS picks for a block (one row runs as a
         GEMV), so the tile-by-tile rule must match the brute-force nearest
         distance exactly.  Rows are covered in the first, middle and last of
-        three synthetic tiles; the rows left open fill their last block with
-        2 and then with 1 row."""
+        covered_fraction's three synthetic tiles of ``COVERAGE_BLOCK`` rows;
+        the rows left open fill their last block with 2 and then with 1 row."""
         rng = np.random.default_rng(41)
         dims = 6
-        first, middle, last = 300, 1, COVERAGE_BLOCK + 1  # rows each tile covers
+        first, middle, last = 200, 1, COVERAGE_BLOCK + 1  # rows each tile covers
         n = first + middle + last
         assert (n - first) % COVERAGE_BLOCK == 2 and (n - first - middle) % COVERAGE_BLOCK == 1
         # Distinct real rows 16 apart; each one's hit lies within 2 per value,
         # far nearer than any other real row's hit.
         real = 16 * np.unique(rng.integers(-50, 51, size=(2 * n, dims)), axis=0)
         real = real[rng.permutation(len(real))[:n]]
-        m = 3 * COVERAGE_TILE + 100  # the remainder joins the last tile
+        m = 3 * COVERAGE_BLOCK + 100  # the remainder joins the last tile
+        assert [len(t) for t in metrics._tiles(m, COVERAGE_BLOCK)] == [COVERAGE_BLOCK, COVERAGE_BLOCK, m - 2 * COVERAGE_BLOCK]
         synthetic = rng.integers(1000, 1100, size=(m, dims))
         slots = np.concatenate([
-            rng.permutation(COVERAGE_TILE)[:first],
-            COVERAGE_TILE + rng.permutation(COVERAGE_TILE)[:middle],
-            2 * COVERAGE_TILE + rng.permutation(m - 2 * COVERAGE_TILE)[:last],
+            rng.permutation(COVERAGE_BLOCK)[:first],
+            COVERAGE_BLOCK + rng.permutation(COVERAGE_BLOCK)[:middle],
+            2 * COVERAGE_BLOCK + rng.permutation(m - 2 * COVERAGE_BLOCK)[:last],
         ])
         synthetic[slots] = real + rng.integers(-2, 3, size=real.shape)
 
