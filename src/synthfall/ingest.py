@@ -17,7 +17,6 @@ import re
 import stat
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -41,8 +40,9 @@ CSV_HEADER = "x;y;z"
 #
 # The writer's form of a cell is `-?D{1,7}\.DDDDDD`.  Both directions handle
 # that form with whole-file byte kernels on little-endian '<u8' words, whose
-# lowest byte is a string's first; any other value or body goes through
-# ``%``-formatting or ``float()``, with the same bytes and bits.
+# lowest byte is a string's first.  Any other value is written by
+# ``%``-formatting; any other file is read row by row with ``float()``.
+# Either way the bytes and the bits are the same.
 
 _HEAD = (CSV_HEADER + "\n").encode()
 _U8 = np.dtype("<u8")
@@ -56,24 +56,23 @@ _DIGIT_BYTES = np.array([((1 << 64) - (1 << 8 * (8 - d))) & 0x0F0F0F0F0F0F0F0F f
 
 
 def read_accel_csv(
-    data: bytes | str,
+    data: bytes,
     *,
     sampling_rate: float = DEFAULT_FRAME_RATE_HZ,
     label: ActivityLabel = ActivityLabel.ADL,
     provenance: Provenance = Provenance.REAL,
     subject_id: str | None = None,
 ) -> AccelSeries:
-    """Parse an accelerometer CSV into an AccelSeries.
+    """Parse the bytes of an accelerometer CSV into an AccelSeries.
 
-    The file itself carries no rate/label metadata; callers supply it
-    (the dataset manifest does for cataloged files).
+    Writer-form files are read by a byte kernel; any other file by the row
+    parser, which words every error.  The file itself carries no rate/label
+    metadata; callers supply it (the dataset manifest does for cataloged
+    files).
     """
-    samples = _read_writer_form(data) if isinstance(data, bytes) else None
+    samples = _read_writer_form(data)
     if samples is None:
-        body = _body_lines(data)
-        samples = _parse_body_fast(body)
-        if samples is None:
-            samples = _parse_body(body)
+        samples = _parse_rows(data)
     return AccelSeries(
         samples=samples,
         sampling_rate=sampling_rate,
@@ -134,48 +133,22 @@ def _read_writer_form(data: bytes) -> np.ndarray | None:
     return values.reshape(-1, 3)
 
 
-def _body_lines(data: bytes | str) -> list[str]:
-    """The lines after a checked ``x;y;z`` header; DataError for a file that
-    is not UTF-8 or does not start with that header."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"accel CSV is not valid UTF-8: {exc}") from None
-    else:
-        text = data
+def _parse_rows(data: bytes) -> np.ndarray:
+    """The samples of a UTF-8 CSV with an ``x;y;z`` header, each cell
+    converted by ``float()``, row by row; the source of every CSV DataError,
+    a row's naming its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"accel CSV is not valid UTF-8: {exc}") from None
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
     if not lines or lines[0].rstrip("\r") != CSV_HEADER:
         got = lines[0].rstrip("\r") if lines else ""
         raise DataError(f"missing or misordered header: expected {CSV_HEADER!r}, got {got!r}")
-    return lines[1:]
-
-
-def _parse_body_fast(body: list[str]) -> np.ndarray | None:
-    """The body's samples converted in one pass, or None when any line might be
-    malformed; ``_parse_body`` then decides and words the error.
-
-    numpy converts each ``str`` token with ``float()``, so every token parses
-    exactly as in the row loop; a trailing carriage return is whitespace to
-    ``float()``.
-    """
-    if set(map(str.count, body, repeat(";"))) != {2}:
-        return None
-    try:
-        samples = np.array(";".join(body).split(";"), dtype=np.float64)
-    except ValueError:
-        return None
-    if not np.isfinite(samples).all():
-        return None
-    return samples.reshape(len(body), 3)
-
-
-def _parse_body(body: list[str]) -> np.ndarray:
-    """Row-by-row parse of the body lines; the source of every body error."""
     rows = []
-    for lineno, line in enumerate(body, start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.rstrip("\r").split(";")
         if len(parts) != 3:
             raise DataError(f"line {lineno}: expected 3 semicolon-separated values, got {len(parts)}")
@@ -183,7 +156,7 @@ def _parse_body(body: list[str]) -> np.ndarray:
             row = [float(p) for p in parts]
         except ValueError:
             raise DataError(f"line {lineno}: non-numeric cell") from None
-        if not all(np.isfinite(row)):
+        if not all(map(math.isfinite, row)):
             raise DataError(f"line {lineno}: non-finite value")
         rows.append(row)
     if not rows:

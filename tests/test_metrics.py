@@ -353,6 +353,22 @@ class TestJsd:
             assert forward == pytest.approx(jsd(q, p), abs=1e-12)
             assert -1e-12 <= forward <= 1.0 + 1e-12
 
+    def test_matches_scipy_oracle(self):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(11)
+
+        def masses(bins):
+            m = rng.dirichlet(np.ones(bins))
+            m[rng.random(bins) < 0.3] = 0.0  # empty bins on either side
+            m[rng.integers(bins)] += 0.5
+            return m / m.sum()
+
+        for _ in range(500):
+            bins = int(rng.integers(1, 41))
+            p, q = self.curve(masses(bins)), self.curve(masses(bins))
+            expect = spatial.distance.jensenshannon(p.masses(), q.masses(), base=2) ** 2
+            assert jsd(p, q) == pytest.approx(expect, abs=1e-12)
+
     def test_mismatched_grids(self):
         p = self.curve([0.5, 0.5])
         q = self.curve([0.5, 0.5], width=2.0)
