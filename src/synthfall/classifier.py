@@ -515,7 +515,9 @@ def train(model: ModelParams, train_windows, val_windows, config: TrainConfig, s
             try:
                 val_probs = forward(model, val_windows, name="validation")
             except NumericError as exc:
-                located = _blame_learning_rate(exc, model, val_windows.values, False, config.learning_rate)
+                # The held rows give the set's max |input| without gathering every window.
+                held = val_windows.held()[0].samples
+                located = _blame_learning_rate(exc, model, held, False, config.learning_rate)
                 raise located.within(f"epoch {epoch}", "validation") from exc
             val_loss = _bce(val_probs, y_val)
             history.val_loss.append(val_loss)

@@ -666,11 +666,16 @@ def run_experiment(config: ExperimentConfig, histories: list | None = None) -> E
 
 
 def _load_baseline_mean_f1(path: str | Path) -> float:
+    """The mean F1 of the experiment report at ``path``: DataError unless it
+    is positive, as ``percent_delta`` divides by it."""
     payload = read_json(path, "baseline report", DataError)
     try:
-        return ExperimentReport.from_dict(payload).mean_f1
+        mean_f1 = ExperimentReport.from_dict(payload).mean_f1
     except DataError as exc:
         raise DataError(f"baseline report is not a valid experiment report: {exc}") from None
+    if not mean_f1 > 0:
+        raise DataError(f"baseline report has mean F1 {mean_f1!r}; a percent delta needs a positive one")
+    return mean_f1
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,8 @@ def coverage(real, synthetic, k: int = 5) -> float:
 
 
 def _blocks(n: int, size: int):
-    """Slices of ``size`` rows over ``n`` rows."""
+    """Slices of ``size`` rows over ``n`` rows, the last one holding the
+    remainder."""
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
@@ -335,20 +336,20 @@ def _sq_distances(take, r_sq, blocks, s: np.ndarray, s_sq: np.ndarray):
 def knn_radii(real, k: int) -> np.ndarray:
     """Per real sample, the Euclidean distance to its k-th nearest other real
     sample; the radii depend on the real samples alone.  The rows are
-    compared in pairs of tiles (I, J >= I) (``_tiles``), each gathered when
-    it is compared: a pair's distances update the k smallest of I's rows
-    and, transposed, of J's.  The k-th smallest of a set does not depend on
-    the order it is seen in, and each distance has the bits of its pair
-    alone (``_sq_distances``), so the radii are those of the whole padded
-    distance matrix, while memory grows with a tile's square and k numbers
-    per row.  A real sample whose squared norm passes ``MAX_SQ_NORM`` is
-    refused (``_sq_norms``)."""
+    compared in pairs of tiles (I, J >= I) of ``COVERAGE_TILE`` rows
+    (``_blocks``), each gathered when it is compared: a pair's distances
+    update the k smallest of I's rows and, transposed, of J's.  The k-th
+    smallest of a set does not depend on the order it is seen in, and each
+    distance has the bits of its pair alone (``_sq_distances``), so the
+    radii are those of the whole padded distance matrix, while memory grows
+    with a tile's square and k numbers per row.  A real sample whose
+    squared norm passes ``MAX_SQ_NORM`` is refused (``_sq_norms``)."""
     if k < 1:
         raise ConfigError("k must be >= 1")
     _, n, _, take = _row_source(real)
     if n <= k:
         raise DataError(f"coverage needs more than k={k} real samples, got {n}")
-    tiles = list(_tiles(n, COVERAGE_TILE))
+    tiles = [np.arange(b.start, b.stop) for b in _blocks(n, COVERAGE_TILE)]
     r_sq = _sq_norms(take(t) for t in tiles)
     nearest = np.full((n, k), np.inf)  # each row's k smallest, the k-th last
 
@@ -370,15 +371,6 @@ def knn_radii(real, k: int) -> np.ndarray:
                 merge(cols, sq.T)
             merge(rows, sq)
     return np.sqrt(np.maximum(nearest[:, -1], 0.0))
-
-
-def _tiles(m: int, size: int):
-    """Index arrays of ``size`` rows over ``m`` rows; a remainder of less
-    than half a tile joins the last tile."""
-    edges = list(range(0, m, size)) + [m]
-    if len(edges) > 2 and m - edges[-2] < size // 2:
-        del edges[-2]
-    return (np.arange(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -504,7 +496,7 @@ def covered_fraction(bound: CoverageBound, synthetic) -> float:
     synthetic sets builds it once.
 
     The synthetic samples are compared one column tile of ``COVERAGE_BLOCK``
-    rows at a time (``_tiles``), and a real sample leaves once a tile covers
+    rows at a time (``_blocks``), and a real sample leaves once a tile covers
     it: ``min``, the clamp and the root are monotone, so a tile's nearest
     distance is within the radius exactly when it bounds the nearest
     distance overall.  Each tile, and each block of the real samples still
@@ -549,7 +541,7 @@ def covered_fraction(bound: CoverageBound, synthetic) -> float:
     # takes inf - inf; fmin skips the nan, so such a sample covers nothing
     # and hides no other sample of its tile.
     with np.errstate(over="ignore", invalid="ignore"):
-        for cols in _tiles(m, COVERAGE_BLOCK):
+        for cols in (np.arange(b.start, b.stop) for b in _blocks(m, COVERAGE_BLOCK)):
             tile = syn_rows(_padded(cols))
             s_sq = (tile * tile).sum(axis=1)
             could = bound.could_cover(open_rows, tile, s_sq)

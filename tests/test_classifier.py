@@ -646,6 +646,39 @@ class TestTrain:
         model.bn_var[...] = 1e36
         assert _blame_learning_rate(exc, model, inputs, False, 3e18) is exc
 
+    def test_validation_blame_gathers_no_whole_validation_set(self, monkeypatch):
+        """A failed validation pass reads max |input| for its learning-rate
+        note from the rows the windows hold: no gather of train takes more
+        than a batch or ``EVAL_BATCH`` windows, and the error is the one the
+        whole gathered validation set gives."""
+        import synthfall.classifier as classifier
+        from synthfall.windowing import WindowSet
+
+        exc = NumericError("non-finite values in dense2", ("validation",))
+        models, sizes, gather = [], [], WindowSet.rows
+
+        def failing(model, windows, *, name="batch"):
+            models.append(model.copy())
+            raise exc
+
+        def recorded(self, idx=slice(None)):
+            rows = gather(self, idx)
+            sizes.append(len(rows))
+            return rows
+
+        toy = toy_windows(EVAL_BATCH // 2 + 8, seed=5)
+        val = window_set(toy.values * 1e38, toy.labels, toy.subjects)
+        config = TrainConfig(learning_rate=10.0, max_epochs=1, patience=1, batch_size=8)
+        monkeypatch.setattr(classifier, "forward", failing)
+        monkeypatch.setattr(WindowSet, "rows", recorded)
+        with pytest.raises(NumericError) as info:
+            train(init_model(21, hidden_size=4, dense_units=4), toy_windows(6), val, config)
+        monkeypatch.undo()
+        assert len(val) > EVAL_BATCH and max(sizes) <= max(config.batch_size, EVAL_BATCH)
+        whole = _blame_learning_rate(exc, models[0], val.values, False, 10.0).within("epoch 0", "validation")
+        assert (type(info.value), str(info.value)) == (NumericError, str(whole))
+        assert str(whole).endswith("at learning rate 10)")
+
     def test_non_finite_gradients_are_named_with_epoch_and_batch(self, monkeypatch):
         """A gradient that overflows in BPTT is named before Adam folds it
         into its moments and the parameters; here the second batch's."""

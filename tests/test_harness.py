@@ -1250,6 +1250,26 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: baseline report")
         assert list(out.iterdir()) == []
 
+    def test_zero_f1_baseline_exit_3_before_reading(self, tmp_path, capsys, monkeypatch, fixture_dataset):
+        """A baseline whose classifier flagged no test window scores 0, which
+        no percent delta can divide by: the run stops before it trains."""
+        real, _ = fixture_dataset
+
+        def no_reading(entry, data=None):
+            raise AssertionError(f"read {entry.path} before the baseline report")
+
+        monkeypatch.setattr(harness, "load_entry", no_reading)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(damaged(EXPERIMENT, "mean_f1", value=0.0)))
+        out = tmp_path / "o"
+        code = main([
+            "experiment", "--real-manifest", str(real), "--seed", "1", "--iterations", "1",
+            "--mix", "0.7,0.3,0", "--baseline-report", str(baseline), "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: baseline report has mean F1 0.0")
+        assert list(out.iterdir()) == []
+
     def test_alignment_report_csv_exit_2(self, tmp_path, capsys):
         path = tmp_path / "alignment.json"
         path.write_text(json.dumps(ALIGNMENT.to_dict()))

@@ -434,12 +434,10 @@ def plain_nearest(a, b):
 
 
 def tile_lengths(m, size):
-    """The row counts of ``metrics._tiles(m, size)``: whole tiles of ``size``
-    rows, a remainder of less than half a tile joined to the last one."""
+    """The row counts of ``metrics._blocks(m, size)``: whole tiles of
+    ``size`` rows, then the remainder."""
     whole, rest = divmod(m, size)
-    if whole and rest < size // 2:
-        return [size] * (whole - 1) + [size + rest]
-    return [size] * whole + [rest]
+    return [size] * whole + [rest] * (rest > 0)
 
 
 def window_rows(rng, n, width=8, shift=0.0):
@@ -531,26 +529,29 @@ class TestCoverage:
         and of covered_fraction's tiles and blocks (``COVERAGE_BLOCK``), at
         1001 real and 517 synthetic rows of 384 values, neither a multiple of
         ``PAD``.  Each call's tiles are recorded, so a size read before the
-        patch fails here."""
+        patch fails here.  At tile 200, knn_radii's last tile holds 1 row,
+        padded to ``4 * PAD``."""
         monkeypatch.setattr(metrics, "COVERAGE_TILE", tile)
         monkeypatch.setattr(metrics, "COVERAGE_BLOCK", tile // 2)
-        tiles, calls = metrics._tiles, []
+        blocks, calls = metrics._blocks, []
 
-        def recorded(m, size):
-            made = list(tiles(m, size))
-            calls.append([len(t) for t in made])
+        def recorded(n, size):
+            made = list(blocks(n, size))
+            calls.append((sys._getframe(1).f_code.co_name, n, [b.stop - b.start for b in made]))
             return iter(made)
 
-        monkeypatch.setattr(metrics, "_tiles", recorded)
+        monkeypatch.setattr(metrics, "_blocks", recorded)
         rng = np.random.default_rng(700)
         real, synthetic = window_rows(rng, 1001, 128).rows(), window_rows(rng, 517, 128, shift=0.1).rows()
         for k in (1, 5):
             assert np.array_equal(knn_radii(real, k), plain_radii(real, k))
-        assert calls == 2 * [tile_lengths(1001, tile)]
+        assert [made for caller, _, made in calls if caller == "knn_radii"] == 2 * [tile_lengths(1001, tile)]
         nearest = plain_nearest(real, synthetic)
         assert covered_fraction(coverage_bound(real, nearest), synthetic) == 1.0
         assert covered_fraction(coverage_bound(real, np.nextafter(nearest, -np.inf)), synthetic) == 0.0
-        assert calls[2:] == 2 * [tile_lengths(517, tile // 2)]
+        # covered_fraction also cuts each tile's open real rows into blocks.
+        tiles = [made for caller, n, made in calls if (caller, n) == ("covered_fraction", 517)]
+        assert tiles == 2 * [tile_lengths(517, tile // 2)]
 
     @pytest.mark.parametrize("n, m", [(12, 40), (COVERAGE_BLOCK + 5, 50)])
     def test_small_products_keep_the_whole_matrix_bits(self, n, m):
@@ -632,13 +633,14 @@ class TestCoverage:
         width, first = 8, 40
         n = first + COVERAGE_BLOCK + tail
         real = window_rows(rng, n, width)
-        # A far first tile of COVERAGE_BLOCK windows, then a near one.
+        # A far first tile of COVERAGE_BLOCK windows, then near ones.
         near = 300
         samples = np.concatenate([rng.normal(100.0, 1.0, size=(COVERAGE_BLOCK + width, 3)),
                                   rng.normal(size=(near + width, 3))])
         starts = np.concatenate([np.arange(COVERAGE_BLOCK), COVERAGE_BLOCK + width + rng.permutation(near)])
         synthetic = windows_over(samples, starts, width)
-        assert [len(t) for t in metrics._tiles(len(synthetic), COVERAGE_BLOCK)] == [COVERAGE_BLOCK, near]
+        cut = [b.stop - b.start for b in metrics._blocks(len(synthetic), COVERAGE_BLOCK)]
+        assert cut == [COVERAGE_BLOCK, COVERAGE_BLOCK, near - COVERAGE_BLOCK]
         real_arr, syn_arr = real.rows(), synthetic.rows()
         nearest = plain_nearest(real_arr[first:], syn_arr[COVERAGE_BLOCK:])
         assert nearest.max() < plain_nearest(real_arr, syn_arr[:COVERAGE_BLOCK]).min()
@@ -831,9 +833,10 @@ class TestCoverage:
         """Integer-valued samples make every squared distance exact in
         float64, whatever kernel BLAS picks for a block (one row runs as a
         GEMV), so the tile-by-tile rule must match the brute-force nearest
-        distance exactly.  Rows are covered in the first, middle and last of
-        covered_fraction's three synthetic tiles of ``COVERAGE_BLOCK`` rows;
-        the rows left open fill their last block with 2 and then with 1 row."""
+        distance exactly.  Rows are covered in each of covered_fraction's
+        four synthetic tiles, three of ``COVERAGE_BLOCK`` rows and one of 100,
+        the last group's hits spread over the third and fourth; the rows left
+        open fill their last block with 2 and then with 1 row."""
         rng = np.random.default_rng(41)
         dims = 6
         first, middle, last = 200, 1, COVERAGE_BLOCK + 1  # rows each tile covers
@@ -843,8 +846,8 @@ class TestCoverage:
         # far nearer than any other real row's hit.
         real = 16 * np.unique(rng.integers(-50, 51, size=(2 * n, dims)), axis=0)
         real = real[rng.permutation(len(real))[:n]]
-        m = 3 * COVERAGE_BLOCK + 100  # the remainder joins the last tile
-        assert [len(t) for t in metrics._tiles(m, COVERAGE_BLOCK)] == [COVERAGE_BLOCK, COVERAGE_BLOCK, m - 2 * COVERAGE_BLOCK]
+        m = 3 * COVERAGE_BLOCK + 100
+        assert [b.stop - b.start for b in metrics._blocks(m, COVERAGE_BLOCK)] == 3 * [COVERAGE_BLOCK] + [100]
         synthetic = rng.integers(1000, 1100, size=(m, dims))
         slots = np.concatenate([
             rng.permutation(COVERAGE_BLOCK)[:first],
